@@ -15,7 +15,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .enrich import DEFAULT_FRAME_CAP, DEFAULT_RADIUS, build_enriched_stack
+from .enrich import DEFAULT_FRAME_CAP, DEFAULT_RADIUS, EnrichedStack, \
+    build_enriched_stack
 from .errors import DbgChatError, DebuggerError, LlmError, NotStopped
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolSpec
 from .prompts import (
@@ -179,12 +180,11 @@ class Agent:
     # -- chat path ---------------------------------------------------------
 
     def _chat(self, line: str) -> None:
-        history_text = self.history.formatted()
         if self.state.chat_in_progress:
-            messages = make_followup_prompt(history_text, line)
+            messages = make_followup_prompt(self.history.formatted(), line)
         else:
-            messages = make_initial_prompt(
-                self._initial_bundle(line, history_text), self.config.budget)
+            messages = make_initial_prompt(self._initial_bundle(line),
+                                           self.config.budget)
         self.history.clear()
         self.state.chat_in_progress = True
         self.state.turn_count += 1
@@ -193,20 +193,19 @@ class Agent:
                                "messages": [m.to_wire() for m in messages]})
         self._run_chat_turn()
 
-    def _initial_bundle(self, line: str, history_text: str) -> PromptBundle:
+    def _initial_bundle(self, line: str) -> PromptBundle:
         try:
             stack = build_enriched_stack(
                 self.session, self.config.workspace_root,
-                cap=self.config.frame_cap,
-                radius=self.config.radius).render()
+                cap=self.config.frame_cap, radius=self.config.radius)
         except NotStopped:
-            stack = ""
+            stack = EnrichedStack(entries=[], total_frames=0)
         return PromptBundle(
             instructions=instructions_text(),
             enriched_stack=stack,
             inputs=format_inputs(self.config.argv, self.config.stdin_text),
             error=error_section(self.session.stop),
-            history=history_text,
+            history=list(self.history.entries),
             user_text=line,
         )
 

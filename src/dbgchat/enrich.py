@@ -97,8 +97,12 @@ class EnrichedFrame:
 @dataclass
 class ElisionMarker:
     hidden_count: int
+    budget_cut: bool = False  # dropped to fit the prompt, not hidden code
 
     def render(self) -> str:
+        if self.budget_cut:
+            return (f"[... {self.hidden_count} frame(s) omitted to fit the "
+                    "token budget]")
         return f"[... skipping {self.hidden_count} hidden frame(s)]"
 
 

@@ -2,30 +2,28 @@
 
 The initial prompt carries six sections in fixed order: Instructions,
 Enriched Stack Trace, Inputs, Error, History, User Text.  Instructions go
-in the system message, the rest in one user message.  When the estimate
-exceeds the budget, content is dropped in a fixed priority: history
-entries oldest-first, then the Inputs section, then stack frames from the
-outermost end (the stopped frame is never dropped), each dropped run
-replaced by a count note.  Instructions, Error, and User Text are never
-altered.
+in the system message, the rest in one user message.  The stack and the
+history stay entries (an EnrichedStack and (command, output) pairs) until
+the prompt is rendered, and the budget is cut on those entries.  When the
+estimate exceeds the budget, content is dropped in a fixed priority:
+history entries oldest-first, then the Inputs section, then unmarked
+frames from the outermost end (the stopped frame is never dropped), with
+one count note where the first frame was dropped.  Each entry is rendered
+once to learn its size; every cut after that is arithmetic on the sizes.
+Instructions, Error, and User Text are never altered.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from . import PROMPT
+from .enrich import ElisionMarker, EnrichedFrame, EnrichedStack
 from .errors import BudgetImpossible
 from .llm import SYSTEM, USER, ChatMessage
 from .session import StopInfo
 
 DEFAULT_MAX_TOKENS = 16000
-
-# A frame block or hidden-frames marker starts one of these lines.
-_FRAME_HEADER = re.compile(r"^(?:> )?\S.*\(\d+\)\S*\(\)$")
-_MARKER_LINE = re.compile(r"^\[\.\.\. .*\]$")
 
 
 def estimate_tokens(text: str) -> int:
@@ -36,19 +34,15 @@ def estimate_tokens(text: str) -> int:
 @dataclass
 class TokenBudget:
     max_tokens: int = DEFAULT_MAX_TOKENS
-    estimator: Callable[[str], int] = estimate_tokens
-
-    def fits(self, text: str) -> bool:
-        return self.estimator(text) <= self.max_tokens
 
 
 @dataclass
 class PromptBundle:
     instructions: str
-    enriched_stack: str
+    enriched_stack: EnrichedStack
     inputs: str
     error: str
-    history: str
+    history: list[tuple[str, str]]
     user_text: str
 
 
@@ -90,10 +84,8 @@ HISTORY_INTRO = ("This is the history of some debugger commands I ran "
                  "and the results:")
 
 
-def instructions_text(mode: str = "native") -> str:
+def instructions_text() -> str:
     """The fixed system prompt; byte-stable across calls."""
-    if mode != "native":
-        raise ValueError(f"unknown mode {mode!r}")
     return _INSTRUCTIONS
 
 
@@ -126,15 +118,17 @@ def _frame_phrase(stop: StopInfo) -> str:
     return f" in {stop.frame.func} at {stop.frame.location()}"
 
 
+def _history_block(command: str, output: str) -> str:
+    block = f"{PROMPT}{command}"
+    if output.rstrip("\n"):
+        block += "\n" + output.rstrip("\n")
+    return block
+
+
 def format_history(entries: list[tuple[str, str]]) -> str:
     """Render (command, output) pairs the way the user saw them."""
-    parts = []
-    for command, output in entries:
-        block = f"{PROMPT}{command}"
-        if output.rstrip("\n"):
-            block += "\n" + output.rstrip("\n")
-        parts.append(block)
-    return "\n".join(parts)
+    return "\n".join(_history_block(command, output)
+                     for command, output in entries)
 
 
 def format_inputs(argv: list[str], stdin_text: str | None) -> str:
@@ -150,17 +144,21 @@ def format_inputs(argv: list[str], stdin_text: str | None) -> str:
 # Assembly
 # --------------------------------------------------------------------------
 
+_STACK_HEADING = ("Enriched Stack Trace:\n"
+                  "The program has this stack trace:\n")
+_INPUTS_HEADING = "Inputs:\n"
+_HISTORY_HEADING = f"History:\n{HISTORY_INTRO}\n"
+
+
 def _user_sections(bundle: PromptBundle) -> str:
     sections = []
-    if bundle.enriched_stack:
-        sections.append("Enriched Stack Trace:\n"
-                        "The program has this stack trace:\n"
-                        + bundle.enriched_stack)
+    if bundle.enriched_stack.entries:
+        sections.append(_STACK_HEADING + bundle.enriched_stack.render())
     if bundle.inputs:
-        sections.append("Inputs:\n" + bundle.inputs)
+        sections.append(_INPUTS_HEADING + bundle.inputs)
     sections.append("Error:\n" + bundle.error)
     if bundle.history:
-        sections.append(f"History:\n{HISTORY_INTRO}\n" + bundle.history)
+        sections.append(_HISTORY_HEADING + format_history(bundle.history))
     sections.append("User Text:\n" + bundle.user_text)
     return "\n\n".join(sections)
 
@@ -173,65 +171,25 @@ def render_messages(bundle: PromptBundle) -> list[ChatMessage]:
 
 
 def _estimate_bundle(bundle: PromptBundle, budget: TokenBudget) -> int:
-    return (budget.estimator(bundle.instructions)
-            + budget.estimator(_user_sections(bundle)))
+    """Estimated tokens of both messages; the estimate ignores `budget`."""
+    return (estimate_tokens(bundle.instructions)
+            + estimate_tokens(_user_sections(bundle)))
 
 
-def _drop_oldest_history(history: str) -> str:
-    """Remove the oldest entry: everything up to the next prompt marker."""
-    lines = history.split("\n")
-    for i in range(1, len(lines)):
-        if lines[i].startswith(PROMPT):
-            return "\n".join(lines[i:])
-    return ""
+def _bytes(text: str) -> int:
+    return len(text.encode("utf-8"))
 
 
-def _split_stack_blocks(stack: str) -> list[str]:
-    """Split the rendered stack into frame and marker blocks."""
-    blocks: list[list[str]] = []
-    for line in stack.split("\n"):
-        starts = bool(_FRAME_HEADER.match(line) or _MARKER_LINE.match(line))
-        if starts or not blocks:
-            blocks.append([line])
-        else:
-            blocks[-1].append(line)
-    return ["\n".join(b).strip("\n") for b in blocks]
+def _section_bytes(heading: str, parts: int, body: int, sep: int) -> int:
+    """Bytes an optional section adds to the user message.
 
-
-def _is_frame_block(block: str) -> bool:
-    return bool(_FRAME_HEADER.match(block.split("\n", 1)[0]))
-
-
-def _drop_outermost_frame(stack: str) -> str | None:
-    """Drop the first droppable frame block, maintaining a count note.
-
-    Returns None when only the stopped (marked) frame remains.
+    Its body joins `parts` entries of `body` bytes in all with `sep`-byte
+    separators.  A section without parts is left out; otherwise it costs
+    its heading and the blank line that joins it to its neighbour.
     """
-    blocks = _split_stack_blocks(stack)
-    note_count = 0
-    note_at: int | None = None
-    target: int | None = None
-    for i, block in enumerate(blocks):
-        head = block.split("\n", 1)[0]
-        m = re.match(r"^\[\.\.\. (\d+) frame\(s\) omitted to fit the "
-                     r"token budget\]$", head)
-        if m:
-            note_count = int(m.group(1))
-            note_at = i
-            continue
-        if _is_frame_block(block) and not head.startswith("> "):
-            target = i
-            break
-    if target is None:
-        return None
-    del blocks[target]
-    note = (f"[... {note_count + 1} frame(s) omitted to fit the "
-            "token budget]")
-    if note_at is not None and note_at < target:
-        blocks[note_at] = note
-    else:
-        blocks.insert(target, note)
-    return "\n\n".join(blocks)
+    if not parts:
+        return 0
+    return _bytes(heading) + body + sep * (parts - 1) + 2
 
 
 def truncate_bundle(bundle: PromptBundle, budget: TokenBudget) -> PromptBundle:
@@ -240,27 +198,47 @@ def truncate_bundle(bundle: PromptBundle, budget: TokenBudget) -> PromptBundle:
     Idempotent: a bundle that already fits is returned unchanged.
     Raises BudgetImpossible when the protected sections cannot fit.
     """
-    current = bundle
-    if _estimate_bundle(current, budget) <= budget.max_tokens:
-        return current
+    # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
+    room = 4 * (budget.max_tokens - estimate_tokens(bundle.instructions))
+    entries = bundle.enriched_stack.entries
+    entry_bytes = [_bytes(e.render()) for e in entries]
+    block_bytes = [_bytes(_history_block(*e)) for e in bundle.history]
+    fixed = _bytes(_user_sections(replace(
+        bundle, enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
+    stack = _section_bytes(_STACK_HEADING, len(entries), sum(entry_bytes), 2)
+    inputs = (_bytes(_INPUTS_HEADING + bundle.inputs) + 2
+              if bundle.inputs else 0)
 
-    while current.history:
-        current = replace(current, history=_drop_oldest_history(current.history))
-        if _estimate_bundle(current, budget) <= budget.max_tokens:
-            return current
+    history = sum(block_bytes)
+    for dropped in range(len(block_bytes) + 1):
+        if dropped:
+            history -= block_bytes[dropped - 1]
+        kept = _section_bytes(_HISTORY_HEADING, len(block_bytes) - dropped,
+                              history, 1)
+        if fixed + stack + inputs + kept <= room:
+            return (replace(bundle, history=bundle.history[dropped:])
+                    if dropped else bundle)
 
-    if current.inputs:
-        current = replace(current, inputs="")
-        if _estimate_bundle(current, budget) <= budget.max_tokens:
-            return current
+    # Without inputs; when there were none, the last check above was this.
+    if fixed + stack <= room:
+        return replace(bundle, inputs="", history=[])
 
-    while current.enriched_stack:
-        smaller = _drop_outermost_frame(current.enriched_stack)
-        if smaller is None:
-            break
-        current = replace(current, enriched_stack=smaller)
-        if _estimate_bundle(current, budget) <= budget.max_tokens:
-            return current
+    droppable = [i for i, e in enumerate(entries)
+                 if isinstance(e, EnrichedFrame) and not e.marked]
+    body = sum(entry_bytes)
+    for count, index in enumerate(droppable, start=1):
+        body -= entry_bytes[index]
+        note = ElisionMarker(count, budget_cut=True)
+        size = _section_bytes(_STACK_HEADING, len(entries) - count + 1,
+                              body + _bytes(note.render()), 2)
+        if fixed + size <= room:
+            gone = set(droppable[:count])
+            kept_entries = [e for i, e in enumerate(entries) if i not in gone]
+            kept_entries.insert(droppable[0], note)
+            stack_left = EnrichedStack(kept_entries,
+                                       bundle.enriched_stack.total_frames)
+            return replace(bundle, enriched_stack=stack_left, inputs="",
+                           history=[])
 
     raise BudgetImpossible(
         f"cannot fit the prompt in {budget.max_tokens} tokens: instructions, "
@@ -280,6 +258,5 @@ def make_followup_prompt(history: str, user_text: str) -> list[ChatMessage]:
     """A follow-up carries only the history since the last send plus text."""
     if not history:
         return [ChatMessage(role=USER, content=user_text)]
-    content = (f"History:\n{HISTORY_INTRO}\n{history}"
-               f"\n\nUser Text:\n{user_text}")
+    content = f"{_HISTORY_HEADING}{history}\n\nUser Text:\n{user_text}"
     return [ChatMessage(role=USER, content=content)]

@@ -36,19 +36,6 @@ RESUME_COMMANDS = frozenset({
 })
 
 
-class _Universal:
-    """Membership sentinel that contains every command."""
-
-    def __contains__(self, item: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "ALL_COMMANDS"
-
-
-ALL_COMMANDS = _Universal()
-
-
 @dataclass(frozen=True)
 class Verdict:
     allowed: bool
@@ -86,12 +73,6 @@ def unsafe_policy(flag_given: bool) -> SanitizerPolicy:
     if not flag_given:
         raise ValueError("unsafe mode requires the --unsafe flag")
     return SanitizerPolicy(Mode.UNSAFE, unsafe_ack=True)
-
-
-def allowed_command_prefixes(mode: Mode):
-    if mode is Mode.UNSAFE:
-        return ALL_COMMANDS
-    return DEFAULT_PREFIXES
 
 
 # An identifier directly before "(" is a call; sizeof and friends are

@@ -332,19 +332,6 @@ class DebugSession:
                         return (fullname, int(sym["line"]))
         return None
 
-    def selected_frame(self) -> Frame:
-        self._require_stack()
-        out = self.handle.send_command("-stack-info-frame")
-        if out.result_class != "done":
-            raise NotStopped(out.result.payload.get("msg", "no frame"))
-        return _frame_from_payload(out.result.payload["frame"])
-
-    def select_frame(self, level: int) -> None:
-        self._require_stack()
-        out = self.handle.send_command(f"-stack-select-frame {level}")
-        if out.result_class != "done":
-            raise BadFrameIndex(out.result.payload.get("msg", str(level)))
-
     # -- console passthrough ----------------------------------------------
 
     def execute_console(self, command: str) -> str:
@@ -371,6 +358,17 @@ class DebugSession:
         return self.handle.target_output(settle=settle)
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _quote_mi_arg(text: str) -> str:
-    """Quote an argument for the MI command line."""
+    """Quote an argument for the MI command line.
+
+    Control characters are refused: a raw newline would end the MI line
+    early and hand the rest to the debugger as a command of its own.
+    """
+    bad = _CONTROL.search(text)
+    if bad:
+        raise EvaluationError(f"control character {bad.group()!r} in "
+                              f"{text!r}")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -1,4 +1,4 @@
-"""Shared fixtures: compile the C crashers once per session."""
+"""Shared fixtures: compile the C crashers once per session; a fake session."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from dbgchat.session import Binding
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BUILD = FIXTURES / "build"
@@ -52,3 +54,49 @@ def fixture_bins() -> dict[str, Path]:
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+class FakeSession:
+    """Duck-typed stand-in for DebugSession; no debugger runs.
+
+    Console commands are recorded and answered from ``outputs`` (an
+    exception there is raised).  ``frames``, innermost first, make the
+    target stopped; every frame has one variable ``x`` holding its level
+    and every file one global ``g = 7``.  ``total`` counts frames beyond
+    the list as well.
+    """
+
+    def __init__(self, outputs=None, frames=(), total=None, stop=None):
+        self.commands = []
+        self.outputs = dict(outputs or {})
+        self.frames = list(frames)
+        self.total = total if total is not None else len(self.frames)
+        self.stopped = bool(self.frames)
+        self.stop = stop
+
+    def execute_console(self, command):
+        self.commands.append(command)
+        result = self.outputs.get(command, f"ran {command}")
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def symbol_definition(self, name):
+        return None
+
+    def stack_depth(self, cap=10000):
+        return min(self.total, cap)
+
+    def backtrace(self, limit=None):
+        if limit is None:
+            return list(self.frames)
+        return self.frames[:limit]
+
+    def frame_variables(self, level):
+        return [Binding(name="x", value=str(level), type="int")]
+
+    def global_variables(self, fullname, frame, cap=10):
+        return [Binding(name="g", value="7", type="int")]
+
+    def evaluate(self, expression, frame=None):
+        return "0"

@@ -22,7 +22,7 @@ from dbgchat.mi import parse_mi_line
 from dbgchat.prompts import (
     PromptBundle,
     TokenBudget,
-    format_history,
+    estimate_tokens,
     instructions_text,
     make_initial_prompt,
     render_messages,
@@ -118,8 +118,8 @@ def test_criterion_3_prompt_budget():
 
     truncated = impossible = 0
     for _ in range(1000):
-        history = format_history([(soup(1, 3), soup(1, 6))
-                                  for _ in range(rng.randint(0, 5))])
+        history = [(soup(1, 3), soup(1, 6))
+                   for _ in range(rng.randint(0, 5))]
         bundle = PromptBundle(
             instructions=instructions_text(),
             enriched_stack=_stack(rng.randint(1, 24)),
@@ -135,14 +135,14 @@ def test_criterion_3_prompt_budget():
             floor = PromptBundle(
                 instructions=bundle.instructions,
                 enriched_stack=_minimal_stack(bundle.enriched_stack),
-                inputs="", error=bundle.error, history="",
+                inputs="", error=bundle.error, history=[],
                 user_text=bundle.user_text)
-            total = sum(budget.estimator(m.content)
+            total = sum(estimate_tokens(m.content)
                         for m in render_messages(floor))
             assert total > budget.max_tokens
             impossible += 1
             continue
-        total = sum(budget.estimator(m.content) for m in messages)
+        total = sum(estimate_tokens(m.content) for m in messages)
         assert total <= budget.max_tokens
         assert messages[0].content == bundle.instructions
         assert messages[1].content.endswith(bundle.user_text)

@@ -25,8 +25,11 @@ from dbgchat.llm import (
     ScriptedBackend,
     validate_conversation,
 )
+from dbgchat.prompts import TokenBudget, estimate_tokens
 from dbgchat.sanitizer import native_strict
-from dbgchat.session import DebugSession
+from dbgchat.session import DebugSession, Frame, StopInfo
+
+from conftest import FakeSession
 
 DATA = Path(__file__).parent / "data"
 REPLAY_SCRIPT = DATA / "replay_segv.json"
@@ -58,27 +61,6 @@ class RecordingUi:
 
     def prose_text(self):
         return "".join(e[1] for e in self.kind("prose"))
-
-
-class FakeSession:
-    """Stands in for a debugger when no live target is needed."""
-
-    stopped = False
-    stop = None
-
-    def __init__(self, outputs=None):
-        self.commands = []
-        self.outputs = dict(outputs or {})
-
-    def execute_console(self, command):
-        self.commands.append(command)
-        result = self.outputs.get(command, f"ran {command}")
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def symbol_definition(self, name):
-        return None
 
 
 def write_script(tmp_path, turns, name="script.json"):
@@ -211,6 +193,35 @@ def test_followup_prompt_after_first_chat(tmp_path):
     assert user.content.endswith("third question")
     assert len(agent.history) == 0
     validate_conversation(agent.state.messages)
+
+
+def test_first_request_over_budget_is_cut_to_fit(tmp_path):
+    frames = []
+    for level in range(40):
+        source = tmp_path / f"f{level}.c"
+        source.write_text("int x;\n" * 12)
+        frames.append(Frame(level=level, func=f"fn{level}", file=source.name,
+                            fullname=str(source), line=3))
+    stop = StopInfo(kind="signal", signal_name="SIGSEGV", frame=frames[0])
+    session = FakeSession(frames=frames, stop=stop)
+    agent, _, _ = make_agent(tmp_path, [[{"text": "ok"}]], session=session,
+                             budget=TokenBudget(1500))
+    agent.handle_input("p x")
+    agent.handle_input("why?")
+
+    first = agent.state.messages[:2]
+    assert [m.role for m in first] == [SYSTEM, USER]
+    assert sum(estimate_tokens(m.content) for m in first) <= 1500
+    body = first[1].content
+    assert "> f0.c(3)fn0()" in body
+    assert "f39.c(3)fn39()" not in body
+    note = re.search(r"^\[\.\.\. (\d+) frame\(s\) omitted to fit the "
+                     r"token budget\]$", body, re.M)
+    assert note
+    shown = len(re.findall(r"^(?:> )?f\d+\.c\(3\)fn\d+\(\)$", body, re.M))
+    assert shown + int(note.group(1)) == 40
+    assert f"{PROMPT}p x" not in body
+    assert body.endswith("User Text:\nwhy?")
 
 
 # -- plain chat turns -------------------------------------------------------

@@ -18,7 +18,9 @@ from dbgchat.enrich import (
     source_window,
 )
 from dbgchat.errors import NotStopped, SourceUnavailable
-from dbgchat.session import Binding, DebugSession, Frame
+from dbgchat.session import DebugSession, Frame
+
+from conftest import FakeSession
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -103,32 +105,6 @@ def test_user_frame_requires_absolute_path_under_root():
 
 # -- synthetic assembly properties ----------------------------------------
 
-class FakeSession:
-    """Duck-typed stand-in: a fixed frame list, no real debugger."""
-
-    def __init__(self, frames, total=None):
-        self.frames = frames
-        self.total = total if total is not None else len(frames)
-        self.stopped = True
-
-    def stack_depth(self, cap=10000):
-        return min(self.total, cap)
-
-    def backtrace(self, limit=None):
-        if limit is None:
-            return list(self.frames)
-        return self.frames[:limit]
-
-    def frame_variables(self, level):
-        return [Binding(name="x", value=str(level), type="int")]
-
-    def global_variables(self, fullname, frame, cap=10):
-        return [Binding(name="g", value="7", type="int")]
-
-    def evaluate(self, expression, frame=None):
-        return "0"
-
-
 def _synthetic(pattern: str, extra_hidden: int = 0) -> FakeSession:
     """pattern: one char per frame innermost-first, 'u' user / 'l' library."""
     frames = []
@@ -139,7 +115,7 @@ def _synthetic(pattern: str, extra_hidden: int = 0) -> FakeSession:
         else:
             frames.append(_frame(level, func=f"lib{level}",
                                  fullname="./lib/inner.c", line=1))
-    return FakeSession(frames, total=len(frames) + extra_hidden)
+    return FakeSession(frames=frames, total=len(frames) + extra_hidden)
 
 
 @settings(max_examples=1000, deadline=None)

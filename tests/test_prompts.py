@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgchat import PROMPT
+from dbgchat.enrich import ElisionMarker, EnrichedFrame, EnrichedStack
 from dbgchat.errors import BudgetImpossible
 from dbgchat.llm import SYSTEM, USER
 from dbgchat.prompts import (
@@ -25,6 +26,7 @@ from dbgchat.prompts import (
     truncate_bundle,
 )
 from dbgchat.session import Frame, StopInfo
+from dbgchat.values import RenderedValue
 
 # -- instructions ----------------------------------------------------------
 
@@ -55,8 +57,6 @@ def test_instructions_closing_rule():
 
 def test_instructions_byte_stable():
     assert instructions_text() == instructions_text()
-    with pytest.raises(ValueError):
-        instructions_text("managed")
 
 
 # -- error section ---------------------------------------------------------
@@ -109,18 +109,28 @@ def test_format_inputs():
 
 # -- assembly --------------------------------------------------------------
 
-def _stack(n: int, markers: tuple[int, ...] = ()) -> str:
-    """A synthetic rendered stack of n frames, innermost last and marked."""
-    blocks = []
+def _stack(n: int, markers: tuple[int, ...] = (),
+           funcs: list[str] | None = None) -> EnrichedStack:
+    """A synthetic stack of n frames, innermost last and marked.
+
+    Frame i renders as "f{i}.c({10 + i})fn{i}()" (or funcs[i] in place
+    of fn{i}), a one-line source window and one variable; a marker after
+    frame i hides i + 1 frames.
+    """
+    entries: list[EnrichedFrame | ElisionMarker] = []
     for i in range(n):
-        mark = "> " if i == n - 1 else ""
-        blocks.append(f"{mark}f{i}.c({10 + i})fn{i}()\n"
-                      f"     {10 + i} source line {i}\n\n"
-                      f"   Variables in this frame:\n"
-                      f"     x: int = {i}")
+        func = funcs[i] if funcs else f"fn{i}"
+        frame = Frame(level=n - 1 - i, func=func, file=f"f{i}.c",
+                      fullname=f"/ws/f{i}.c", line=10 + i)
+        entries.append(EnrichedFrame(
+            frame=frame, window=f"     {10 + i} source line {i}",
+            bindings=[("x", "int", RenderedValue(str(i), False, 0))],
+            marked=i == n - 1))
         if i in markers:
-            blocks.append(f"[... skipping {i + 1} hidden frame(s)]")
-    return "\n\n".join(blocks)
+            entries.append(ElisionMarker(i + 1))
+    hidden = sum(e.hidden_count for e in entries
+                 if isinstance(e, ElisionMarker))
+    return EnrichedStack(entries=entries, total_frames=n + hidden)
 
 
 def _bundle(**kw) -> PromptBundle:
@@ -129,7 +139,7 @@ def _bundle(**kw) -> PromptBundle:
         enriched_stack=_stack(3),
         inputs="Command-line arguments: data.txt",
         error="The program stopped on SIGSEGV in fn2 at f2.c:12.",
-        history=format_history([("p x", "5")]),
+        history=[("p x", "5")],
         user_text="why?",
     )
     defaults.update(kw)
@@ -152,7 +162,7 @@ def test_initial_prompt_roles_and_order():
 
 
 def test_empty_sections_omitted():
-    messages = make_initial_prompt(_bundle(history="", inputs=""))
+    messages = make_initial_prompt(_bundle(history=[], inputs=""))
     body = messages[1].content
     assert "History:" not in body
     assert "Inputs:" not in body
@@ -203,7 +213,7 @@ def test_no_truncation_when_fitting():
 
 def test_history_dropped_oldest_first():
     entries = [("p a", "A" * 400), ("p b", "B"), ("p c", "C")]
-    bundle = _bundle(history=format_history(entries))
+    bundle = _bundle(history=entries)
     budget = TokenBudget(_fit_budget(bundle) - 50)
     body = make_initial_prompt(bundle, budget)[1].content
     assert f"{PROMPT}p a" not in body
@@ -212,9 +222,9 @@ def test_history_dropped_oldest_first():
 
 
 def test_inputs_dropped_after_history():
-    bundle = _bundle(history=format_history([("p a", "A" * 100)]),
+    bundle = _bundle(history=[("p a", "A" * 100)],
                      inputs="Command-line arguments: " + "x" * 400)
-    floor = _fit_budget(_bundle(history="", inputs=""))
+    floor = _fit_budget(_bundle(history=[], inputs=""))
     budget = TokenBudget(floor + 2)
     body = make_initial_prompt(bundle, budget)[1].content
     assert "History:" not in body
@@ -223,8 +233,8 @@ def test_inputs_dropped_after_history():
 
 
 def test_stack_frames_dropped_outermost_first_with_note():
-    bundle = _bundle(enriched_stack=_stack(20), history="", inputs="")
-    keep5 = _fit_budget(_bundle(enriched_stack=_stack(5), history="",
+    bundle = _bundle(enriched_stack=_stack(20), history=[], inputs="")
+    keep5 = _fit_budget(_bundle(enriched_stack=_stack(5), history=[],
                                 inputs=""))
     budget = TokenBudget(keep5)
     body = make_initial_prompt(bundle, budget)[1].content
@@ -237,7 +247,7 @@ def test_stack_frames_dropped_outermost_first_with_note():
 
 
 def test_stopped_frame_never_dropped():
-    bundle = _bundle(enriched_stack=_stack(2), history="", inputs="")
+    bundle = _bundle(enriched_stack=_stack(2), history=[], inputs="")
     small = TokenBudget(_fit_budget(bundle) - 1)
     body = make_initial_prompt(bundle, small)[1].content
     assert "> f1.c(11)fn1()" in body
@@ -245,16 +255,53 @@ def test_stopped_frame_never_dropped():
 
 
 def test_library_markers_survive_truncation():
-    bundle = _bundle(enriched_stack=_stack(6, markers=(1,)), history="",
+    bundle = _bundle(enriched_stack=_stack(6, markers=(1,)), history=[],
                      inputs="")
-    keep = _fit_budget(_bundle(enriched_stack=_stack(3), history="",
+    keep = _fit_budget(_bundle(enriched_stack=_stack(3), history=[],
                                inputs=""))
     body = make_initial_prompt(bundle, TokenBudget(keep + 40))[1].content
     assert "[... skipping 2 hidden frame(s)]" in body
 
 
+_CPP_FUNCS = ["main", "(anonymous namespace)::walk",
+              "std::vector<int, std::allocator<int> >::at",
+              "(anonymous namespace)::walk", "check"]
+
+
+def test_frames_with_spaces_in_names_are_counted():
+    bundle = _bundle(enriched_stack=_stack(5, funcs=_CPP_FUNCS), history=[],
+                     inputs="")
+    floor = _fit_budget(_bundle(enriched_stack=_stack(1), history=[],
+                                inputs=""))
+    seen = 0
+    for budget_tokens in range(floor, _fit_budget(bundle) + 1):
+        try:
+            messages = make_initial_prompt(bundle, TokenBudget(budget_tokens))
+        except BudgetImpossible:
+            continue
+        seen += 1
+        body = messages[1].content
+        shown = sum(f"f{i}.c({10 + i}){func}()" in body
+                    for i, func in enumerate(_CPP_FUNCS))
+        note = re.search(r"\[\.\.\. (\d+) frame\(s\) omitted", body)
+        omitted = int(note.group(1)) if note else 0
+        assert shown + omitted == 5, body
+        assert "> f4.c(14)check()" in body
+    assert seen > 5
+
+
+def test_history_output_line_like_prompt_stays_with_its_entry():
+    entries = [("p a", "A" * 400 + f"\n{PROMPT}not a command"), ("p b", "B")]
+    bundle = _bundle(history=entries)
+    budget = TokenBudget(_fit_budget(bundle) - 50)
+    body = make_initial_prompt(bundle, budget)[1].content
+    assert f"{PROMPT}p a" not in body
+    assert "not a command" not in body
+    assert f"{PROMPT}p b\nB" in body
+
+
 def test_budget_impossible():
-    bundle = _bundle(enriched_stack=_stack(1), history="", inputs="",
+    bundle = _bundle(enriched_stack=_stack(1), history=[], inputs="",
                      user_text="x" * 4000)
     with pytest.raises(BudgetImpossible):
         make_initial_prompt(bundle, TokenBudget(100))
@@ -262,8 +309,8 @@ def test_budget_impossible():
 
 def test_protected_sections_never_altered():
     bundle = _bundle(enriched_stack=_stack(12),
-                     history=format_history([("p a", "1"), ("p b", "2")]))
-    floor = _fit_budget(_bundle(enriched_stack=_stack(1), history="",
+                     history=[("p a", "1"), ("p b", "2")])
+    floor = _fit_budget(_bundle(enriched_stack=_stack(1), history=[],
                                 inputs=""))
     seen = 0
     for budget_tokens in range(floor + 5, _fit_budget(bundle) + 60, 13):
@@ -312,18 +359,20 @@ def bundles(draw):
         enriched_stack=_stack(n_frames, tuple(sorted(marker_at))),
         inputs=draw(_words),
         error=draw(st.text(min_size=1, max_size=150).filter(_clean)),
-        history=format_history(draw(_entries)),
+        history=draw(_entries),
         user_text=draw(st.text(min_size=1, max_size=150).filter(_clean)),
     )
 
 
-def _minimal_stack(stack: str) -> str:
-    from dbgchat.prompts import _drop_outermost_frame
-    while True:
-        smaller = _drop_outermost_frame(stack)
-        if smaller is None:
-            return stack
-        stack = smaller
+def _minimal_stack(stack: EnrichedStack) -> EnrichedStack:
+    """The stack with every unmarked frame omitted behind one count note."""
+    dropped = [i for i, e in enumerate(stack.entries)
+               if isinstance(e, EnrichedFrame) and not e.marked]
+    if not dropped:
+        return stack
+    entries = [e for i, e in enumerate(stack.entries) if i not in dropped]
+    entries.insert(dropped[0], ElisionMarker(len(dropped), budget_cut=True))
+    return EnrichedStack(entries=entries, total_frames=stack.total_frames)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -337,7 +386,7 @@ def test_budget_safety_and_protection(bundle, budget_tokens):
         floor = PromptBundle(
             instructions=bundle.instructions,
             enriched_stack=_minimal_stack(bundle.enriched_stack),
-            inputs="", error=bundle.error, history="",
+            inputs="", error=bundle.error, history=[],
             user_text=bundle.user_text)
         total = sum(estimate_tokens(m.content)
                     for m in render_messages(floor))
@@ -370,8 +419,8 @@ def test_truncation_idempotent(bundle, budget_tokens):
 @settings(max_examples=100)
 @given(bundle=bundles())
 def test_construction_order_irrelevant(bundle):
-    from dataclasses import asdict
-    fields = asdict(bundle)
-    shuffled = PromptBundle(**dict(reversed(list(fields.items()))))
+    from dataclasses import fields
+    values = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
+    shuffled = PromptBundle(**dict(reversed(list(values.items()))))
     big = TokenBudget(10**9)
     assert make_initial_prompt(shuffled, big) == make_initial_prompt(bundle, big)

@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgchat.sanitizer import (
-    ALL_COMMANDS,
     DEFAULT_PREFIXES,
     Mode,
     SanitizerPolicy,
-    allowed_command_prefixes,
     load_whitelist,
     native_strict,
     sanitize,
@@ -68,19 +66,12 @@ def test_unsafe_requires_flag():
 
 
 def test_allowed_prefixes_native():
-    prefixes = allowed_command_prefixes(Mode.NATIVE_STRICT)
     for word in ("bt", "up", "down", "p", "frame", "list", "info", "x"):
-        assert word in prefixes
+        assert word in DEFAULT_PREFIXES
     for word in ("run", "continue", "shell", "set", "call"):
-        assert word not in prefixes
-    assert allowed_command_prefixes(Mode.WHITELIST) == prefixes
-
-
-def test_allowed_prefixes_unsafe_sentinel():
-    sentinel = allowed_command_prefixes(Mode.UNSAFE)
-    assert sentinel is ALL_COMMANDS
-    assert "run" in sentinel
-    assert "anything at all" in sentinel
+        assert word not in DEFAULT_PREFIXES
+    assert native_strict().prefixes == DEFAULT_PREFIXES
+    assert whitelist({"strlen"}).prefixes == DEFAULT_PREFIXES
 
 
 def test_load_whitelist(tmp_path):

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dbgchat.errors import EvaluationError, NotStopped
-from dbgchat.session import DebugSession, StopInfo, _frame_from_payload
+from dbgchat.session import (
+    DebugSession,
+    StopInfo,
+    _frame_from_payload,
+    _quote_mi_arg,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +88,15 @@ def test_console_passthrough(segv):
 
 
 def test_selected_frame_moves_with_console(segv):
-    assert segv.selected_frame().level == 0
+    assert segv.execute_console("frame").startswith("#0 ")
     segv.execute_console("up")
     try:
-        assert segv.selected_frame().level == 1
-        assert segv.selected_frame().func == "summarize"
+        text = segv.execute_console("frame")
+        assert text.startswith("#1 ")
+        assert "summarize" in text
     finally:
-        segv.select_frame(0)
+        segv.execute_console("down")
+    assert segv.execute_console("frame").startswith("#0 ")
 
 
 def test_assertion_detection(fixture_bins):
@@ -196,3 +205,21 @@ def test_frame_payload_decoding_unit():
                                     "from": "/lib/libc.so.6"})
     assert not libframe.has_source
     assert libframe.location() == "in /lib/libc.so.6"
+
+
+def test_quote_mi_arg_rejects_newline():
+    with pytest.raises(EvaluationError, match="control character"):
+        _quote_mi_arg("bt\nshell id #")
+
+
+def test_quote_mi_arg_escapes_quotes_and_backslashes():
+    assert _quote_mi_arg('p "a\\b"') == '"p \\"a\\\\b\\""'
+
+
+@given(st.text())
+def test_quote_mi_arg_never_emits_control_characters(text):
+    try:
+        quoted = _quote_mi_arg(text)
+    except EvaluationError:
+        return
+    assert not any(c < " " or c == "\x7f" for c in quoted)
