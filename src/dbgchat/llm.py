@@ -8,12 +8,15 @@ turns from a JSON file for deterministic, network-free runs.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
+from urllib.error import HTTPError
 
 from .errors import (
     AuthError,
@@ -153,6 +156,16 @@ class HttpConfig:
     temperature: float | None = None
 
 
+def _lines(response) -> Iterator[str]:
+    """The response body line by line, decoded as UTF-8.  A read that fails
+    part-way becomes a TransportError, which ends the chat turn only."""
+    try:
+        for raw in response:
+            yield raw.decode("utf-8")
+    except (OSError, http.client.HTTPException, UnicodeDecodeError) as exc:
+        raise TransportError(f"stream read failed: {exc!r}") from exc
+
+
 class HttpBackend:
     """Streams chat completions from an HTTP provider."""
 
@@ -190,27 +203,29 @@ class HttpBackend:
             response.close()
 
     def _post_with_retry(self, key: str, body: dict):
-        import requests
-
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Authorization": f"Bearer {key}",
-                   "Content-Type": "application/json"}
+        request = urllib.request.Request(
+            self.config.base_url.rstrip("/") + "/chat/completions",
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {key}",
+                     "Content-Type": "application/json"},
+            method="POST")
         attempt = 0
         while True:
             try:
-                response = requests.post(url, json=body, headers=headers,
-                                         stream=True,
-                                         timeout=self.config.timeout)
-            except requests.RequestException as exc:
-                attempt += 1
-                if attempt > self.config.retry_cap:
-                    raise TransportError(str(exc)) from exc
-                time.sleep(min(2.0, 0.2 * attempt))
-                continue
-            if response.status_code == 401:
-                raise AuthError("provider rejected the API key")
-            if response.status_code == 429:
-                header = response.headers.get("Retry-After")
+                return urllib.request.urlopen(request,
+                                              timeout=self.config.timeout)
+            except HTTPError as exc:
+                with exc:
+                    if exc.code == 401:
+                        raise AuthError("provider rejected the API key")
+                    if exc.code != 429:
+                        try:
+                            detail = exc.read().decode("utf-8", "replace")
+                        except (OSError, http.client.HTTPException):
+                            detail = ""
+                        raise TransportError(
+                            f"HTTP {exc.code}: {detail[:400]}") from None
+                    header = exc.headers.get("Retry-After")
                 try:
                     retry_after = float(header) if header else None
                 except ValueError:
@@ -218,21 +233,21 @@ class HttpBackend:
                 attempt += 1
                 if attempt > self.config.retry_cap:
                     raise RateLimited("provider throttled the request",
-                                      retry_after=retry_after)
+                                      retry_after=retry_after) from None
                 time.sleep(retry_after if retry_after is not None else 1.0)
-                continue
-            if response.status_code >= 400:
-                raise TransportError(
-                    f"HTTP {response.status_code}: {response.text[:400]}")
-            return response
+            except (OSError, http.client.HTTPException) as exc:
+                attempt += 1
+                if attempt > self.config.retry_cap:
+                    raise TransportError(str(exc)) from exc
+                time.sleep(min(2.0, 0.2 * attempt))
 
     def _stream_events(self, response, tools) -> Iterator[CompletionEvent]:
         partial: dict[int, dict] = {}
         finish = ""
-        for raw in response.iter_lines(decode_unicode=True):
-            if not raw or not raw.startswith("data:"):
+        for line in _lines(response):
+            if not line.startswith("data:"):
                 continue
-            data = raw[len("data:"):].strip()
+            data = line[len("data:"):].strip()
             if data == "[DONE]":
                 break
             try:

@@ -27,6 +27,7 @@ import logging
 import os
 import pty
 import queue
+import select
 import selectors
 import shutil
 import subprocess
@@ -447,7 +448,8 @@ class DebuggerHandle:
         # Held open so the master never sees EOF while the session lives.
         self._tty_slave = tty_slave
         self._target_buf: list[str] = []
-        self._target_lock = threading.Lock()
+        self._target_cond = threading.Condition()
+        self._tty_reading = True
         self._transcript = transcript
         self._in_flight = threading.Lock()
         self._eof = threading.Event()
@@ -496,41 +498,50 @@ class DebuggerHandle:
         sel = selectors.DefaultSelector()
         try:
             sel.register(self._tty_master, selectors.EVENT_READ)
+            while not self._eof.is_set():
+                if not sel.select(timeout=0.1):
+                    continue
+                # Read and append under one lock, so that target_output
+                # finds text either in the buffer or still in the pty.
+                with self._target_cond:
+                    chunk = os.read(self._tty_master, 65536)
+                    if not chunk:
+                        break
+                    text = chunk.decode("utf-8", "replace")
+                    self._target_buf.append(text.replace("\r\n", "\n"))
+                    self._target_cond.notify_all()
         except (ValueError, OSError):
-            return
-        while not self._eof.is_set():
-            if not sel.select(timeout=0.1):
-                continue
-            try:
-                chunk = os.read(self._tty_master, 65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            text = chunk.decode("utf-8", "replace").replace("\r\n", "\n")
-            with self._target_lock:
-                self._target_buf.append(text)
+            pass
+        finally:
+            with self._target_cond:
+                self._tty_reading = False
+                self._target_cond.notify_all()
+
+    def _tty_unread(self) -> bool:
+        """Whether the pty holds output the reader has yet to take."""
+        if not self._tty_reading:
+            return False
+        try:
+            return bool(select.select([self._tty_master], [], [], 0)[0])
+        except (ValueError, OSError):
+            return False
 
     # -- target I/O --------------------------------------------------------
 
     def target_output(self, settle: float = 0.0) -> str:
         """Everything the inferior wrote to its tty so far.
 
-        The pty is drained by a polling thread, so output can trail the MI
-        stop record by a few milliseconds.  A nonzero settle waits until the
-        buffer stops growing or the deadline passes.
+        The pty is drained by a reader thread, so output can trail the MI
+        stop record.  A nonzero settle waits, at most that long, until the
+        reader has taken everything the pty holds.
         """
         deadline = time.monotonic() + settle
-        while True:
-            with self._target_lock:
-                size = len(self._target_buf)
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.03)
-            with self._target_lock:
-                if len(self._target_buf) == size and self._target_buf:
+        with self._target_cond:
+            while settle > 0 and self._tty_unread():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     break
-        with self._target_lock:
+                self._target_cond.wait(remaining)
             return "".join(self._target_buf)
 
     def feed_target_input(self, text: str, close: bool = True) -> None:

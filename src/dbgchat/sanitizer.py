@@ -1,9 +1,10 @@
 """Vet model-issued debugger commands before they reach the debugger.
 
 Three policies: NativeStrict allows read-only inspection commands and
-rejects anything containing a function call; Whitelist additionally
-permits calls to an explicit set of function names; Unsafe allows
-everything and can only be constructed when the user passed --unsafe.
+rejects anything containing a function call, an assignment or an
+increment; Whitelist additionally permits calls to an explicit set of
+function names; Unsafe allows everything and can only be constructed when
+the user passed --unsafe.
 Call detection is lexical and deliberately conservative: over-denial is
 acceptable, silent execution of target code is not.
 """
@@ -85,6 +86,13 @@ _CALL_EXEMPT = frozenset({
 })
 
 
+# Assignment, compound assignment and increment/decrement write to the
+# target; ==, !=, <= and >= are the only operators spelled with "=" that
+# merely compare.
+_SIDE_EFFECT = re.compile(r"\+\+|--|<<=|>>=|[!=<>]=|[-+*/%&|^]?=")
+_COMPARISONS = frozenset({"==", "!=", "<=", ">="})
+
+
 def called_functions(text: str) -> list[str]:
     """Names of all functions a command would call, in order."""
     return [m.group(1) for m in _CALL.finditer(text)
@@ -106,6 +114,9 @@ def sanitize(command: str, policy: SanitizerPolicy) -> Verdict:
         if word in RESUME_COMMANDS:
             return _deny(f"'{word}' resumes or alters target execution")
         return _deny(f"'{word}' is not an allowed command")
+    for match in _SIDE_EFFECT.finditer(expression):
+        if match.group() not in _COMPARISONS:
+            return _deny(f"'{match.group()}' would modify the program")
     if _INDIRECT_CALL.search(expression):
         return _deny("indirect function call")
     permitted = policy.functions if policy.mode is Mode.WHITELIST \

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,66 @@ class FakeSession:
 
     def evaluate(self, expression, frame=None):
         return "0"
+
+
+# -- a stub chat-completions provider ---------------------------------------
+
+def sse(*chunks, ensure_ascii=True):
+    """A server-sent-event body: one ``data:`` line per chunk, then [DONE]."""
+    lines = []
+    for chunk in chunks:
+        lines.append("data: " + json.dumps(chunk, ensure_ascii=ensure_ascii))
+        lines.append("")
+    lines.extend(["data: [DONE]", ""])
+    return "\n".join(lines)
+
+
+_FIRST_EVENT = b'data: {"choices": [{"delta": {"content": "Hel"}}]}\n\n'
+
+# A chunked 200 that delivers one event, then 12 of the 64 bytes its second
+# chunk promises, then closes.
+CUT_STREAM = (b"HTTP/1.1 200 OK\r\n"
+              b"Content-Type: text/event-stream\r\n"
+              b"Transfer-Encoding: chunked\r\n\r\n"
+              + b"%x\r\n" % len(_FIRST_EVENT) + _FIRST_EVENT + b"\r\n"
+              + b'40\r\ndata: {"choi')
+
+
+class _ProviderHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next ``(status, body)`` of the server's
+    ``responses``; a status of None sends ``body`` as the raw response
+    and closes the connection."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        self.server.requests_seen.append(json.loads(self.rfile.read(length)))
+        self.server.auth_seen.append(self.headers.get("Authorization"))
+        status, body = self.server.responses.pop(0)
+        payload = body if isinstance(body, bytes) else body.encode()
+        if status is None:
+            self.wfile.write(payload)
+            self.close_connection = True
+            return
+        self.send_response(status)
+        for name, value in self.server.extra_headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def stub_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ProviderHandler)
+    server.responses = []
+    server.extra_headers = {}
+    server.requests_seen = []
+    server.auth_seen = []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()

@@ -8,7 +8,6 @@ import copy
 import json
 import os
 import random
-import sys
 import time
 from pathlib import Path
 
@@ -162,7 +161,7 @@ def test_criterion_4_sanitizer_table_and_monotonicity():
     from test_sanitizer import _policy, _random_command
 
     cases = json.loads((DATA / "sanitizer_cases.json").read_text())
-    assert len(cases) == 50
+    assert len(cases) == 57
     mismatches = [c["command"] for c in cases
                   if sanitize(c["command"], _policy(c)).allowed
                   is not (c["verdict"] == "allow")]
@@ -183,7 +182,7 @@ def test_criterion_4_sanitizer_table_and_monotonicity():
         if in_native:
             assert in_small and in_big
         assert sanitize(command, unsafe).allowed
-    print("PASS criterion 4: 50-case verdict table exact; monotonicity "
+    print("PASS criterion 4: 57-case verdict table exact; monotonicity "
           "and unsafe-superset held over 10000 randomized trials")
 
 

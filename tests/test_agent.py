@@ -11,7 +11,6 @@ from dbgchat import PROMPT
 from dbgchat.agent import (
     Agent,
     AgentConfig,
-    TOOLS,
     Transcript,
     is_debugger_command,
 )
@@ -22,6 +21,8 @@ from dbgchat.llm import (
     SYSTEM,
     TOOL,
     USER,
+    HttpBackend,
+    HttpConfig,
     ScriptedBackend,
     validate_conversation,
 )
@@ -29,7 +30,7 @@ from dbgchat.prompts import TokenBudget, estimate_tokens
 from dbgchat.sanitizer import native_strict
 from dbgchat.session import DebugSession, Frame, StopInfo
 
-from conftest import FakeSession
+from conftest import CUT_STREAM, FakeSession, sse
 
 DATA = Path(__file__).parent / "data"
 REPLAY_SCRIPT = DATA / "replay_segv.json"
@@ -379,6 +380,32 @@ def test_backend_failure_ends_turn_gracefully(tmp_path):
     assert [m.role for m in agent.state.messages] == \
         [SYSTEM, USER, ASSISTANT, TOOL]
     assert agent.state.chat_in_progress
+
+
+def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
+                                          monkeypatch):
+    stub_server.responses = [(None, CUT_STREAM), (200, sse(
+        {"choices": [{"delta": {"content": "still here"}}]}))]
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    backend = HttpBackend(HttpConfig(
+        base_url=f"http://127.0.0.1:{stub_server.server_address[1]}/v1",
+        api_key_env="DBGCHAT_TEST_KEY", timeout=5))
+    session, ui = FakeSession(), RecordingUi()
+    agent = Agent(session, backend, native_strict(),
+                  AgentConfig(workspace_root=str(tmp_path)), ui)
+
+    agent.handle_input("why did it crash?")
+    assert ui.prose_text() == "Hel"
+    notices = ui.kind("notice")
+    assert len(notices) == 1
+    assert notices[0][1].startswith("chat turn ended: ")
+
+    agent.handle_input("p x")
+    assert session.commands == ["p x"]
+    agent.handle_input("try again")
+    assert ui.prose_text() == "Helstill here"
+    assert len(ui.kind("notice")) == 1
+    assert len(stub_server.requests_seen) == 2
 
 
 def test_malformed_scripted_call_ends_turn(tmp_path):

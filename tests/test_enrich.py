@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dbgchat.enrich import (
     ElisionMarker,
     EnrichedFrame,
-    EnrichedStack,
     build_enriched_stack,
     is_user_frame,
     source_window,

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+import urllib.request
 
 import pytest
 
@@ -29,6 +29,8 @@ from dbgchat.llm import (
     ToolSpec,
     validate_conversation,
 )
+
+from conftest import CUT_STREAM, sse
 
 TOOLS = [
     ToolSpec("debug", "Run a debugger command.", [("command", "the command")]),
@@ -231,38 +233,6 @@ def test_scripted_describe(tmp_path):
 
 # -- HTTP backend ----------------------------------------------------------
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.requests_seen.append(json.loads(self.rfile.read(length)))
-        self.server.auth_seen.append(self.headers.get("Authorization"))
-        status, body = self.server.responses.pop(0)
-        payload = body.encode()
-        self.send_response(status)
-        for name, value in self.server.extra_headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.responses = []
-    server.extra_headers = {}
-    server.requests_seen = []
-    server.auth_seen = []
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
 def _backend(server, monkeypatch, **overrides):
     monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
     config = HttpConfig(
@@ -270,15 +240,6 @@ def _backend(server, monkeypatch, **overrides):
         model="test-model", api_key_env="DBGCHAT_TEST_KEY", timeout=5,
         **overrides)
     return HttpBackend(config)
-
-
-def sse(*chunks):
-    lines = []
-    for chunk in chunks:
-        lines.append("data: " + json.dumps(chunk))
-        lines.append("")
-    lines.extend(["data: [DONE]", ""])
-    return "\n".join(lines)
 
 
 def test_http_missing_key_fails_before_any_request(monkeypatch):
@@ -392,23 +353,54 @@ def test_http_other_4xx_is_transport_error(stub_server, monkeypatch):
 
 
 def test_http_connect_failures_capped(monkeypatch):
-    import requests
-
+    with socket.socket() as sock:  # a port that refuses once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
     attempts = []
+    urlopen = urllib.request.urlopen
 
-    def refuse(*args, **kwargs):
+    def counting_urlopen(*args, **kwargs):
         attempts.append(1)
-        raise requests.ConnectionError("refused")
+        return urlopen(*args, **kwargs)
 
-    monkeypatch.setattr(requests, "post", refuse)
+    monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
     monkeypatch.setattr("dbgchat.llm.time.sleep", lambda s: None)
     monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
-    backend = HttpBackend(HttpConfig(base_url="http://127.0.0.1:9",
+    backend = HttpBackend(HttpConfig(base_url=f"http://127.0.0.1:{port}",
                                      api_key_env="DBGCHAT_TEST_KEY",
                                      retry_cap=3))
     with pytest.raises(TransportError):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert len(attempts) == 4
+
+
+def test_http_utf8_stream_without_charset(stub_server, monkeypatch):
+    # text/event-stream with no charset: the bytes are UTF-8 all the same.
+    # "\u00c5" encodes as C3 85, and 0x85 is a line break in Latin-1.
+    pieces = ["it\u2019s 3 \u00b5s \u2014 ok", " \u00c5ngstr\u00f6m"]
+    stub_server.responses = [(200, sse(
+        *[{"choices": [{"delta": {"content": p}}]} for p in pieces],
+        ensure_ascii=False))]
+    backend = _backend(stub_server, monkeypatch)
+    events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
+    assert [e.text for e in events if e.kind == "text"] == pieces
+
+
+def test_http_stream_cut_midway_is_transport_error(stub_server, monkeypatch):
+    stub_server.responses = [(None, CUT_STREAM)]
+    backend = _backend(stub_server, monkeypatch)
+    events = backend.complete([ChatMessage(USER, "hi")], TOOLS)
+    assert next(events).text == "Hel"
+    with pytest.raises(TransportError):
+        list(events)
+
+
+def test_http_invalid_utf8_is_transport_error(stub_server, monkeypatch):
+    stub_server.responses = [(200, b'data: {"choices": [{"delta": '
+                                   b'{"content": "\xff"}}]}\n\n')]
+    backend = _backend(stub_server, monkeypatch)
+    with pytest.raises(TransportError):
+        list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
 def test_http_describe(monkeypatch):

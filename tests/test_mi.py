@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pty
+import select
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbgchat import mi
 from dbgchat.errors import (
-    CommandInFlight,
     DebuggerExited,
     TargetNotFound,
 )
 from dbgchat.mi import (
+    DebuggerHandle,
     DriverConfig,
     MIRecord,
     RecordKind,
@@ -189,6 +194,39 @@ def test_serialize_parse_round_trip_generated(kind, token, klass, payload):
 def test_stream_text_round_trips(text):
     rec = MIRecord(kind=RecordKind.CONSOLE_STREAM, text=text.replace("\r", ""))
     assert parse_mi_line(rec.serialize()) == rec
+
+
+# -- inferior tty, without a debugger --------------------------------------
+
+@contextlib.contextmanager
+def _handle_on_dummy_child(tty_text=b""):
+    """A DebuggerHandle whose child only waits for a line on stdin.
+
+    ``tty_text`` is written to the pty before the handle exists, as an
+    inferior writes before it stops, and has reached the master side."""
+    master, slave = pty.openpty()
+    if tty_text:
+        os.write(slave, tty_text)
+        select.select([master], [], [], 5)
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdin.readline()"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    with child, DebuggerHandle(child, tty_master=master,
+                               tty_slave=slave) as handle:
+        yield handle
+
+
+def test_target_output_settle_returns_early_on_empty_tty():
+    with _handle_on_dummy_child() as handle:
+        start = time.monotonic()
+        assert handle.target_output(settle=0.5) == ""
+        assert time.monotonic() - start < 0.25
+
+
+def test_target_output_settle_keeps_text_written_before_the_call():
+    text = b"checking lengths\nAssertion failed: len == n\n"
+    with _handle_on_dummy_child(text) as handle:
+        assert handle.target_output(settle=0.5) == text.decode()
 
 
 # -- live debugger sessions ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command vetting: the 50-case verdict table plus policy properties."""
+"""Command vetting: the 57-case verdict table plus policy properties."""
 
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ def _policy(case) -> SanitizerPolicy:
     return unsafe_policy(True)
 
 
-def test_table_has_fifty_cases():
-    assert len(CASES) == 50
+def test_table_has_fifty_seven_cases():
+    assert len(CASES) == 57
 
 
 @pytest.mark.parametrize("case", CASES,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dbgchat.errors import EvaluationError, NotStopped
 from dbgchat.session import (
     DebugSession,
-    StopInfo,
     _frame_from_payload,
     _quote_mi_arg,
 )

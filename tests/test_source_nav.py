@@ -24,7 +24,6 @@ from dbgchat.errors import (
 )
 from dbgchat.session import DebugSession
 from dbgchat.source_nav import (
-    Definition,
     LspConnection,
     SourceLoc,
     code,
