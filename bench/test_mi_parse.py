@@ -1,0 +1,57 @@
+"""MI parse throughput: the recorded corpus and one large symbol table.
+
+Run with ``PYTHONPATH=src python -m pytest bench -q``.  Each case stores
+its input size and MB/s (bytes over the median time) in ``extra_info``,
+which ``--benchmark-json`` writes out.  Nothing here asserts on timing.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from dbgchat.mi import MIRecord, RecordKind, parse_mi_line
+
+CORPUS = Path(__file__).parent.parent / "tests" / "data" / "mi_corpus.txt"
+
+TYPES = ["int", "const char *", "struct _IO_FILE *", "unsigned long",
+         "void (*)(void)", "size_t", "struct link_map *"]
+
+
+def symbol_table_line(count: int, per_file: int = 50) -> str:
+    """A -symbol-info-variables answer shaped like gdb's, one type in a
+    hundred holding an escaped quote."""
+    debug = []
+    for f in range(0, count, per_file):
+        symbols = []
+        for i in range(f, f + per_file):
+            type_ = 'char [4] /* "\\n" */' if i % 100 == 0 else TYPES[i % 7]
+            name = f"__state_{f:05d}_{i - f}"
+            symbols.append({"line": str(20 + 9 * (i - f)), "name": name,
+                            "type": type_, "description": f"{type_} {name};"})
+        path = f"sysdeps/unix/unit_{f:05d}.c"
+        debug.append({"filename": "../" + path,
+                      "fullname": "./misc/../" + path, "symbols": symbols})
+    return MIRecord(kind=RecordKind.RESULT, klass="done",
+                    payload={"symbols": {"debug": debug}}).serialize()
+
+
+CASES = {
+    "corpus": lambda: CORPUS.read_text(encoding="utf-8").rstrip("\n").split("\n"),
+    "symbols-20k": lambda: [symbol_table_line(20000)],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_parse_mi_lines(benchmark, case):
+    lines = CASES[case]()
+    size = sum(len(line.encode()) + 1 for line in lines)
+
+    def parse_all():
+        for line in lines:
+            parse_mi_line(line)
+
+    benchmark(parse_all)
+    benchmark.extra_info["bytes"] = size
+    benchmark.extra_info["mb_s"] = size / benchmark.stats.stats.median / 1e6

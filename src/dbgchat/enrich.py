@@ -31,13 +31,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NotStopped, SourceUnavailable
-from .session import Binding, Frame
+from .session import DEFAULT_FRAME_CAP, DEPTH_PROBE_CAP, Binding, Frame
 from .values import RenderedValue, render_value
 
 DEFAULT_RADIUS = 5
-DEFAULT_FRAME_CAP = 200
 DEFAULT_GLOBALS_CAP = 10
-DEPTH_PROBE_CAP = 10000
 
 
 def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS) -> str:

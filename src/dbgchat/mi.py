@@ -1,4 +1,4 @@
-"""GDB machine-interface (MI) driver.
+r"""GDB machine-interface (MI) driver.
 
 Spawns GDB with ``--interpreter=mi``, parses its line-oriented output into
 structured records, and serializes commands one at a time.  The inferior's
@@ -19,6 +19,12 @@ Record grammar (one line each, mirroring the MI output syntax):
 Any line matching none of these degrades to a LogStream record tagged
 ``unparsed`` so that raw target chatter or future protocol extensions can
 never break a session.
+
+C-strings decode ``\n \t \r \f \v \a \b \e \" \' \\``, ``\x`` with one
+or two hex digits and ``\`` with one to three octal digits.  Any other
+escaped character, ``x`` included, stands for itself, except that ``\8``,
+``\9`` or another non-octal digit leaves the line unparsed, as an
+unterminated string does.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import logging
 import os
 import pty
 import queue
+import re
 import select
 import selectors
 import shutil
@@ -77,6 +84,7 @@ _STREAM_SIGILS = {
     RecordKind.TARGET_STREAM: "@",
     RecordKind.LOG_STREAM: "&",
 }
+_STREAM_KINDS = {sigil: kind for kind, sigil in _STREAM_SIGILS.items()}
 
 
 @dataclass
@@ -157,49 +165,37 @@ _C_UNESCAPE = {
     "a": "\a", "b": "\b", "e": "\x1b", '"': '"', "'": "'", "\\": "\\",
 }
 
+# A c-string is a run of plain characters and backslash pairs up to the
+# closing quote; the body is group 1.
+_CSTRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+_ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]{1,2})|([0-7]{1,3})|(.))", re.DOTALL)
+_NAME = re.compile(r"[\w-]+")
+# A tuple member name="value" whose value holds no escape, with the
+# separator after it: most members of most records.
+_PLAIN_PAIR = re.compile(r'([\w-]+)="([^"\\]*)"([,}]?)')
+
+
+def _unescape(m: re.Match) -> str:
+    """The character one _ESCAPE match stands for."""
+    hex_digits, octal_digits, char = m.groups()
+    if hex_digits:
+        return chr(int(hex_digits, 16))
+    if octal_digits:
+        return chr(int(octal_digits, 8))
+    if char.isdigit():
+        raise ValueError(f"bad octal escape {char!r}")
+    return _C_UNESCAPE.get(char, char)
+
 
 def _parse_cstring(line: str, pos: int) -> tuple[str, int]:
     """Decode the c-string starting at line[pos] (must be '\"')."""
-    assert line[pos] == '"'
-    pos += 1
-    out: list[str] = []
-    n = len(line)
-    while pos < n:
-        ch = line[pos]
-        if ch == '"':
-            return "".join(out), pos + 1
-        if ch == "\\" and pos + 1 < n:
-            nxt = line[pos + 1]
-            if nxt in _C_UNESCAPE:
-                out.append(_C_UNESCAPE[nxt])
-                pos += 2
-                continue
-            if nxt == "x":
-                digits = ""
-                p = pos + 2
-                while p < n and len(digits) < 2 and line[p] in "0123456789abcdefABCDEF":
-                    digits += line[p]
-                    p += 1
-                if digits:
-                    out.append(chr(int(digits, 16)))
-                    pos = p
-                    continue
-            if nxt.isdigit():
-                digits = ""
-                p = pos + 1
-                while p < n and len(digits) < 3 and line[p] in "01234567":
-                    digits += line[p]
-                    p += 1
-                out.append(chr(int(digits, 8)))
-                pos = p
-                continue
-            # Unknown escape: keep the escaped character.
-            out.append(nxt)
-            pos += 2
-            continue
-        out.append(ch)
-        pos += 1
-    raise ValueError("unterminated c-string")
+    m = _CSTRING.match(line, pos)
+    if m is None:
+        raise ValueError("unterminated c-string")
+    body = m.group(1)
+    if "\\" in body:
+        body = _ESCAPE.sub(_unescape, body)
+    return body, m.end()
 
 
 def _escape_cstring(text: str) -> str:
@@ -223,10 +219,6 @@ def _escape_cstring(text: str) -> str:
     return "".join(out)
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-"
-
-
 def _parse_value(line: str, pos: int) -> tuple[MIValue, int]:
     ch = line[pos]
     if ch == '"':
@@ -242,27 +234,32 @@ def _parse_tuple(line: str, pos: int) -> tuple[dict, int]:
     assert line[pos] == "{"
     pos += 1
     out: dict = {}
-    if pos < len(line) and line[pos] == "}":
+    if line.startswith("}", pos):
         return out, pos + 1
     while True:
-        name, pos = _parse_name(line, pos)
-        if pos >= len(line) or line[pos] != "=":
-            raise ValueError(f"expected '=' at column {pos}")
-        value, pos = _parse_value(line, pos + 1)
-        out[name] = value
-        if pos < len(line) and line[pos] == ",":
+        m = _PLAIN_PAIR.match(line, pos)
+        if m:
+            name, value, sep = m.groups()
+            out[name] = value
+            pos = m.end()
+        else:
+            name, pos = _parse_name(line, pos)
+            if not line.startswith("=", pos):
+                raise ValueError(f"expected '=' at column {pos}")
+            out[name], pos = _parse_value(line, pos + 1)
+            sep = line[pos:pos + 1]
             pos += 1
-            continue
-        if pos < len(line) and line[pos] == "}":
-            return out, pos + 1
-        raise ValueError(f"expected ',' or '}}' at column {pos}")
+        if sep == "}":
+            return out, pos
+        if sep != ",":
+            raise ValueError(f"expected ',' or '}}' at column {pos - 1}")
 
 
 def _parse_list(line: str, pos: int) -> tuple[list, int]:
     assert line[pos] == "["
     pos += 1
     out: list = []
-    if pos < len(line) and line[pos] == "]":
+    if line.startswith("]", pos):
         return out, pos + 1
     while True:
         # List elements are either bare values or name=value results; the
@@ -272,26 +269,24 @@ def _parse_list(line: str, pos: int) -> tuple[list, int]:
             value, pos = _parse_value(line, pos)
         else:
             name, pos = _parse_name(line, pos)
-            if pos >= len(line) or line[pos] != "=":
+            if not line.startswith("=", pos):
                 raise ValueError(f"expected '=' at column {pos}")
             inner, pos = _parse_value(line, pos + 1)
             value = {name: inner}
         out.append(value)
-        if pos < len(line) and line[pos] == ",":
-            pos += 1
-            continue
-        if pos < len(line) and line[pos] == "]":
+        sep = line[pos:pos + 1]
+        if sep == "]":
             return out, pos + 1
-        raise ValueError(f"expected ',' or ']' at column {pos}")
+        if sep != ",":
+            raise ValueError(f"expected ',' or ']' at column {pos}")
+        pos += 1
 
 
 def _parse_name(line: str, pos: int) -> tuple[str, int]:
-    start = pos
-    while pos < len(line) and _is_name_char(line[pos]):
-        pos += 1
-    if pos == start:
+    m = _NAME.match(line, pos)
+    if m is None:
         raise ValueError(f"expected name at column {pos}")
-    return line[start:pos], pos
+    return m.group(), m.end()
 
 
 def _parse_results(line: str, pos: int) -> tuple[dict, list]:
@@ -349,13 +344,9 @@ def _parse_mi_line_strict(line: str) -> MIRecord:
     if not line:
         raise ValueError("empty line")
 
-    ch = line[0]
-    if ch == "~":
-        return MIRecord(kind=RecordKind.CONSOLE_STREAM, text=_parse_whole_cstring(line, 1))
-    if ch == "@":
-        return MIRecord(kind=RecordKind.TARGET_STREAM, text=_parse_whole_cstring(line, 1))
-    if ch == "&":
-        return MIRecord(kind=RecordKind.LOG_STREAM, text=_parse_whole_cstring(line, 1))
+    stream = _STREAM_KINDS.get(line[0])
+    if stream is not None:
+        return MIRecord(kind=stream, text=_parse_whole_cstring(line, 1))
 
     pos = 0
     token: int | None = None
@@ -631,6 +622,15 @@ class DebuggerHandle:
                 self._proc.kill()
                 self._proc.wait(timeout=3)
         self._eof.set()
+        # The child is gone, so the reader meets EOF; stdout may be closed
+        # only once the reader is done with it.
+        self._reader.join(timeout=1.0)
+        pipes = [self._proc.stdin, self._proc.stdout]
+        for pipe in pipes[:1] if self._reader.is_alive() else pipes:
+            try:
+                pipe.close()
+            except OSError:
+                pass
         for fd in (self._tty_master, self._tty_slave):
             if fd < 0:
                 continue

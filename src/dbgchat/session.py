@@ -24,6 +24,7 @@ from .mi import (
     DebuggerHandle,
     spawn_debugger,
 )
+from .sanitizer import native_strict, sanitize
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +36,11 @@ DEFAULT_ASSERT_PATTERN = (
 )
 
 ASSERT_SCAN_LINES = 50
+
+# Each stop's stack is fetched once: its depth, counted up to the probe
+# cap, and its innermost frames up to the frame cap.
+DEFAULT_FRAME_CAP = 200
+DEPTH_PROBE_CAP = 10000
 
 
 @dataclass
@@ -141,6 +147,7 @@ class DebugSession:
         self.handle: DebuggerHandle = spawn_debugger(
             executable, target_args, self.config.driver)
         self._stop: StopInfo | None = None
+        self._stack: tuple[int, list[Frame]] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -170,6 +177,7 @@ class DebugSession:
 
     def run_to_stop(self, stdin_text: str | None = None) -> StopInfo:
         """Start the target and block until it stops or exits."""
+        self._stack = None
         out = self.handle.send_command("-exec-run")
         if out.result_class == "error":
             raise DebuggerExited(out.result.payload.get("msg", "run failed"))
@@ -228,24 +236,35 @@ class DebugSession:
 
     # -- stack inspection --------------------------------------------------
 
-    def stack_depth(self, cap: int = 1000) -> int:
+    def _snapshot(self) -> tuple[int, list[Frame]]:
+        """The stop's depth and innermost frames, asked of the debugger once."""
         self._require_stack()
-        out = self.handle.send_command(f"-stack-info-depth {cap}")
-        return int(out.result.payload.get("depth", "0"))
+        if self._stack is None:
+            out = self.handle.send_command(
+                f"-stack-info-depth {DEPTH_PROBE_CAP}")
+            depth = int(out.result.payload.get("depth", "0"))
+            frames = (self._list_frames(min(depth, DEFAULT_FRAME_CAP))
+                      if depth else [])
+            self._stack = (depth, frames)
+        return self._stack
 
-    def backtrace(self, limit: int | None = None) -> list[Frame]:
-        self._require_stack()
-        depth = self.stack_depth(cap=(limit or 1000))
-        if depth == 0:
-            return []
-        hi = depth - 1 if limit is None else min(depth, limit) - 1
-        out = self.handle.send_command(f"-stack-list-frames 0 {hi}")
+    def _list_frames(self, count: int) -> list[Frame]:
+        out = self.handle.send_command(f"-stack-list-frames 0 {count - 1}")
         if out.result_class != "done":
             raise EvaluationError(out.result.payload.get("msg", "backtrace failed"))
-        frames = []
-        for entry in out.result.payload.get("stack", []):
-            frames.append(_frame_from_payload(entry["frame"]))
-        return frames
+        return [_frame_from_payload(entry["frame"])
+                for entry in out.result.payload.get("stack", [])]
+
+    def stack_depth(self, cap: int = 1000) -> int:
+        return min(self._snapshot()[0], cap)
+
+    def backtrace(self, limit: int | None = None) -> list[Frame]:
+        """The innermost frames, at most limit of them (1000 by default)."""
+        depth, frames = self._snapshot()
+        count = min(depth, limit or 1000)
+        if count <= len(frames):
+            return frames[:count]
+        return self._list_frames(count)
 
     def frame_variables(self, level: int) -> list[Binding]:
         """Locals and arguments of one frame, values filled in.
@@ -338,10 +357,15 @@ class DebugSession:
         """Run one CLI debugger command, returning its console output.
 
         Commands that resume the target block until the next stop and
-        refresh the recorded stop state.
+        refresh the recorded stop state.  The stack snapshot outlives only
+        commands that the native-strict policy allows and that did not
+        resume the target: others, like ``return``, may change the stack.
         """
         out = self.handle.send_command(
             f"-interpreter-exec console {_quote_mi_arg(command)}")
+        if (out.result_class == "running"
+                or not sanitize(command, native_strict()).allowed):
+            self._stack = None
         if out.result_class == "error":
             raise EvaluationError(out.result.payload.get("msg", command))
         if out.result_class == "running":

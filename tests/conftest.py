@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.session import Binding
+from dbgchat.session import DEPTH_PROBE_CAP, Binding
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BUILD = FIXTURES / "build"
@@ -66,7 +66,8 @@ class FakeSession:
     exception there is raised).  ``frames``, innermost first, make the
     target stopped; every frame has one variable ``x`` holding its level
     and every file one global ``g = 7``.  ``total`` counts frames beyond
-    the list as well.
+    the list as well; like a session's stack snapshot, depth is counted up
+    to ``DEPTH_PROBE_CAP``.
     """
 
     def __init__(self, outputs=None, frames=(), total=None, stop=None):
@@ -87,13 +88,11 @@ class FakeSession:
     def symbol_definition(self, name):
         return None
 
-    def stack_depth(self, cap=10000):
-        return min(self.total, cap)
+    def stack_depth(self, cap=1000):
+        return min(self.total, DEPTH_PROBE_CAP, cap)
 
     def backtrace(self, limit=None):
-        if limit is None:
-            return list(self.frames)
-        return self.frames[:limit]
+        return self.frames[:limit or 1000]
 
     def frame_variables(self, level):
         return [Binding(name="x", value=str(level), type="int")]
@@ -162,7 +161,8 @@ def stub_server():
     server.extra_headers = {}
     server.requests_seen = []
     server.auth_seen = []
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever,
+                     kwargs={"poll_interval": 0.05}, daemon=True).start()
     yield server
     server.shutdown()
     server.server_close()

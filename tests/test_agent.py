@@ -75,12 +75,23 @@ def debug_call(command):
     return {"tool_call": {"name": "debug", "arguments": {"command": command}}}
 
 
+_open_transcripts = []
+
+
+@pytest.fixture(autouse=True)
+def _close_transcripts():
+    yield
+    while _open_transcripts:
+        _open_transcripts.pop().close()
+
+
 def make_agent(tmp_path, turns, session=None, transcript_name=None, **config):
     session = session or FakeSession()
     ui = RecordingUi()
     transcript = None
     if transcript_name:
         transcript = Transcript(str(tmp_path / transcript_name))
+        _open_transcripts.append(transcript)
     agent = Agent(session, ScriptedBackend(write_script(tmp_path, turns)),
                   native_strict(),
                   AgentConfig(workspace_root=str(tmp_path), **config),

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import contextlib
+import gc
+import hashlib
 import os
 import pty
 import select
 import subprocess
 import sys
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +128,74 @@ def test_unparsed_serializes_to_identity():
     assert rec.serialize() == raw
 
 
+def _stream(text):
+    return MIRecord(kind=RecordKind.CONSOLE_STREAM, text=text)
+
+
+def _unparsed(line):
+    return MIRecord(kind=RecordKind.LOG_STREAM, text=line, unparsed=True)
+
+
+@pytest.mark.parametrize("line, record", [
+    ('~"a\\xzb"', _stream("axzb")),             # \x without a hex digit
+    ('~"\\x"', _stream("x")),
+    ('~"\\x414"', _stream("A4")),               # at most two hex digits
+    ('~"\\1011"', _stream("A1")),               # at most three octal digits
+    ('~"\\0"', _stream("\0")),
+    ('~"\\8"', _unparsed('~"\\8"')),
+    ('~"a\\9b"', _unparsed('~"a\\9b"')),
+    ('~"\\\u0663"', _unparsed('~"\\\u0663"')),     # a non-ASCII digit
+    ('~"abc\\', _unparsed('~"abc\\')),         # backslash ends the line
+    ('~"abc\\"', _unparsed('~"abc\\"')),       # escaped closing quote
+    ('~"\\e[0m\\a\\v\\\'"', _stream("\x1b[0m\a\v'")),
+    ('~"\\q\\""', _stream('q"')),               # unknown escape
+    ('^done,gr\u00f6\u00dfe="1",t={n\u0663="2"}',
+     MIRecord(kind=RecordKind.RESULT, klass="done",
+              payload={"gr\u00f6\u00dfe": "1", "t": {"n\u0663": "2"}})),
+    ('^done,a\u00b7b="1"', _unparsed('^done,a\u00b7b="1"')),
+])
+def test_escape_and_name_edge_cases(line, record):
+    assert parse_mi_line(line) == record
+
+
+CORPUS = Path(__file__).parent / "data" / "mi_corpus.txt"
+# sha256 of the records' reprs, one a line, as an earlier character-at-a-
+# time parser produced them for the corpus.
+CORPUS_RECORDS_SHA256 = \
+    "06327c5a27f56e8ae79cee25cf1afaa21592c2c5016a9df1e9299c002f86d61e"
+
+
+def test_corpus_parses_to_pinned_records():
+    lines = CORPUS.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    reprs = "\n".join(repr(parse_mi_line(line)) for line in lines)
+    assert hashlib.sha256(reprs.encode()).hexdigest() == CORPUS_RECORDS_SHA256
+
+
+def symbol_table(count, per_file=50):
+    """A -symbol-info-variables payload; every 9th type holds quotes."""
+    debug = []
+    for f in range(0, count, per_file):
+        symbols = []
+        for i in range(f, min(f + per_file, count)):
+            type_ = 'char [4] /* "\\q" */' if i % 9 == 0 else "struct node *"
+            symbols.append({"line": str(10 + i), "name": f"var_{i}",
+                            "type": type_,
+                            "description": f"static {type_} var_{i};"})
+        debug.append({"filename": f"unit_{f}.c",
+                      "fullname": f"/src/unit_{f}.c", "symbols": symbols})
+    return {"symbols": {"debug": debug}}
+
+
+def test_large_symbol_table_record():
+    payload = symbol_table(2000)
+    line = MIRecord(kind=RecordKind.RESULT, klass="done",
+                    payload=payload).serialize()
+    assert '\\"\\\\q\\"' in line
+    rec = parse_mi_line(line)
+    assert not rec.unparsed
+    assert rec.payload == payload
+
+
 # -- round-trip invariants -------------------------------------------------
 
 FIXED_LINES = [
@@ -227,6 +299,22 @@ def test_target_output_settle_keeps_text_written_before_the_call():
     text = b"checking lengths\nAssertion failed: len == n\n"
     with _handle_on_dummy_child(text) as handle:
         assert handle.target_output(settle=0.5) == text.decode()
+
+
+def test_close_closes_the_child_pipes():
+    master, slave = pty.openpty()
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdin.readline()"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        handle = DebuggerHandle(child, tty_master=master, tty_slave=slave)
+        handle.close()
+        handle.close()
+        assert child.stdin.closed and child.stdout.closed
+        del handle, child
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # -- live debugger sessions ------------------------------------------------

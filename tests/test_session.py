@@ -1,4 +1,4 @@
-"""Session layer against live debugger children."""
+"""Session layer against live debugger children and a scripted handle."""
 
 from __future__ import annotations
 
@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dbgchat import session as session_module
+from dbgchat.cli import stop_report
+from dbgchat.enrich import build_enriched_stack
 from dbgchat.errors import EvaluationError, NotStopped
+from dbgchat.mi import MIOutput, parse_mi_line
 from dbgchat.session import (
     DebugSession,
     _frame_from_payload,
@@ -222,3 +226,75 @@ def test_quote_mi_arg_never_emits_control_characters(text):
     except EvaluationError:
         return
     assert not any(c < " " or c == "\x7f" for c in quoted)
+
+
+# -- one stack snapshot per stop, through a scripted handle ----------------
+
+_STOPPED = ('*stopped,reason="signal-received",signal-name="SIGSEGV",'
+            'frame={level="0",func="inner",file="app.c",line="5"}')
+
+
+class ScriptedHandle:
+    """Answers MI commands from fixed lines and records every command."""
+
+    def __init__(self, root):
+        frames = ",".join(
+            f'frame={{level="{i}",func="{func}",file="app.c",'
+            f'fullname="{root}/app.c",line="{5 + i}"}}'
+            for i, func in enumerate(["inner", "middle", "main"]))
+        self.answers = {
+            "-exec-run": "^running",
+            "-stack-info-depth": '^done,depth="3"',
+            "-stack-list-frames": f"^done,stack=[{frames}]",
+            "-stack-list-variables": '^done,variables=[{name="x",type="int",value="1"}]',
+            "-symbol-info-variables": "^done,symbols={debug=[]}",
+            '-interpreter-exec console "next"': "^running",
+        }
+        self.commands = []
+
+    def send_command(self, command):
+        self.commands.append(command)
+        key = next((k for k in self.answers if command.startswith(k)), None)
+        line = self.answers[key] if key else '~"ok\\n"\n^done'
+        return MIOutput([parse_mi_line(text)
+                         for text in (*line.split("\n"), "(gdb) ")])
+
+    def wait_for_async(self, predicate, timeout):
+        return [parse_mi_line(_STOPPED), parse_mi_line("(gdb) ")]
+
+    def count(self, prefix):
+        return sum(c.startswith(prefix) for c in self.commands)
+
+
+@pytest.fixture()
+def scripted(tmp_path, monkeypatch):
+    """A stopped DebugSession over a ScriptedHandle, and the handle."""
+    handle = ScriptedHandle(tmp_path)
+    monkeypatch.setattr(session_module, "spawn_debugger",
+                        lambda *args: handle)
+    session = DebugSession("app")
+    session.run_to_stop()
+    return session, handle
+
+
+def test_stop_report_and_enrichment_share_one_stack_snapshot(scripted,
+                                                             tmp_path):
+    session, handle = scripted
+    assert "in inner()" in stop_report(session, str(tmp_path))
+    stack = build_enriched_stack(session, str(tmp_path))
+    assert (stack.total_frames, stack.shown_count) == (3, 3)
+    session.execute_console("p x")
+    assert len(session.backtrace()) == 3
+    assert handle.count("-stack-info-depth") == 1
+    assert handle.count("-stack-list-frames") == 1
+
+
+@pytest.mark.parametrize("command", ["next", "return"])
+def test_console_command_that_may_change_the_stack_drops_the_snapshot(
+        scripted, command):
+    session, handle = scripted
+    session.backtrace()
+    session.execute_console(command)
+    assert len(session.backtrace()) == 3
+    assert handle.count("-stack-info-depth") == 2
+    assert handle.count("-stack-list-frames") == 2
