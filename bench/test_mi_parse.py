@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.mi import MIRecord, RecordKind, parse_mi_line
+from dbgchat.mi import parse_mi_line
 
 CORPUS = Path(__file__).parent.parent / "tests" / "data" / "mi_corpus.txt"
 
@@ -21,20 +21,21 @@ TYPES = ["int", "const char *", "struct _IO_FILE *", "unsigned long",
 
 def symbol_table_line(count: int, per_file: int = 50) -> str:
     """A -symbol-info-variables answer shaped like gdb's, one type in a
-    hundred holding an escaped quote."""
-    debug = []
+    hundred holding an escaped quote.  That type is the only text in need
+    of escaping, and it is written here as it appears on the line."""
+    files = []
     for f in range(0, count, per_file):
         symbols = []
         for i in range(f, f + per_file):
-            type_ = 'char [4] /* "\\n" */' if i % 100 == 0 else TYPES[i % 7]
+            type_ = (r'char [4] /* \"\\n\" */' if i % 100 == 0
+                     else TYPES[i % 7])
             name = f"__state_{f:05d}_{i - f}"
-            symbols.append({"line": str(20 + 9 * (i - f)), "name": name,
-                            "type": type_, "description": f"{type_} {name};"})
+            symbols.append(f'{{line="{20 + 9 * (i - f)}",name="{name}",'
+                           f'type="{type_}",description="{type_} {name};"}}')
         path = f"sysdeps/unix/unit_{f:05d}.c"
-        debug.append({"filename": "../" + path,
-                      "fullname": "./misc/../" + path, "symbols": symbols})
-    return MIRecord(kind=RecordKind.RESULT, klass="done",
-                    payload={"symbols": {"debug": debug}}).serialize()
+        files.append(f'{{filename="../{path}",fullname="./misc/../{path}",'
+                     f'symbols=[{",".join(symbols)}]}}')
+    return f'^done,symbols={{debug=[{",".join(files)}]}}'
 
 
 CASES = {

@@ -15,10 +15,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .enrich import DEFAULT_FRAME_CAP, DEFAULT_RADIUS, EnrichedStack, \
-    build_enriched_stack
+from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
 from .errors import DbgChatError, DebuggerError, LlmError, NotStopped
-from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolSpec
+from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     TokenBudget,
     PromptBundle,
@@ -31,23 +30,23 @@ from .prompts import (
 )
 from .sanitizer import DEFAULT_PREFIXES, RESUME_COMMANDS, SanitizerPolicy, \
     sanitize
-from .source_nav import LspConnection, SourceLoc, code as code_window, \
-    definition, parse_loc
+from .source_nav import SourceLoc, code as code_window, definition, \
+    parse_loc
 
 TOOL_LOOP_CAP = 16
 
 TOOLS = [
-    ToolSpec("debug",
-             "Run a debugger command on the stopped program and return "
-             "its output.",
-             [("command", "the debugger command to run")]),
-    ToolSpec("code",
-             "Show the source lines surrounding a location.",
-             [("loc", "the location, in the form filename:lineno")]),
-    ToolSpec("definition",
-             "Show where the symbol occurring at a location is defined.",
-             [("loc", "the location, in the form filename:lineno"),
-              ("symbol", "the symbol to look up")]),
+    ToolDef("debug",
+            "Run a debugger command on the stopped program and return "
+            "its output.",
+            [("command", "the debugger command to run")]),
+    ToolDef("code",
+            "Show the source lines surrounding a location.",
+            [("loc", "the location, in the form filename:lineno")]),
+    ToolDef("definition",
+            "Show where the symbol occurring at a location is defined.",
+            [("loc", "the location, in the form filename:lineno"),
+             ("symbol", "the symbol to look up")]),
 ]
 
 #: First words routed to the debugger instead of the chat.
@@ -89,7 +88,6 @@ class SessionHistory:
 class DialogState:
     chat_in_progress: bool = False
     messages: list[ChatMessage] = field(default_factory=list)
-    turn_count: int = 0
 
 
 class Ui(Protocol):
@@ -130,7 +128,6 @@ class AgentConfig:
     stdin_text: str | None = None
     budget: TokenBudget | None = None
     radius: int = DEFAULT_RADIUS
-    frame_cap: int = DEFAULT_FRAME_CAP
     tool_loop_cap: int = TOOL_LOOP_CAP
 
 
@@ -139,14 +136,12 @@ class Agent:
 
     def __init__(self, session, backend, policy: SanitizerPolicy,
                  config: AgentConfig, ui: Ui,
-                 lsp: LspConnection | None = None,
                  transcript: Transcript | None = None):
         self.session = session
         self.backend = backend
         self.policy = policy
         self.config = config
         self.ui = ui
-        self.lsp = lsp
         self.transcript = transcript or _NoTranscript()
         self.history = SessionHistory()
         self.state = DialogState()
@@ -187,7 +182,6 @@ class Agent:
                                            self.config.budget)
         self.history.clear()
         self.state.chat_in_progress = True
-        self.state.turn_count += 1
         self.state.messages.extend(messages)
         self.transcript.write({"event": "send",
                                "messages": [m.to_wire() for m in messages]})
@@ -197,7 +191,7 @@ class Agent:
         try:
             stack = build_enriched_stack(
                 self.session, self.config.workspace_root,
-                cap=self.config.frame_cap, radius=self.config.radius)
+                radius=self.config.radius)
         except NotStopped:
             stack = EnrichedStack(entries=[], total_frames=0)
         return PromptBundle(
@@ -315,6 +309,5 @@ class Agent:
                                self.config.radius)
         found = definition(self._resolve_loc(call.arguments["loc"]),
                            call.arguments["symbol"],
-                           lsp=self.lsp, session=self.session,
-                           radius=self.config.radius)
+                           self.session, radius=self.config.radius)
         return f"{found.loc}\n{found.source}"

@@ -163,8 +163,7 @@ def _render_bindings(bindings: list[Binding],
 
 def build_enriched_stack(session, workspace_root: str,
                          cap: int = DEFAULT_FRAME_CAP,
-                         radius: int = DEFAULT_RADIUS,
-                         globals_cap: int = DEFAULT_GLOBALS_CAP) -> EnrichedStack:
+                         radius: int = DEFAULT_RADIUS) -> EnrichedStack:
     """Enrich the stopped session's stack.  Raises NotStopped otherwise."""
     if not session.stopped:
         raise NotStopped("cannot enrich a stack without a stopped target")
@@ -189,7 +188,8 @@ def build_enriched_stack(session, workspace_root: str,
         shown[-1].marked = True
         outer = shown[0]
         raw_globals = session.global_variables(
-            outer.frame.fullname, frame=outer.frame.level, cap=globals_cap)
+            outer.frame.fullname, frame=outer.frame.level,
+            cap=DEFAULT_GLOBALS_CAP)
         outer.globals = _render_bindings(
             raw_globals, _evaluator_for(session, outer.frame.level))
     return EnrichedStack(entries=entries, total_frames=total)

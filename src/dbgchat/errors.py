@@ -73,37 +73,6 @@ class DefinitionNotFound(SourceError):
     """No definition could be resolved for the symbol."""
 
 
-# --- language server ---
-
-class LspError(DbgChatError):
-    pass
-
-
-class LspUnavailable(LspError):
-    """No language server is configured or running, and no fallback applies."""
-
-
-class LspTransportError(LspError):
-    """The language server connection broke or framing was invalid."""
-
-
-class LspNotInitialized(LspError):
-    """A request was issued before the initialize handshake completed."""
-
-
-class LspTimeout(LspError):
-    """The language server did not answer within the deadline."""
-
-
-class LspErrorResponse(LspError):
-    """The server answered with a JSON-RPC error object."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(f"language server error {code}: {message}")
-        self.code = code
-        self.message = message
-
-
 # --- LLM client ---
 
 class LlmError(DbgChatError):

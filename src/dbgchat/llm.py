@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import logging
 import os
 import time
 import urllib.request
@@ -27,7 +26,6 @@ from .errors import (
     TransportError,
 )
 
-log = logging.getLogger(__name__)
 
 SYSTEM = "system"
 USER = "user"
@@ -69,7 +67,7 @@ class ChatMessage:
 
 
 @dataclass
-class ToolSpec:
+class ToolDef:
     """A callable the model may invoke; all parameters are text."""
 
     name: str
@@ -103,11 +101,11 @@ class CompletionEvent:
 
 class Backend(Protocol):
     def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolSpec]) -> Iterator[CompletionEvent]:
+                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
         ...
 
 
-def _validate_tool_call(call: ToolCallRequest, tools: list[ToolSpec]) -> None:
+def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
     spec = next((t for t in tools if t.name == call.name), None)
     if spec is None:
         raise MalformedToolArgs(f"unknown tool {call.name!r}")
@@ -180,7 +178,7 @@ class HttpBackend:
                 else "provider-default"}
 
     def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolSpec]) -> Iterator[CompletionEvent]:
+                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
         key = os.environ.get(self.config.api_key_env, "")
         if not key:
             raise AuthError(
@@ -331,7 +329,7 @@ class ScriptedBackend:
                 "turns": len(self.turns)}
 
     def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolSpec]) -> Iterator[CompletionEvent]:
+                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
         if self.turn_index >= len(self.turns):
             raise ScriptExhausted(
                 f"script has only {len(self.turns)} turn(s)")

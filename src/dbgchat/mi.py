@@ -29,7 +29,6 @@ unterminated string does.
 
 from __future__ import annotations
 
-import logging
 import os
 import pty
 import queue
@@ -53,8 +52,6 @@ from .errors import (
     TargetNotFound,
 )
 
-log = logging.getLogger(__name__)
-
 DEFAULT_COMMAND_TIMEOUT = 30.0
 HANDSHAKE_TIMEOUT = 15.0
 
@@ -73,18 +70,11 @@ class RecordKind(Enum):
     PROMPT = "prompt"
 
 
-_KIND_SIGILS = {
-    RecordKind.RESULT: "^",
-    RecordKind.ASYNC_EXEC: "*",
-    RecordKind.ASYNC_NOTIFY: "=",
+_STREAM_KINDS = {
+    "~": RecordKind.CONSOLE_STREAM,
+    "@": RecordKind.TARGET_STREAM,
+    "&": RecordKind.LOG_STREAM,
 }
-
-_STREAM_SIGILS = {
-    RecordKind.CONSOLE_STREAM: "~",
-    RecordKind.TARGET_STREAM: "@",
-    RecordKind.LOG_STREAM: "&",
-}
-_STREAM_KINDS = {sigil: kind for kind, sigil in _STREAM_SIGILS.items()}
 
 
 @dataclass
@@ -99,27 +89,6 @@ class MIRecord:
     positional: list = field(default_factory=list)
     text: str = ""          # stream records only
     unparsed: bool = False  # LogStream fallback for lines outside the grammar
-
-    def serialize(self) -> str:
-        """Render the record back to one protocol line (no newline).
-
-        Parsing the result yields a record equal to this one; the textual
-        form is normalized, not necessarily byte-identical to the input.
-        """
-        if self.unparsed:
-            return self.text
-        if self.kind is RecordKind.PROMPT:
-            return "(gdb) "
-        if self.kind in _STREAM_SIGILS:
-            return _STREAM_SIGILS[self.kind] + _escape_cstring(self.text)
-        sigil = _KIND_SIGILS[self.kind]
-        head = "" if self.token is None else str(self.token)
-        out = f"{head}{sigil}{self.klass}"
-        parts = [_serialize_value(v) for v in self.positional]
-        parts += [f"{k}={_serialize_value(v)}" for k, v in self.payload.items()]
-        if parts:
-            out += "," + ",".join(parts)
-        return out
 
 
 @dataclass
@@ -146,14 +115,6 @@ class MIOutput:
         return "".join(
             r.text for r in self.records if r.kind is RecordKind.CONSOLE_STREAM
         )
-
-    def async_records(self, klass: str | None = None) -> list[MIRecord]:
-        out = []
-        for r in self.records:
-            if r.kind in (RecordKind.ASYNC_EXEC, RecordKind.ASYNC_NOTIFY):
-                if klass is None or r.klass == klass:
-                    out.append(r)
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -196,27 +157,6 @@ def _parse_cstring(line: str, pos: int) -> tuple[str, int]:
     if "\\" in body:
         body = _ESCAPE.sub(_unescape, body)
     return body, m.end()
-
-
-def _escape_cstring(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append("\\%03o" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def _parse_value(line: str, pos: int) -> tuple[MIValue, int]:
@@ -309,23 +249,6 @@ def _parse_results(line: str, pos: int) -> tuple[dict, list]:
     return named, positional
 
 
-def _serialize_value(value: MIValue) -> str:
-    if isinstance(value, str):
-        return _escape_cstring(value)
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{k}={_serialize_value(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
-        parts = []
-        for item in value:
-            if isinstance(item, dict) and len(item) == 1:
-                ((k, v),) = item.items()
-                parts.append(f"{k}={_serialize_value(v)}")
-            else:
-                parts.append(_serialize_value(item))
-        return "[" + ",".join(parts) + "]"
-    raise TypeError(f"not an MI value: {value!r}")
-
-
 def parse_mi_line(line: str) -> MIRecord:
     """Parse one complete MI output line (without trailing newline).
 
@@ -406,11 +329,7 @@ class DriverConfig:
     """Launch configuration for the debugger child process."""
 
     debugger: str = "gdb"
-    command_timeout: float = DEFAULT_COMMAND_TIMEOUT
-    handshake_timeout: float = HANDSHAKE_TIMEOUT
     transcript_path: str | None = None
-    cwd: str | None = None
-    env: dict[str, str] | None = None  # None: minimal reproducible environment
 
 
 def _default_env() -> dict[str, str]:
@@ -452,10 +371,6 @@ class DebuggerHandle:
         self._tty_reader.start()
 
     # -- liveness ----------------------------------------------------------
-
-    @property
-    def pid(self) -> int:
-        return self._proc.pid
 
     @property
     def alive(self) -> bool:
@@ -535,13 +450,12 @@ class DebuggerHandle:
                 self._target_cond.wait(remaining)
             return "".join(self._target_buf)
 
-    def feed_target_input(self, text: str, close: bool = True) -> None:
-        """Write text to the inferior's stdin; optionally signal EOF."""
+    def feed_target_input(self, text: str) -> None:
+        """Write text to the inferior's stdin, then signal EOF."""
         os.write(self._tty_master, text.encode())
-        if close:
-            if not text.endswith("\n"):
-                os.write(self._tty_master, b"\n")
-            os.write(self._tty_master, b"\x04")  # pty EOF
+        if not text.endswith("\n"):
+            os.write(self._tty_master, b"\n")
+        os.write(self._tty_master, b"\x04")  # pty EOF
 
     # -- protocol ----------------------------------------------------------
 
@@ -680,8 +594,7 @@ def spawn_debugger(executable: str, target_args: list[str] | None = None,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            cwd=cfg.cwd,
-            env=cfg.env if cfg.env is not None else _default_env(),
+            env=_default_env(),
         )
     except FileNotFoundError as exc:
         os.close(master)
@@ -692,9 +605,9 @@ def spawn_debugger(executable: str, target_args: list[str] | None = None,
     handle = DebuggerHandle(proc, tty_master=master, tty_slave=slave,
                             transcript=transcript)
     try:
-        handle.read_until_prompt(cfg.handshake_timeout)
+        handle.read_until_prompt(HANDSHAKE_TIMEOUT)
         out = handle.send_command(f"-inferior-tty-set {slave_name}",
-                                  timeout=cfg.handshake_timeout)
+                                  timeout=HANDSHAKE_TIMEOUT)
         if out.result_class != "done":
             raise ProtocolHandshakeFailed(f"tty setup failed: {out.result_class}")
     except (CommandTimeout, DebuggerExited) as exc:

@@ -7,9 +7,8 @@ including exit-code decoding and failed-assertion detection.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadFrameIndex,
@@ -26,16 +25,17 @@ from .mi import (
 )
 from .sanitizer import native_strict, sanitize
 
-log = logging.getLogger(__name__)
-
 # Matches both common libc assertion-failure report styles; group 1 or 2
 # captures the asserted expression.
-DEFAULT_ASSERT_PATTERN = (
+ASSERT_PATTERN = re.compile(
     r"Assertion failed: ([^\n(]+?)(?: \(.*)?$"
     r"|Assertion `(.+)' failed"
 )
 
 ASSERT_SCAN_LINES = 50
+
+# Seconds to wait for the target to stop after it was started or resumed.
+RUN_TIMEOUT = 60.0
 
 # Each stop's stack is fetched once: its depth, counted up to the probe
 # cap, and its innermost frames up to the frame cap.
@@ -93,10 +93,6 @@ class StopInfo:
     frame: Frame | None = None
     assertion_text: str = ""
 
-    @property
-    def is_crash(self) -> bool:
-        return self.kind in ("signal", "assertion")
-
     def describe(self) -> str:
         if self.kind == "assertion":
             return (f'failed the assertion "{self.assertion_text}" and '
@@ -111,13 +107,6 @@ class StopInfo:
         if self.kind == "breakpoint":
             return "stopped at a breakpoint"
         return "stopped"
-
-
-@dataclass
-class SessionConfig:
-    driver: DriverConfig = field(default_factory=DriverConfig)
-    assertion_pattern: str = DEFAULT_ASSERT_PATTERN
-    run_timeout: float = 60.0
 
 
 def _frame_from_payload(payload: dict) -> Frame:
@@ -141,11 +130,10 @@ class DebugSession:
     """One debugger child attached to one target executable."""
 
     def __init__(self, executable: str, target_args: list[str] | None = None,
-                 config: SessionConfig | None = None):
-        self.config = config or SessionConfig()
+                 driver: DriverConfig | None = None):
         self.executable = executable
         self.handle: DebuggerHandle = spawn_debugger(
-            executable, target_args, self.config.driver)
+            executable, target_args, driver)
         self._stop: StopInfo | None = None
         self._stack: tuple[int, list[Frame]] | None = None
 
@@ -185,7 +173,7 @@ class DebugSession:
             self.handle.feed_target_input(stdin_text)
         records = self.handle.wait_for_async(
             lambda r: r.kind is RecordKind.ASYNC_EXEC and r.klass == "stopped",
-            timeout=self.config.run_timeout,
+            timeout=RUN_TIMEOUT,
         )
         stop_rec = next(r for r in records if r.klass == "stopped")
         self._stop = self._decode_stop(stop_rec)
@@ -224,9 +212,8 @@ class DebugSession:
         """Scan recent target output for a failed-assertion report."""
         text = self.handle.target_output(settle=0.5)
         tail = text.splitlines()[-ASSERT_SCAN_LINES:]
-        pattern = re.compile(self.config.assertion_pattern)
         for line in reversed(tail):
-            m = pattern.search(line)
+            m = ASSERT_PATTERN.search(line)
             if m:
                 for group in m.groups() or (m.group(0),):
                     if group:
@@ -372,14 +359,11 @@ class DebugSession:
             records = self.handle.wait_for_async(
                 lambda r: (r.kind is RecordKind.ASYNC_EXEC
                            and r.klass == "stopped"),
-                timeout=self.config.run_timeout,
+                timeout=RUN_TIMEOUT,
             )
             stop_rec = next(r for r in records if r.klass == "stopped")
             self._stop = self._decode_stop(stop_rec)
         return out.console_text
-
-    def target_output(self, settle: float = 0.0) -> str:
-        return self.handle.target_output(settle=settle)
 
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")

@@ -1,41 +1,23 @@
 """Source navigation tools: windows by location and definition lookup.
 
 `code` reuses the stack renderer's source window so both views are
-byte-identical.  `definition` resolves a symbol occurring at a location,
-preferring a language-server query and falling back to the debugger's
-symbol tables; either resolver is optional, but at least one must exist.
-
-The language-server client speaks JSON-RPC with Content-Length framing
-over a child process's stdio.
+byte-identical.  `definition` resolves a symbol occurring at a location
+through the debugger's symbol tables, that is, the target's debug info.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import selectors
-import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import unquote, urlparse
-from urllib.request import pathname2url
 
 from .enrich import DEFAULT_RADIUS, source_window
 from .errors import (
     BadLocSyntax,
     DefinitionNotFound,
-    LspErrorResponse,
-    LspNotInitialized,
-    LspTimeout,
-    LspTransportError,
-    LspUnavailable,
     SourceUnavailable,
     SymbolNotOnLine,
 )
-
-DEFAULT_LSP_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -71,183 +53,6 @@ def code(loc: SourceLoc, radius: int = DEFAULT_RADIUS) -> str:
 
 
 # --------------------------------------------------------------------------
-# JSON-RPC framing
-# --------------------------------------------------------------------------
-
-def encode_frame(payload: dict) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    return b"Content-Length: %d\r\n\r\n" % len(body) + body
-
-
-def decode_frames(data: bytes) -> tuple[list[dict], bytes]:
-    """Decode every complete frame in data, returning (payloads, rest)."""
-    payloads = []
-    while True:
-        head_end = data.find(b"\r\n\r\n")
-        if head_end < 0:
-            return payloads, data
-        length = None
-        for header in data[:head_end].split(b"\r\n"):
-            name, _, value = header.partition(b":")
-            if name.strip().lower() == b"content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise LspTransportError(f"bad Content-Length: {header!r}")
-        if length is None:
-            raise LspTransportError("frame without Content-Length header")
-        body_start = head_end + 4
-        if len(data) < body_start + length:
-            return payloads, data
-        body = data[body_start:body_start + length]
-        try:
-            payloads.append(json.loads(body))
-        except json.JSONDecodeError as exc:
-            raise LspTransportError(f"bad frame body: {body[:120]!r}") from exc
-        data = data[body_start + length:]
-
-
-def path_to_uri(path: str) -> str:
-    return "file:" + pathname2url(os.path.abspath(path))
-
-
-def uri_to_path(uri: str) -> str:
-    return unquote(urlparse(uri).path)
-
-
-# --------------------------------------------------------------------------
-# Language-server connection
-# --------------------------------------------------------------------------
-
-class LspConnection:
-    """One language server child, initialized before use."""
-
-    def __init__(self, argv: list[str], root: str,
-                 timeout: float = DEFAULT_LSP_TIMEOUT):
-        self.root = os.path.abspath(root)
-        self.timeout = timeout
-        self.initialized = False
-        self.open_documents: set[str] = set()
-        self._buffer = b""
-        self._pending: list[dict] = []
-        self._next_id = 1
-        try:
-            self.proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL)
-        except OSError as exc:
-            raise LspUnavailable(f"cannot start {argv[0]}: {exc}") from exc
-
-    def initialize(self) -> dict:
-        result = self.request("initialize", {
-            "processId": os.getpid(),
-            "rootUri": path_to_uri(self.root),
-            "capabilities": {},
-        })
-        self.notify("initialized", {})
-        self.initialized = True
-        return result
-
-    def notify(self, method: str, params: dict) -> None:
-        self._write({"jsonrpc": "2.0", "method": method, "params": params})
-
-    def request(self, method: str, params: dict):
-        if not self.initialized and method != "initialize":
-            raise LspNotInitialized(f"{method} before initialize")
-        rid = self._next_id
-        self._next_id += 1
-        self._write({"jsonrpc": "2.0", "id": rid, "method": method,
-                     "params": params})
-        deadline = time.monotonic() + self.timeout
-        while True:
-            message = self._read_message(deadline)
-            if message.get("id") != rid:
-                continue  # server notifications are not awaited here
-            if "error" in message:
-                error = message["error"] or {}
-                raise LspErrorResponse(error.get("code", 0),
-                                       error.get("message", ""))
-            return message.get("result")
-
-    def did_open(self, path: str) -> None:
-        path = os.path.abspath(path)
-        if path in self.open_documents:
-            return
-        try:
-            text = Path(path).read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            raise SourceUnavailable(str(exc)) from exc
-        self.notify("textDocument/didOpen", {"textDocument": {
-            "uri": path_to_uri(path), "languageId": "c", "version": 1,
-            "text": text,
-        }})
-        self.open_documents.add(path)
-
-    def definition_at(self, path: str, line0: int, character: int) -> list:
-        """Raw definition query; positions are zero-based per the protocol."""
-        self.did_open(path)
-        result = self.request("textDocument/definition", {
-            "textDocument": {"uri": path_to_uri(path)},
-            "position": {"line": line0, "character": character},
-        })
-        if result is None:
-            return []
-        return result if isinstance(result, list) else [result]
-
-    def close(self) -> None:
-        try:
-            if self.initialized:
-                self.request("shutdown", {})
-            self.notify("exit", {})
-            if self.proc.stdin:
-                self.proc.stdin.close()
-        except (LspTransportError, LspTimeout, LspErrorResponse, OSError):
-            pass
-        try:
-            self.proc.wait(timeout=2)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-
-    def __enter__(self) -> "LspConnection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _write(self, payload: dict) -> None:
-        try:
-            self.proc.stdin.write(encode_frame(payload))
-            self.proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as exc:
-            raise LspTransportError(f"language server closed: {exc}") from exc
-
-    def _read_message(self, deadline: float) -> dict:
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
-            frames, self._buffer = decode_frames(self._buffer)
-            if frames:
-                self._pending.extend(frames)
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise LspTimeout(
-                    f"no answer within {self.timeout:.0f}s")
-            with selectors.DefaultSelector() as sel:
-                sel.register(self.proc.stdout, selectors.EVENT_READ)
-                if not sel.select(timeout=remaining):
-                    raise LspTimeout(
-                        f"no answer within {self.timeout:.0f}s")
-            chunk = os.read(self.proc.stdout.fileno(), 65536)
-            if not chunk:
-                raise LspTransportError("language server closed its pipe")
-            self._buffer += chunk
-
-
-# --------------------------------------------------------------------------
 # Definition lookup
 # --------------------------------------------------------------------------
 
@@ -257,8 +62,8 @@ class Definition:
     source: str
 
 
-def _column_of(loc: SourceLoc, symbol: str) -> int:
-    """Zero-based column of the symbol's first occurrence on the line."""
+def _require_on_line(loc: SourceLoc, symbol: str) -> None:
+    """Raise unless the symbol occurs as a whole word on the line at loc."""
     try:
         lines = Path(loc.file).read_text(encoding="utf-8",
                                          errors="replace").splitlines()
@@ -267,55 +72,21 @@ def _column_of(loc: SourceLoc, symbol: str) -> int:
     if loc.line > len(lines):
         raise SourceUnavailable(f"{loc.file} has only {len(lines)} lines")
     text = lines[loc.line - 1]
-    m = re.search(rf"\b{re.escape(symbol)}\b", text)
-    if not m:
+    if not re.search(rf"\b{re.escape(symbol)}\b", text):
         raise SymbolNotOnLine(f"{symbol!r} does not occur at {loc}")
-    return m.start()
 
 
-def _loc_from_lsp_entry(entry: dict) -> SourceLoc | None:
-    uri = entry.get("uri") or entry.get("targetUri")
-    rng = entry.get("range") or entry.get("targetSelectionRange") \
-        or entry.get("targetRange")
-    if not uri or not rng:
-        return None
-    return SourceLoc(file=uri_to_path(uri),
-                     line=int(rng["start"]["line"]) + 1)
-
-
-def definition(loc: SourceLoc, symbol: str,
-               lsp: LspConnection | None = None,
-               session=None,
+def definition(loc: SourceLoc, symbol: str, session,
                radius: int = DEFAULT_RADIUS) -> Definition:
     """Resolve where the symbol at loc is defined and show that source.
 
-    The language server is asked first; on any failure or empty answer
-    the debugger's symbol tables are consulted.
+    The symbol must occur on the line at loc; its definition comes from
+    the session's debug info.
     """
-    if lsp is None and session is None:
-        raise LspUnavailable("no language server and no debugger session")
-    column = _column_of(loc, symbol)
-
-    if lsp is not None:
-        try:
-            entries = lsp.definition_at(loc.file, loc.line - 1, column)
-        except (LspTransportError, LspTimeout, LspErrorResponse,
-                LspNotInitialized):
-            entries = []
-        for entry in entries:
-            target = _loc_from_lsp_entry(entry)
-            if target is not None:
-                return Definition(
-                    loc=target,
-                    source=source_window(target.file, target.line, radius))
-
-    if session is not None:
-        found = session.symbol_definition(symbol)
-        if found is not None:
-            fullname, line = found
-            target = SourceLoc(file=fullname, line=line)
-            return Definition(
-                loc=target,
-                source=source_window(target.file, target.line, radius))
-
-    raise DefinitionNotFound(f"no definition found for {symbol!r}")
+    _require_on_line(loc, symbol)
+    found = session.symbol_definition(symbol)
+    if found is None:
+        raise DefinitionNotFound(f"no definition found for {symbol!r}")
+    target = SourceLoc(file=found[0], line=found[1])
+    return Definition(loc=target,
+                      source=source_window(target.file, target.line, radius))

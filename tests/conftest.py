@@ -67,16 +67,19 @@ class FakeSession:
     target stopped; every frame has one variable ``x`` holding its level
     and every file one global ``g = 7``.  ``total`` counts frames beyond
     the list as well; like a session's stack snapshot, depth is counted up
-    to ``DEPTH_PROBE_CAP``.
+    to ``DEPTH_PROBE_CAP``.  ``symbols`` maps a name to the ``(fullname,
+    line)`` of its definition in the debug info.
     """
 
-    def __init__(self, outputs=None, frames=(), total=None, stop=None):
+    def __init__(self, outputs=None, frames=(), total=None, stop=None,
+                 symbols=None):
         self.commands = []
         self.outputs = dict(outputs or {})
         self.frames = list(frames)
         self.total = total if total is not None else len(self.frames)
         self.stopped = bool(self.frames)
         self.stop = stop
+        self.symbols = dict(symbols or {})
 
     def execute_console(self, command):
         self.commands.append(command)
@@ -86,7 +89,7 @@ class FakeSession:
         return result
 
     def symbol_definition(self, name):
-        return None
+        return self.symbols.get(name)
 
     def stack_depth(self, cap=1000):
         return min(self.total, DEPTH_PROBE_CAP, cap)

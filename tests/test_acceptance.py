@@ -1,7 +1,9 @@
 """One test per acceptance criterion; each prints a single PASS line.
 
-Criteria 1-7 are gating.  Criterion 8 talks to a real model provider and
-only runs when DBGCHAT_LIVE_SMOKE=1 and an API key are present.
+Criterion 7 has two: its gdb-free checks, and the definition oracle,
+which needs gdb like criteria 2, 5 and 6.  Criteria 1-7 are gating.
+Criterion 8 talks to a real model provider and only runs when
+DBGCHAT_LIVE_SMOKE=1 and an API key are present.
 """
 
 import copy
@@ -37,12 +39,14 @@ GOLDEN = DATA / "golden"
 
 
 def test_criterion_1_protocol_corpus():
+    from mi_serialize import serialize
+
     lines = (DATA / "mi_corpus.txt").read_text().splitlines()
     assert len(lines) >= 500
     start = time.monotonic()
     for line in lines:
         record = parse_mi_line(line)
-        assert parse_mi_line(record.serialize()) == record
+        assert parse_mi_line(serialize(record)) == record
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"PASS criterion 1: {len(lines)} recorded machine-interface "
@@ -237,34 +241,36 @@ def test_criterion_6_stop_state_preservation(fixture_bins, fixtures_dir,
 
 
 def test_criterion_7_definition_and_code_tools(fixtures_dir):
-    from test_source_nav import _connect
+    from test_source_nav import oracle_session
 
+    main_c = str(fixtures_dir / "defproj" / "main.c")
+    assert code(SourceLoc(main_c, 7)) == source_window(main_c, 7)
+
+    generated = fixtures_dir / "generated"
+    with pytest.raises(DefinitionNotFound):
+        definition(SourceLoc(str(generated / "parser.c"), 8), "yy_reduce",
+                   session=oracle_session())
+    print("PASS criterion 7: code matches the shared renderer; generated "
+          "code yields DefinitionNotFound")
+
+
+def test_criterion_7_definition_oracle(fixture_bins, fixtures_dir):
     defproj = fixtures_dir / "defproj"
     oracle = json.loads((DATA / "definition_oracle.json").read_text())
     assert len(oracle) >= 5
-    with _connect() as conn:
+    with DebugSession(str(fixture_bins["defproj"])) as session:
         for case in oracle:
             loc = parse_loc(case["loc"])
             loc = SourceLoc(str(defproj / loc.file), loc.line)
             expect = parse_loc(case["def"])
-            found = definition(loc, case["symbol"], lsp=conn)
+            found = definition(loc, case["symbol"], session=session)
             assert Path(found.loc.file).resolve() == \
                 (defproj / expect.file).resolve(), case["symbol"]
             assert found.loc.line == expect.line, case["symbol"]
             assert found.source == source_window(found.loc.file,
                                                  found.loc.line)
-
-    main_c = str(defproj / "main.c")
-    assert code(SourceLoc(main_c, 7)) == source_window(main_c, 7)
-
-    generated = fixtures_dir / "generated"
-    with _connect(root=generated) as conn:
-        with pytest.raises(DefinitionNotFound):
-            definition(SourceLoc(str(generated / "parser.c"), 8),
-                       "yy_reduce", lsp=conn)
-    print(f"PASS criterion 7: {len(oracle)} symbols resolved to recorded "
-          "locations; code matches the shared renderer; generated code "
-          "yields DefinitionNotFound")
+    print(f"PASS criterion 7: {len(oracle)} symbols resolved through the "
+          "debugger to recorded locations")
 
 
 LIVE_READY = (os.environ.get("DBGCHAT_LIVE_SMOKE") == "1"

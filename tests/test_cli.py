@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dbgchat
 from dbgchat import PROMPT
 from dbgchat.cli import (
     Config,
@@ -68,6 +69,16 @@ def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+def test_import_does_not_load_logging():
+    # Nothing logs, so importing the entry point must not pay for logging.
+    src = str(Path(dbgchat.__file__).parent.parent)
+    probe = "import sys, dbgchat.cli; print('logging' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], text=True,
+                            capture_output=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False", result.stderr
 
 
 # -- terminal rendering -----------------------------------------------------

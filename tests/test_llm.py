@@ -26,17 +26,17 @@ from dbgchat.llm import (
     HttpConfig,
     ScriptedBackend,
     ToolCallRequest,
-    ToolSpec,
+    ToolDef,
     validate_conversation,
 )
 
 from conftest import CUT_STREAM, sse
 
 TOOLS = [
-    ToolSpec("debug", "Run a debugger command.", [("command", "the command")]),
-    ToolSpec("code", "Show source around a location.", [("loc", "file:line")]),
-    ToolSpec("definition", "Find where a symbol is defined.",
-             [("loc", "file:line"), ("symbol", "the symbol")]),
+    ToolDef("debug", "Run a debugger command.", [("command", "the command")]),
+    ToolDef("code", "Show source around a location.", [("loc", "file:line")]),
+    ToolDef("definition", "Find where a symbol is defined.",
+            [("loc", "file:line"), ("symbol", "the symbol")]),
 ]
 
 

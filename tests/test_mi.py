@@ -31,6 +31,8 @@ from dbgchat.mi import (
     spawn_debugger,
 )
 
+from mi_serialize import serialize
+
 # -- fixed oracle lines ----------------------------------------------------
 
 def test_result_done_with_value():
@@ -125,7 +127,7 @@ def test_junk_line_degrades_to_unparsed_log():
 def test_unparsed_serializes_to_identity():
     raw = "some stray target output"
     rec = parse_mi_line(raw)
-    assert rec.serialize() == raw
+    assert serialize(rec) == raw
 
 
 def _stream(text):
@@ -188,8 +190,8 @@ def symbol_table(count, per_file=50):
 
 def test_large_symbol_table_record():
     payload = symbol_table(2000)
-    line = MIRecord(kind=RecordKind.RESULT, klass="done",
-                    payload=payload).serialize()
+    line = serialize(MIRecord(kind=RecordKind.RESULT, klass="done",
+                              payload=payload))
     assert '\\"\\\\q\\"' in line
     rec = parse_mi_line(line)
     assert not rec.unparsed
@@ -221,7 +223,7 @@ FIXED_LINES = [
 @pytest.mark.parametrize("line", FIXED_LINES)
 def test_round_trip_fixed(line):
     first = parse_mi_line(line)
-    again = parse_mi_line(first.serialize())
+    again = parse_mi_line(serialize(first))
     assert again == first
 
 
@@ -229,7 +231,7 @@ def test_round_trip_fixed(line):
 def test_parse_is_total_and_round_trips(line):
     line = line.replace("\n", " ")
     first = parse_mi_line(line)
-    again = parse_mi_line(first.serialize())
+    again = parse_mi_line(serialize(first))
     assert again == first
 
 
@@ -259,13 +261,13 @@ def _values(depth=3):
 )
 def test_serialize_parse_round_trip_generated(kind, token, klass, payload):
     rec = MIRecord(kind=kind, token=token, klass=klass, payload=payload)
-    assert parse_mi_line(rec.serialize()) == rec
+    assert parse_mi_line(serialize(rec)) == rec
 
 
 @given(_strings)
 def test_stream_text_round_trips(text):
     rec = MIRecord(kind=RecordKind.CONSOLE_STREAM, text=text.replace("\r", ""))
-    assert parse_mi_line(rec.serialize()) == rec
+    assert parse_mi_line(serialize(rec)) == rec
 
 
 # -- inferior tty, without a debugger --------------------------------------

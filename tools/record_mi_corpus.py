@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dbgchat.mi import DriverConfig, parse_mi_line  # noqa: E402
-from dbgchat.session import DebugSession, SessionConfig  # noqa: E402
+from dbgchat.session import DebugSession  # noqa: E402
 
 BUILD = ROOT / "tests" / "fixtures" / "build"
 OUT = ROOT / "tests" / "data" / "mi_corpus.txt"
@@ -79,8 +79,8 @@ PER_FIXTURE = {
 
 def record_fixture(name: str, tmp: Path) -> list[str]:
     transcript = tmp / f"{name}.mi"
-    cfg = SessionConfig(driver=DriverConfig(transcript_path=str(transcript)))
-    with DebugSession(str(BUILD / name), config=cfg) as session:
+    driver = DriverConfig(transcript_path=str(transcript))
+    with DebugSession(str(BUILD / name), driver=driver) as session:
         session.run_to_stop()
         for cmd in COMMON_COMMANDS + PER_FIXTURE[name]:
             try:
