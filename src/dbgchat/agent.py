@@ -128,7 +128,6 @@ class AgentConfig:
     stdin_text: str | None = None
     budget: TokenBudget | None = None
     radius: int = DEFAULT_RADIUS
-    tool_loop_cap: int = TOOL_LOOP_CAP
 
 
 class Agent:
@@ -218,7 +217,7 @@ class Agent:
                         self.ui.on_prose(event.text)
                     elif event.kind == "tool_call":
                         calls_made += 1
-                        if calls_made > self.config.tool_loop_cap:
+                        if calls_made > TOOL_LOOP_CAP:
                             output = ("Tool-call limit reached for this "
                                       "turn; the command was not executed.")
                         else:
@@ -236,9 +235,9 @@ class Agent:
             self._commit(text_parts, calls)
             final_parts.extend(text_parts)
             if finish == "tool_calls":
-                if calls_made > self.config.tool_loop_cap:
+                if calls_made > TOOL_LOOP_CAP:
                     self.ui.on_notice(
-                        f"tool-call limit ({self.config.tool_loop_cap}) "
+                        f"tool-call limit ({TOOL_LOOP_CAP}) "
                         "reached; turn aborted")
                     self.ui.on_turn_end()
                     self.transcript.write({"event": "turn_aborted",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import PROMPT, __version__
 from .agent import Agent, AgentConfig, Transcript
-from .enrich import DEFAULT_FRAME_CAP, DEFAULT_RADIUS, is_user_frame
+from .enrich import DEFAULT_RADIUS, is_user_frame
 from .errors import DbgChatError, DebuggerError, AuthError
 from .llm import HttpBackend, HttpConfig, ScriptedBackend
 from .prompts import TokenBudget
@@ -160,7 +160,7 @@ def _innermost_user_frame(session: DebugSession, root: str) -> Frame | None:
     if not session.stopped:
         return None
     try:
-        for frame in session.backtrace(limit=DEFAULT_FRAME_CAP):
+        for frame in session.backtrace():
             if is_user_frame(frame, root):
                 return frame
     except DebuggerError:

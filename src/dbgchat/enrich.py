@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NotStopped, SourceUnavailable
-from .session import DEFAULT_FRAME_CAP, DEPTH_PROBE_CAP, Binding, Frame
+from .session import Binding, Frame
 from .values import RenderedValue, render_value
 
 DEFAULT_RADIUS = 5
-DEFAULT_GLOBALS_CAP = 10
 
 
 def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS) -> str:
@@ -162,13 +161,12 @@ def _render_bindings(bindings: list[Binding],
 
 
 def build_enriched_stack(session, workspace_root: str,
-                         cap: int = DEFAULT_FRAME_CAP,
                          radius: int = DEFAULT_RADIUS) -> EnrichedStack:
     """Enrich the stopped session's stack.  Raises NotStopped otherwise."""
     if not session.stopped:
         raise NotStopped("cannot enrich a stack without a stopped target")
-    total = session.stack_depth(cap=DEPTH_PROBE_CAP)
-    frames = session.backtrace(limit=cap)
+    total = session.stack_depth()
+    frames = session.backtrace()
 
     entries: list[EnrichedFrame | ElisionMarker] = []
     pending_hidden = total - len(frames)  # frames beyond the cap, outermost
@@ -188,8 +186,7 @@ def build_enriched_stack(session, workspace_root: str,
         shown[-1].marked = True
         outer = shown[0]
         raw_globals = session.global_variables(
-            outer.frame.fullname, frame=outer.frame.level,
-            cap=DEFAULT_GLOBALS_CAP)
+            outer.frame.fullname, frame=outer.frame.level)
         outer.globals = _render_bindings(
             raw_globals, _evaluator_for(session, outer.frame.level))
     return EnrichedStack(entries=entries, total_frames=total)

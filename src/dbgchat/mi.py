@@ -29,19 +29,19 @@ unterminated string does.
 
 from __future__ import annotations
 
+import codecs
 import os
 import pty
-import queue
 import re
 import select
-import selectors
 import shutil
 import subprocess
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 from .errors import (
     CommandInFlight,
@@ -343,148 +343,117 @@ def _default_env() -> dict[str, str]:
 
 
 class DebuggerHandle:
-    """A live debugger child speaking MI on stdio.
+    """A live debugger child speaking MI on stdio, driven from one thread.
 
-    One command may be in flight at a time; a reader thread drains stdout
-    into a queue so records are delivered in arrival order.  The inferior
-    is wired to a pty whose output is captured separately.
+    One command may be in flight at a time.  Its caller reads stdout in
+    ``read_until_prompt``, which keeps lines after the prompt for the next
+    read and drains the pty the inferior is wired to meanwhile.
     """
 
     def __init__(self, proc: subprocess.Popen, tty_master: int,
                  tty_slave: int = -1, transcript: "object | None" = None):
         self._proc = proc
-        self._records: queue.Queue[MIRecord | None] = queue.Queue()
+        assert proc.stdout is not None
+        self._stdout = proc.stdout.fileno()
+        self._partial = b""           # bytes of a line still being written
+        self._lines: deque[str] = deque()
+        self._eof = False
         self._tty_master = tty_master
+        os.set_blocking(tty_master, False)
+        self._tty_open = True
         # Held open so the master never sees EOF while the session lives.
         self._tty_slave = tty_slave
-        self._target_buf: list[str] = []
-        self._target_cond = threading.Condition()
-        self._tty_reading = True
+        self._target_text: list[str] = []
+        self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self._transcript = transcript
         self._in_flight = threading.Lock()
-        self._eof = threading.Event()
         self._closed = False
 
-        self._reader = threading.Thread(target=self._pump_stdout, daemon=True)
-        self._reader.start()
-        self._tty_reader = threading.Thread(target=self._pump_tty, daemon=True)
-        self._tty_reader.start()
+    # -- reading -----------------------------------------------------------
 
-    # -- liveness ----------------------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return self._proc.poll() is None and not self._eof.is_set()
-
-    # -- reader threads ----------------------------------------------------
-
-    def _pump_stdout(self) -> None:
-        stream = self._proc.stdout
-        assert stream is not None
-        buf = b""
-        while True:
-            chunk = os.read(stream.fileno(), 65536) if not stream.closed else b""
-            if not chunk:
-                break
-            buf += chunk
-            while b"\n" in buf:
-                raw, buf = buf.split(b"\n", 1)
-                if self._transcript is not None:
-                    try:
-                        self._transcript.write(raw + b"\n")
-                        self._transcript.flush()
-                    except ValueError:
-                        pass  # closed underneath us during shutdown
-                line = raw.decode("utf-8", "replace").rstrip("\r")
-                self._records.put(parse_mi_line(line))
-        self._eof.set()
-        self._records.put(None)
-
-    def _pump_tty(self) -> None:
-        sel = selectors.DefaultSelector()
-        try:
-            sel.register(self._tty_master, selectors.EVENT_READ)
-            while not self._eof.is_set():
-                if not sel.select(timeout=0.1):
-                    continue
-                # Read and append under one lock, so that target_output
-                # finds text either in the buffer or still in the pty.
-                with self._target_cond:
-                    chunk = os.read(self._tty_master, 65536)
-                    if not chunk:
-                        break
-                    text = chunk.decode("utf-8", "replace")
-                    self._target_buf.append(text.replace("\r\n", "\n"))
-                    self._target_cond.notify_all()
-        except (ValueError, OSError):
-            pass
-        finally:
-            with self._target_cond:
-                self._tty_reading = False
-                self._target_cond.notify_all()
-
-    def _tty_unread(self) -> bool:
-        """Whether the pty holds output the reader has yet to take."""
-        if not self._tty_reading:
-            return False
-        try:
-            return bool(select.select([self._tty_master], [], [], 0)[0])
-        except (ValueError, OSError):
-            return False
-
-    # -- target I/O --------------------------------------------------------
-
-    def target_output(self, settle: float = 0.0) -> str:
-        """Everything the inferior wrote to its tty so far.
-
-        The pty is drained by a reader thread, so output can trail the MI
-        stop record.  A nonzero settle waits, at most that long, until the
-        reader has taken everything the pty holds.
-        """
-        deadline = time.monotonic() + settle
-        with self._target_cond:
-            while settle > 0 and self._tty_unread():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._target_cond.wait(remaining)
-            return "".join(self._target_buf)
-
-    def feed_target_input(self, text: str) -> None:
-        """Write text to the inferior's stdin, then signal EOF."""
-        os.write(self._tty_master, text.encode())
-        if not text.endswith("\n"):
-            os.write(self._tty_master, b"\n")
-        os.write(self._tty_master, b"\x04")  # pty EOF
-
-    # -- protocol ----------------------------------------------------------
-
-    def read_until_prompt(self, timeout: float) -> list[MIRecord]:
-        """Collect records up to and including the next prompt."""
-        deadline = time.monotonic() + timeout
-        records: list[MIRecord] = []
+    def _pump(self, deadline: float, feed: bytearray | None = None) -> bool:
+        """Wait for bytes on the debugger's stdout and take them, draining
+        the inferior's pty and writing feed into it meanwhile.  False if
+        the deadline passed first."""
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                return False
+            tty = [self._tty_master] if self._tty_open else []
+            readable, writable, _ = select.select(
+                [self._stdout, *tty], tty if feed else [], [], remaining)
+            if self._tty_master in readable:
+                self._read_tty()
+            if writable:
+                try:
+                    del feed[:os.write(self._tty_master, feed)]
+                except BlockingIOError:
+                    pass
+                except OSError:  # nothing left to read the input
+                    feed.clear()
+            if self._stdout in readable:
+                break
+        chunk = os.read(self._stdout, 65536)
+        self._eof = not chunk
+        *lines, self._partial = (self._partial + chunk).split(b"\n")
+        for raw in lines:
+            if self._transcript is not None:
+                self._transcript.write(raw + b"\n")
+                self._transcript.flush()
+            self._lines.append(raw.decode("utf-8", "replace").rstrip("\r"))
+        return True
+
+    def _read_tty(self) -> bool:
+        """Take one chunk of the inferior's output, so that a target that
+        never stops writing cannot starve stdout; False if none was there."""
+        if not self._tty_open:
+            return False
+        try:
+            chunk = os.read(self._tty_master, 65536)
+        except BlockingIOError:
+            return False
+        except OSError:  # EIO: no slave side is open any more
+            chunk = b""
+        if not chunk:
+            self._tty_open = False
+            return False
+        self._target_text.append(self._decoder.decode(chunk))
+        return True
+
+    # -- target I/O --------------------------------------------------------
+
+    def target_output(self) -> str:
+        """Everything the inferior wrote to its tty so far: what the waits
+        for the debugger took from the pty, plus what it holds right now."""
+        while self._read_tty():
+            pass
+        return "".join(self._target_text).replace("\r\n", "\n")
+
+    # -- protocol ----------------------------------------------------------
+
+    def read_until_prompt(self, timeout: float,
+                          feed: bytearray | None = None) -> list[MIRecord]:
+        """Collect records up to and including the next prompt, writing
+        feed to the inferior's pty meanwhile; written bytes leave feed."""
+        deadline = time.monotonic() + timeout
+        records: list[MIRecord] = []
+        while True:
+            while self._lines:
+                rec = parse_mi_line(self._lines.popleft())
+                records.append(rec)
+                if rec.kind is RecordKind.PROMPT:
+                    return records
+            if self._eof:
+                raise DebuggerExited("debugger closed its output stream")
+            if not self._pump(deadline, feed):
                 raise CommandTimeout(
                     f"no prompt within {timeout:.0f}s ({len(records)} records so far)"
                 )
-            try:
-                rec = self._records.get(timeout=min(remaining, 0.25))
-            except queue.Empty:
-                if not self.alive:
-                    raise DebuggerExited("debugger terminated mid-stream")
-                continue
-            if rec is None:
-                raise DebuggerExited("debugger closed its output stream")
-            records.append(rec)
-            if rec.kind is RecordKind.PROMPT:
-                return records
 
     def send_command(self, command: str,
                      timeout: float = DEFAULT_COMMAND_TIMEOUT) -> MIOutput:
         """Send one MI command and return all records up to the prompt."""
-        if not self.alive:
+        if self._eof or self._proc.poll() is not None:
             raise DebuggerExited("debugger is not running")
         if not self._in_flight.acquire(blocking=False):
             raise CommandInFlight(f"command already outstanding: {command!r}")
@@ -500,22 +469,26 @@ class DebuggerHandle:
         finally:
             self._in_flight.release()
 
-    def wait_for_async(self, predicate: Callable[[MIRecord], bool],
-                       timeout: float) -> list[MIRecord]:
-        """Read prompt-terminated batches until one contains a matching record.
+    def wait_for_stop(self, timeout: float,
+                      stdin: str | None = None) -> MIRecord:
+        """Read prompt-terminated batches up to the ``*stopped`` record.
 
-        Returns every record seen, including the batch with the match.
+        stdin, newline-terminated and then EOF, goes to the inferior's pty
+        as fast as the pty takes it; what is left when the target stops is
+        dropped.
         """
+        feed = bytearray()
+        if stdin is not None:
+            feed += stdin.encode()
+            if not stdin.endswith("\n"):
+                feed += b"\n"
+            feed += b"\x04"  # pty EOF
         deadline = time.monotonic() + timeout
-        seen: list[MIRecord] = []
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise CommandTimeout("no matching async record before deadline")
-            batch = self.read_until_prompt(remaining)
-            seen.extend(batch)
-            if any(predicate(r) for r in batch):
-                return seen
+            for rec in self.read_until_prompt(deadline - time.monotonic(),
+                                              feed):
+                if rec.kind is RecordKind.ASYNC_EXEC and rec.klass == "stopped":
+                    return rec
 
     # -- shutdown ----------------------------------------------------------
 
@@ -535,12 +508,13 @@ class DebuggerHandle:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait(timeout=3)
-        self._eof.set()
-        # The child is gone, so the reader meets EOF; stdout may be closed
-        # only once the reader is done with it.
-        self._reader.join(timeout=1.0)
-        pipes = [self._proc.stdin, self._proc.stdout]
-        for pipe in pipes[:1] if self._reader.is_alive() else pipes:
+        if self._transcript is not None:
+            # Mirror what the debugger wrote up to its exit.
+            deadline = time.monotonic() + 1.0
+            while not self._eof and self._pump(deadline):
+                pass
+        self._tty_open = False
+        for pipe in (self._proc.stdin, self._proc.stdout):
             try:
                 pipe.close()
             except OSError:

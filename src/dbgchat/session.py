@@ -19,7 +19,6 @@ from .errors import (
 from .mi import (
     DriverConfig,
     MIRecord,
-    RecordKind,
     DebuggerHandle,
     spawn_debugger,
 )
@@ -41,6 +40,8 @@ RUN_TIMEOUT = 60.0
 # cap, and its innermost frames up to the frame cap.
 DEFAULT_FRAME_CAP = 200
 DEPTH_PROBE_CAP = 10000
+# File-scope variables read for the outermost shown frame.
+DEFAULT_GLOBALS_CAP = 10
 
 
 @dataclass
@@ -164,19 +165,17 @@ class DebugSession:
     # -- running -----------------------------------------------------------
 
     def run_to_stop(self, stdin_text: str | None = None) -> StopInfo:
-        """Start the target and block until it stops or exits."""
+        """Start the target and block until it stops or exits.  What it
+        has not read of stdin_text when it stops is dropped."""
         self._stack = None
         out = self.handle.send_command("-exec-run")
         if out.result_class == "error":
             raise DebuggerExited(out.result.payload.get("msg", "run failed"))
-        if stdin_text is not None:
-            self.handle.feed_target_input(stdin_text)
-        records = self.handle.wait_for_async(
-            lambda r: r.kind is RecordKind.ASYNC_EXEC and r.klass == "stopped",
-            timeout=RUN_TIMEOUT,
-        )
-        stop_rec = next(r for r in records if r.klass == "stopped")
-        self._stop = self._decode_stop(stop_rec)
+        return self._await_stop(stdin_text)
+
+    def _await_stop(self, stdin_text: str | None = None) -> StopInfo:
+        self._stop = self._decode_stop(
+            self.handle.wait_for_stop(RUN_TIMEOUT, stdin_text))
         return self._stop
 
     def _decode_stop(self, rec: MIRecord) -> StopInfo:
@@ -210,7 +209,7 @@ class DebugSession:
 
     def _detect_assertion(self) -> str:
         """Scan recent target output for a failed-assertion report."""
-        text = self.handle.target_output(settle=0.5)
+        text = self.handle.target_output()
         tail = text.splitlines()[-ASSERT_SCAN_LINES:]
         for line in reversed(tail):
             m = ASSERT_PATTERN.search(line)
@@ -242,16 +241,13 @@ class DebugSession:
         return [_frame_from_payload(entry["frame"])
                 for entry in out.result.payload.get("stack", [])]
 
-    def stack_depth(self, cap: int = 1000) -> int:
-        return min(self._snapshot()[0], cap)
+    def stack_depth(self) -> int:
+        """Frames on the stopped stack, counted up to DEPTH_PROBE_CAP."""
+        return self._snapshot()[0]
 
-    def backtrace(self, limit: int | None = None) -> list[Frame]:
-        """The innermost frames, at most limit of them (1000 by default)."""
-        depth, frames = self._snapshot()
-        count = min(depth, limit or 1000)
-        if count <= len(frames):
-            return frames[:count]
-        return self._list_frames(count)
+    def backtrace(self) -> list[Frame]:
+        """The innermost frames, at most DEFAULT_FRAME_CAP of them."""
+        return list(self._snapshot()[1])
 
     def frame_variables(self, level: int) -> list[Binding]:
         """Locals and arguments of one frame, values filled in.
@@ -290,9 +286,8 @@ class DebugSession:
             raise EvaluationError(out.result.payload.get("msg", expression))
         return out.result.payload.get("value", "")
 
-    def global_variables(self, fullname: str, frame: int,
-                         cap: int = 10) -> list[Binding]:
-        """File-scope variables defined in one source file, capped.
+    def global_variables(self, fullname: str, frame: int) -> list[Binding]:
+        """The first DEFAULT_GLOBALS_CAP file-scope variables of one file.
 
         Values are read in the given frame's scope so file statics resolve.
         """
@@ -310,7 +305,7 @@ class DebugSession:
                                 sym.get("type", "")))
         symbols.sort()
         bindings = []
-        for _, name, type_ in symbols[:cap]:
+        for _, name, type_ in symbols[:DEFAULT_GLOBALS_CAP]:
             try:
                 value = self.evaluate(name, frame=frame)
             except EvaluationError:
@@ -356,13 +351,7 @@ class DebugSession:
         if out.result_class == "error":
             raise EvaluationError(out.result.payload.get("msg", command))
         if out.result_class == "running":
-            records = self.handle.wait_for_async(
-                lambda r: (r.kind is RecordKind.ASYNC_EXEC
-                           and r.klass == "stopped"),
-                timeout=RUN_TIMEOUT,
-            )
-            stop_rec = next(r for r in records if r.klass == "stopped")
-            self._stop = self._decode_stop(stop_rec)
+            self._await_stop()
         return out.console_text
 
 

@@ -5,15 +5,18 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from dbgchat.session import DEPTH_PROBE_CAP, Binding
+from dbgchat.mi import DriverConfig
+from dbgchat.session import DEFAULT_FRAME_CAP, DEPTH_PROBE_CAP, Binding
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FAKE_GDB = Path(__file__).parent / "fake_gdb.py"
 BUILD = FIXTURES / "build"
 
 CRASHERS = ["crash_segv", "crash_assert", "crash_fpe", "recurse", "libframe"]
@@ -59,6 +62,28 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+# -- a scripted MI child in gdb's place -------------------------------------
+
+@pytest.fixture()
+def fake_gdb(tmp_path):
+    """``script(commands, **fields) -> (target, DriverConfig)``.
+
+    Handing both to ``spawn_debugger`` or ``DebugSession`` starts
+    ``tests/fake_gdb.py`` in gdb's place, answering from ``commands``;
+    ``fields`` go into the script as well (``log``).
+    """
+    debugger = tmp_path / "gdb"
+    debugger.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" "{FAKE_GDB}" "$@"\n')
+    debugger.chmod(0o755)
+
+    def script(commands, **fields):
+        target = tmp_path / "script.json"
+        target.write_text(json.dumps({"commands": commands, **fields}))
+        return str(target), DriverConfig(debugger=str(debugger))
+    return script
+
+
 class FakeSession:
     """Duck-typed stand-in for DebugSession; no debugger runs.
 
@@ -67,8 +92,9 @@ class FakeSession:
     target stopped; every frame has one variable ``x`` holding its level
     and every file one global ``g = 7``.  ``total`` counts frames beyond
     the list as well; like a session's stack snapshot, depth is counted up
-    to ``DEPTH_PROBE_CAP``.  ``symbols`` maps a name to the ``(fullname,
-    line)`` of its definition in the debug info.
+    to ``DEPTH_PROBE_CAP`` and at most ``DEFAULT_FRAME_CAP`` frames are
+    listed.  ``symbols`` maps a name to the ``(fullname, line)`` of its
+    definition in the debug info.
     """
 
     def __init__(self, outputs=None, frames=(), total=None, stop=None,
@@ -91,16 +117,16 @@ class FakeSession:
     def symbol_definition(self, name):
         return self.symbols.get(name)
 
-    def stack_depth(self, cap=1000):
-        return min(self.total, DEPTH_PROBE_CAP, cap)
+    def stack_depth(self):
+        return min(self.total, DEPTH_PROBE_CAP)
 
-    def backtrace(self, limit=None):
-        return self.frames[:limit or 1000]
+    def backtrace(self):
+        return self.frames[:DEFAULT_FRAME_CAP]
 
     def frame_variables(self, level):
         return [Binding(name="x", value=str(level), type="int")]
 
-    def global_variables(self, fullname, frame, cap=10):
+    def global_variables(self, fullname, frame):
         return [Binding(name="g", value="7", type="int")]
 
     def evaluate(self, expression, frame=None):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dbgchat import PROMPT
+from dbgchat import agent as agent_module
 from dbgchat.agent import (
     Agent,
     AgentConfig,
@@ -338,9 +339,10 @@ def test_definition_tool_not_found_becomes_output(tmp_path):
 
 # -- caps and failures ------------------------------------------------------
 
-def test_tool_loop_cap_single_completion(tmp_path):
+def test_tool_loop_cap_single_completion(tmp_path, monkeypatch):
+    monkeypatch.setattr(agent_module, "TOOL_LOOP_CAP", 4)
     turns = [[debug_call(f"p v{i}") for i in range(5)], [{"text": "unused"}]]
-    agent, session, ui = make_agent(tmp_path, turns, tool_loop_cap=4,
+    agent, session, ui = make_agent(tmp_path, turns,
                                     transcript_name="t.jsonl")
     agent.handle_input("dig in")
 
@@ -361,10 +363,11 @@ def test_tool_loop_cap_single_completion(tmp_path):
     assert len([e for e in events if e["event"] == "tool_call"]) == 4
 
 
-def test_tool_loop_cap_spans_completions(tmp_path):
+def test_tool_loop_cap_spans_completions(tmp_path, monkeypatch):
+    monkeypatch.setattr(agent_module, "TOOL_LOOP_CAP", 2)
     turns = [[debug_call("p a")], [debug_call("p b")], [debug_call("p c")],
              [{"text": "unused"}]]
-    agent, session, ui = make_agent(tmp_path, turns, tool_loop_cap=2)
+    agent, session, ui = make_agent(tmp_path, turns)
     agent.handle_input("dig in")
     assert session.commands == ["p a", "p b"]
     assert len(ui.kind("echo")) == 2

@@ -145,7 +145,7 @@ class StopSession:
     def stopped(self):
         return self._stop is not None and self._stop.kind != "exited"
 
-    def backtrace(self, limit=None):
+    def backtrace(self):
         return self._frames
 
 

@@ -149,8 +149,9 @@ def test_marked_frame_is_innermost_user():
 
 
 def test_beyond_cap_frames_counted_outermost():
-    session = _synthetic("u" * 30)
-    stack = build_enriched_stack(session, "/ws/src", cap=10)
+    # The session lists only the 10 innermost of its 30 frames.
+    session = _synthetic("u" * 10, extra_hidden=20)
+    stack = build_enriched_stack(session, "/ws/src")
     assert stack.total_frames == 30
     assert stack.shown_count == 10
     assert isinstance(stack.entries[0], ElisionMarker)

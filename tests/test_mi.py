@@ -10,6 +10,7 @@ import pty
 import select
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgchat.errors import (
+    CommandTimeout,
     DebuggerExited,
     TargetNotFound,
 )
@@ -31,6 +33,7 @@ from dbgchat.mi import (
     spawn_debugger,
 )
 
+from conftest import FAKE_GDB
 from mi_serialize import serialize
 
 # -- fixed oracle lines ----------------------------------------------------
@@ -270,44 +273,62 @@ def test_stream_text_round_trips(text):
     assert parse_mi_line(serialize(rec)) == rec
 
 
-# -- inferior tty, without a debugger --------------------------------------
+# -- the driver against a scripted MI child --------------------------------
+
+_STOP = '*stopped,reason="signal-received",signal-name="SIGSEGV"'
+
 
 @contextlib.contextmanager
-def _handle_on_dummy_child(tty_text=b""):
-    """A DebuggerHandle whose child only waits for a line on stdin.
+def _handle_on_fake_child(tty_text=b""):
+    """A DebuggerHandle on an unscripted fake child, with no handshake.
 
     ``tty_text`` is written to the pty before the handle exists, as an
-    inferior writes before it stops, and has reached the master side."""
+    inferior writes before it stops, and has reached the master side.
+    The slave side is yielded too, for writing more."""
     master, slave = pty.openpty()
     if tty_text:
         os.write(slave, tty_text)
         select.select([master], [], [], 5)
-    child = subprocess.Popen(
-        [sys.executable, "-c", "import sys; sys.stdin.readline()"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    child = subprocess.Popen([sys.executable, str(FAKE_GDB)],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     with child, DebuggerHandle(child, tty_master=master,
                                tty_slave=slave) as handle:
-        yield handle
+        yield handle, slave
 
 
-def test_target_output_settle_returns_early_on_empty_tty():
-    with _handle_on_dummy_child() as handle:
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)
+
+
+def test_target_output_returns_at_once_on_empty_tty():
+    with _handle_on_fake_child() as (handle, _):
         start = time.monotonic()
-        assert handle.target_output(settle=0.5) == ""
+        assert handle.target_output() == ""
         assert time.monotonic() - start < 0.25
 
 
-def test_target_output_settle_keeps_text_written_before_the_call():
+def test_target_output_keeps_text_written_before_the_call():
     text = b"checking lengths\nAssertion failed: len == n\n"
-    with _handle_on_dummy_child(text) as handle:
-        assert handle.target_output(settle=0.5) == text.decode()
+    with _handle_on_fake_child(text) as (handle, _):
+        assert handle.target_output() == text.decode()
+
+
+def test_target_output_joins_a_character_split_across_reads():
+    with _handle_on_fake_child() as (handle, slave):
+        os.write(slave, b"caf\xc3")
+        _until(lambda: handle.target_output().startswith("caf"))
+        os.write(slave, b"\xa9 au lait\n")
+        _until(lambda: handle.target_output().endswith("\n"))
+        assert handle.target_output() == "caf\u00e9 au lait\n"
 
 
 def test_close_closes_the_child_pipes():
     master, slave = pty.openpty()
-    child = subprocess.Popen(
-        [sys.executable, "-c", "import sys; sys.stdin.readline()"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    child = subprocess.Popen([sys.executable, str(FAKE_GDB)],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         handle = DebuggerHandle(child, tty_master=master, tty_slave=slave)
@@ -317,6 +338,78 @@ def test_close_closes_the_child_pipes():
         del handle, child
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
+    target, cfg = fake_gdb({"-exec-run": [
+        "^running", "(gdb) ", "=thread-created,id=\"1\"", "(gdb) ",
+        _STOP, "(gdb) "]})
+    with spawn_debugger(target, config=cfg) as dbg:
+        out = dbg.send_command("-exec-run")
+        assert [r.kind for r in out.records] == [RecordKind.RESULT,
+                                                 RecordKind.PROMPT]
+        assert out.result_class == "running"
+        assert dbg.wait_for_stop(5).payload["signal-name"] == "SIGSEGV"
+        out = dbg.send_command("-data-evaluate-expression 1")
+        assert out.result.payload == {"msg": "not recorded"}
+
+
+def test_command_timeout_reports_the_records_so_far(fake_gdb):
+    target, cfg = fake_gdb({"-slow": ['~"one"', '~"two"']})
+    with spawn_debugger(target, config=cfg) as dbg:
+        with pytest.raises(CommandTimeout, match=r"\(2 records so far\)"):
+            dbg.send_command("-slow", timeout=0.3)
+
+
+def test_debugger_exit_mid_command_raises(fake_gdb):
+    target, cfg = fake_gdb({"-die": ['~"bye"', {"exit": 3}]})
+    with spawn_debugger(target, config=cfg) as dbg:
+        with pytest.raises(DebuggerExited):
+            dbg.send_command("-die")
+        with pytest.raises(DebuggerExited):
+            dbg.send_command("-data-evaluate-expression 1")
+
+
+def test_target_output_is_drained_while_a_command_waits(fake_gdb):
+    # Far more than a pty buffers: the target blocks unless it is drained.
+    text = "".join(f"line {i}\n" for i in range(30000))
+    target, cfg = fake_gdb({"-exec-run": [
+        "^running", "(gdb) ", {"tty": text}, _STOP, "(gdb) "]})
+    with spawn_debugger(target, config=cfg) as dbg:
+        dbg.send_command("-exec-run")
+        dbg.wait_for_stop(10)
+        assert dbg.target_output() == text
+
+
+def test_transcript_is_byte_identical_to_what_the_child_wrote(fake_gdb,
+                                                              tmp_path):
+    log = tmp_path / "child.log"
+    symbols = ",".join(f'{{name="v{i}",line="{i}"}}' for i in range(20000))
+    target, cfg = fake_gdb({
+        "-symbol-info-variables": [f"^done,symbols=[{symbols}]", "(gdb) "],
+        "-exec-run": ["^running", "(gdb) ", '@"caf\u00e9"', _STOP, "(gdb) "],
+    }, log=str(log))
+    cfg.transcript_path = str(tmp_path / "mi.log")
+    with spawn_debugger(target, config=cfg) as dbg:
+        dbg.send_command("-symbol-info-variables")
+        dbg.send_command("-exec-run")
+        dbg.wait_for_stop(5)
+        dbg.send_command("-unknown")
+    mirrored = (tmp_path / "mi.log").read_bytes()
+    assert mirrored.endswith(b"^exit\n")
+    assert mirrored == log.read_bytes()
+
+
+def test_a_handle_starts_no_thread(fake_gdb):
+    before = threading.active_count()
+    target, cfg = fake_gdb({"-exec-run": [
+        "^running", "(gdb) ", {"read_tty": True}, _STOP, "(gdb) "]})
+    with spawn_debugger(target, config=cfg) as dbg:
+        dbg.send_command("-exec-run")
+        dbg.wait_for_stop(5, stdin="input\n")
+        assert "read 6 bytes" in dbg.target_output()
+        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
 # -- live debugger sessions ------------------------------------------------
@@ -344,15 +437,11 @@ def test_live_run_captures_target_output(fixture_bins):
     with spawn_debugger(str(fixture_bins["crash_segv"])) as dbg:
         out = dbg.send_command("-exec-run")
         assert out.result_class == "running"
-        batch = dbg.wait_for_async(
-            lambda r: r.kind is RecordKind.ASYNC_EXEC and r.klass == "stopped",
-            timeout=20,
-        )
-        stop = next(r for r in batch if r.klass == "stopped")
+        stop = dbg.wait_for_stop(timeout=20)
         assert stop.payload["signal-name"] == "SIGSEGV"
         assert stop.payload["frame"]["func"] == "tally_reds"
         # Inferior stdout goes to the pty, never the MI stream.
-        assert "drew 150 marbles" in dbg.target_output(settle=2.0)
+        assert "drew 150 marbles" in dbg.target_output()
 
 
 def test_live_commands_after_close_raise(fixture_bins):

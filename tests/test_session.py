@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -186,15 +191,13 @@ def test_queries_require_stopped(fixture_bins):
             s.frame_variables(0)
 
 
-def test_recursion_backtrace_limit(fixture_bins):
+def test_recursion_backtrace(fixture_bins):
     with DebugSession(str(fixture_bins["recurse"]), ["30"]) as s:
         s.run_to_stop()
         frames = s.backtrace()
         countdowns = [f for f in frames if f.func == "countdown"]
         assert len(countdowns) == 31
         assert frames[-1].func == "main"
-        limited = s.backtrace(limit=10)
-        assert len(limited) == 10
 
 
 def test_frame_payload_decoding_unit():
@@ -259,8 +262,8 @@ class ScriptedHandle:
         return MIOutput([parse_mi_line(text)
                          for text in (*line.split("\n"), "(gdb) ")])
 
-    def wait_for_async(self, predicate, timeout):
-        return [parse_mi_line(_STOPPED), parse_mi_line("(gdb) ")]
+    def wait_for_stop(self, timeout, stdin=None):
+        return parse_mi_line(_STOPPED)
 
     def count(self, prefix):
         return sum(c.startswith(prefix) for c in self.commands)
@@ -298,3 +301,41 @@ def test_console_command_that_may_change_the_stack_drops_the_snapshot(
     assert len(session.backtrace()) == 3
     assert handle.count("-stack-info-depth") == 2
     assert handle.count("-stack-list-frames") == 2
+
+
+# -- the target's standard input, through a scripted MI child ---------------
+
+_RUN = ["^running", "(gdb) "]
+
+
+def test_stdin_reaches_the_target_then_eof(fake_gdb):
+    target, cfg = fake_gdb({"-exec-run": [*_RUN, {"read_tty": True},
+                                          _STOPPED, "(gdb) "]})
+    with DebugSession(target, driver=cfg) as s:
+        assert s.run_to_stop("first\nsecond").kind == "signal"
+        assert "read 13 bytes" in s.handle.target_output()
+
+
+_RUN_WITH_UNREAD_STDIN = """
+import sys
+from dbgchat.mi import DriverConfig
+from dbgchat.session import DebugSession
+with DebugSession(sys.argv[1], driver=DriverConfig(debugger=sys.argv[2])) as s:
+    print(s.run_to_stop("".join(f"record {i}\\n" for i in range(6000))).kind)
+"""
+
+
+def test_stdin_the_target_never_reads_does_not_block_the_stop(fake_gdb):
+    # 71 kB, far more than a pty takes unread; the target stops at once.
+    target, cfg = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]})
+    src = str(Path(session_module.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_WITH_UNREAD_STDIN, target,
+             cfg.debugger], env=env, capture_output=True, text=True,
+            timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("run_to_stop blocked on stdin the target never read")
+    assert (done.returncode, done.stdout) == (0, "signal\n"), done.stderr
