@@ -19,10 +19,9 @@ from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
 from .errors import DbgChatError, DebuggerError, LlmError, NotStopped
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
-    TokenBudget,
+    DEFAULT_MAX_TOKENS,
     PromptBundle,
     error_section,
-    format_history,
     format_inputs,
     instructions_text,
     make_followup_prompt,
@@ -65,31 +64,6 @@ def is_debugger_command(line: str) -> bool:
     return words[0].split("/", 1)[0] in KNOWN_COMMANDS
 
 
-@dataclass
-class SessionHistory:
-    """Commands and outputs accumulated since the last prompt send."""
-
-    entries: list[tuple[str, str]] = field(default_factory=list)
-
-    def append(self, command: str, output: str) -> None:
-        self.entries.append((command, output))
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def formatted(self) -> str:
-        return format_history(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
-class DialogState:
-    chat_in_progress: bool = False
-    messages: list[ChatMessage] = field(default_factory=list)
-
-
 class Ui(Protocol):
     def on_prose(self, chunk: str) -> None: ...
     def on_echo(self, command: str, output: str) -> None: ...
@@ -126,12 +100,17 @@ class AgentConfig:
     workspace_root: str
     argv: list[str] = field(default_factory=list)
     stdin_text: str | None = None
-    budget: TokenBudget | None = None
+    budget: int = DEFAULT_MAX_TOKENS
     radius: int = DEFAULT_RADIUS
 
 
 class Agent:
-    """Wires one debugger session, one model backend, and one policy."""
+    """Wires one debugger session, one model backend, and one policy.
+
+    ``history`` holds the (command, output) pairs the user ran since the
+    last send; ``messages`` is the conversation, empty until the first
+    chat line.
+    """
 
     def __init__(self, session, backend, policy: SanitizerPolicy,
                  config: AgentConfig, ui: Ui,
@@ -142,8 +121,8 @@ class Agent:
         self.config = config
         self.ui = ui
         self.transcript = transcript or _NoTranscript()
-        self.history = SessionHistory()
-        self.state = DialogState()
+        self.history: list[tuple[str, str]] = []
+        self.messages: list[ChatMessage] = []
         self.transcript.write({
             "event": "config",
             "backend": backend.describe(),
@@ -159,7 +138,7 @@ class Agent:
         if is_debugger_command(line):
             output = self._user_command(line)
             self.ui.on_debugger(line, output)
-            self.history.append(line, output)
+            self.history.append((line, output))
             self.transcript.write({"event": "debugger", "command": line,
                                    "output": output})
             return
@@ -174,14 +153,13 @@ class Agent:
     # -- chat path ---------------------------------------------------------
 
     def _chat(self, line: str) -> None:
-        if self.state.chat_in_progress:
-            messages = make_followup_prompt(self.history.formatted(), line)
+        if self.messages:
+            messages = make_followup_prompt(self.history, line)
         else:
             messages = make_initial_prompt(self._initial_bundle(line),
                                            self.config.budget)
-        self.history.clear()
-        self.state.chat_in_progress = True
-        self.state.messages.extend(messages)
+        self.history = []
+        self.messages.extend(messages)
         self.transcript.write({"event": "send",
                                "messages": [m.to_wire() for m in messages]})
         self._run_chat_turn()
@@ -198,7 +176,7 @@ class Agent:
             enriched_stack=stack,
             inputs=format_inputs(self.config.argv, self.config.stdin_text),
             error=error_section(self.session.stop),
-            history=list(self.history.entries),
+            history=self.history,
             user_text=line,
         )
 
@@ -210,8 +188,7 @@ class Agent:
             calls: list[tuple[ToolCallRequest, str]] = []
             finish = "stop"
             try:
-                for event in self.backend.complete(self.state.messages,
-                                                   TOOLS):
+                for event in self.backend.complete(self.messages, TOOLS):
                     if event.kind == "text":
                         text_parts.append(event.text)
                         self.ui.on_prose(event.text)
@@ -255,11 +232,11 @@ class Agent:
         """Append one completed assistant message plus its tool replies."""
         if not text_parts and not calls:
             return
-        self.state.messages.append(ChatMessage(
+        self.messages.append(ChatMessage(
             ASSISTANT, "".join(text_parts),
             tool_calls=[call for call, _ in calls]))
         for call, output in calls:
-            self.state.messages.append(
+            self.messages.append(
                 ChatMessage(TOOL, output, tool_call_id=call.id))
 
     # -- tool dispatch -----------------------------------------------------

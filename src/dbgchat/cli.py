@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import PROMPT, __version__
 from .agent import Agent, AgentConfig, Transcript
 from .enrich import DEFAULT_RADIUS, is_user_frame
 from .errors import DbgChatError, DebuggerError, AuthError
-from .llm import HttpBackend, HttpConfig, ScriptedBackend
-from .prompts import TokenBudget
+from .llm import HttpBackend, ScriptedBackend
+from .prompts import DEFAULT_MAX_TOKENS
 from .sanitizer import (
     SanitizerPolicy,
     load_whitelist,
@@ -29,32 +28,16 @@ from .sanitizer import (
 from .session import DebugSession, Frame
 
 
-@dataclass
-class Config:
-    """Everything the session needs, resolved from flags and environment."""
+#: The target's terminal is in canonical mode, which cuts longer lines.
+MAX_STDIN_LINE = 4095
 
-    target: str
-    target_args: list[str] = field(default_factory=list)
-    model: str = "gpt-4o"
-    base_url: str = "https://api.openai.com/v1"
-    key_env: str = "OPENAI_API_KEY"
-    root: str = ""
-    unsafe: bool = False
-    whitelist_path: str | None = None
-    script_path: str | None = None
-    log_path: str | None = None
-    budget: int | None = None
-    radius: int = DEFAULT_RADIUS
-    stdin_path: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.unsafe and self.whitelist_path:
-            raise ValueError(
-                "--unsafe and --whitelist are mutually exclusive")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("--budget must be positive")
-        if not self.root:
-            self.root = os.getcwd()
+def positive_int(text: str) -> int:
+    """The argparse type of --budget and --radius."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--key-env", default="OPENAI_API_KEY",
                         metavar="NAME",
                         help="environment variable holding the API key")
-    parser.add_argument("--root", metavar="DIR",
+    parser.add_argument("--root", default=os.curdir, metavar="DIR",
                         help="directory whose sources count as user code "
                              "(default: current directory)")
     parser.add_argument("--unsafe", action="store_true",
@@ -86,9 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "calling the network")
     parser.add_argument("--log", metavar="FILE",
                         help="write a structured transcript to FILE")
-    parser.add_argument("--budget", type=int, metavar="TOKENS",
-                        help="prompt token budget (default 16000)")
-    parser.add_argument("--radius", type=int, default=DEFAULT_RADIUS,
+    parser.add_argument("--budget", type=positive_int,
+                        default=DEFAULT_MAX_TOKENS, metavar="TOKENS",
+                        help="prompt token budget (default %(default)s)")
+    parser.add_argument("--radius", type=positive_int, default=DEFAULT_RADIUS,
                         metavar="LINES",
                         help="source lines shown around a location")
     parser.add_argument("--stdin-file", metavar="FILE",
@@ -96,24 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> Config:
-    return Config(
-        target=ns.target,
-        target_args=ns.target_args,
-        model=ns.model,
-        base_url=ns.base_url,
-        key_env=ns.key_env,
-        root=os.path.abspath(ns.root) if ns.root else "",
-        unsafe=ns.unsafe,
-        whitelist_path=ns.whitelist,
-        script_path=ns.script,
-        log_path=ns.log,
-        budget=ns.budget,
-        radius=ns.radius,
-        stdin_path=ns.stdin_file,
-    )
 
 
 class TerminalUi:
@@ -203,50 +169,54 @@ def run_repl(agent: Agent, in_stream, out) -> None:
             out.write("\n[turn interrupted]\n")
 
 
-def _build_policy(config: Config) -> SanitizerPolicy:
-    if config.unsafe:
+def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
+    if ns.unsafe:
         return unsafe_policy(True)
-    if config.whitelist_path:
-        return whitelist(load_whitelist(config.whitelist_path))
+    if ns.whitelist:
+        return whitelist(load_whitelist(ns.whitelist))
     return native_strict()
 
 
-def _build_backend(config: Config):
-    if config.script_path:
-        return ScriptedBackend(config.script_path)
-    if not os.environ.get(config.key_env):
+def _build_backend(ns: argparse.Namespace):
+    if ns.script:
+        return ScriptedBackend(ns.script)
+    if not os.environ.get(ns.key_env):
         raise AuthError(
-            f"no API key: set the {config.key_env} environment variable "
+            f"no API key: set the {ns.key_env} environment variable "
             "or pass --script")
-    return HttpBackend(HttpConfig(base_url=config.base_url,
-                                  model=config.model,
-                                  api_key_env=config.key_env))
+    return HttpBackend(ns.base_url, ns.model, ns.key_env)
 
 
-def _run(config: Config, in_stream, out) -> int:
-    stdin_text = None
-    if config.stdin_path:
-        with open(config.stdin_path, encoding="utf-8") as fh:
-            stdin_text = fh.read()
+def _read_stdin_file(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    for number, line in enumerate(text.split("\n"), start=1):
+        if len(line.encode("utf-8")) > MAX_STDIN_LINE:
+            raise ValueError(
+                f"{path}: line {number} is longer than {MAX_STDIN_LINE} "
+                "bytes, which the target's terminal would cut")
+    return text
+
+
+def _run(ns: argparse.Namespace, in_stream, out) -> int:
+    stdin_text = _read_stdin_file(ns.stdin_file) if ns.stdin_file else None
+    root = os.path.abspath(ns.root)
     # Configuration problems must surface before a debugger child exists.
-    policy = _build_policy(config)
-    backend = _build_backend(config)
-    budget = None
-    if config.budget is not None:
-        budget = TokenBudget(max_tokens=config.budget)
-    transcript = Transcript(config.log_path) if config.log_path else None
+    policy = _build_policy(ns)
+    backend = _build_backend(ns)
+    transcript = Transcript(ns.log) if ns.log else None
 
-    session = DebugSession(config.target, config.target_args)
+    session = DebugSession(ns.target, ns.target_args)
     try:
         session.run_to_stop(stdin_text)
-        out.write(stop_report(session, config.root) + "\n")
+        out.write(stop_report(session, root) + "\n")
         agent = Agent(
             session, backend, policy,
-            AgentConfig(workspace_root=config.root,
-                        argv=config.target_args,
+            AgentConfig(workspace_root=root,
+                        argv=ns.target_args,
                         stdin_text=stdin_text,
-                        budget=budget,
-                        radius=config.radius),
+                        budget=ns.budget,
+                        radius=ns.radius),
             TerminalUi(out), transcript=transcript)
         run_repl(agent, in_stream, out)
     finally:
@@ -259,12 +229,10 @@ def _run(config: Config, in_stream, out) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if ns.unsafe and ns.whitelist:
+        parser.error("--unsafe and --whitelist are mutually exclusive")
     try:
-        config = _config_from_args(ns)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return _run(config, sys.stdin, sys.stdout)
+        return _run(ns, sys.stdin, sys.stdout)
     except (DbgChatError, OSError, ValueError) as exc:
         print(f"dbgchat: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import os
 import time
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Iterator
 from urllib.error import HTTPError
 
 from .errors import (
@@ -99,12 +99,6 @@ class CompletionEvent:
     finish_reason: str = ""
 
 
-class Backend(Protocol):
-    def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
-        ...
-
-
 def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
     spec = next((t for t in tools if t.name == call.name), None)
     if spec is None:
@@ -144,14 +138,8 @@ def validate_conversation(messages: list[ChatMessage]) -> None:
 # HTTP backend
 # --------------------------------------------------------------------------
 
-@dataclass
-class HttpConfig:
-    base_url: str = "https://api.openai.com/v1"
-    model: str = "gpt-4o"
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout: float = 120.0
-    retry_cap: int = 3
-    temperature: float | None = None
+TIMEOUT_S = 120.0  # per connection attempt and per stream read
+RETRY_CAP = 3      # retries after a throttle or a failed connection
 
 
 def _lines(response) -> Iterator[str]:
@@ -167,32 +155,29 @@ def _lines(response) -> Iterator[str]:
 class HttpBackend:
     """Streams chat completions from an HTTP provider."""
 
-    def __init__(self, config: HttpConfig):
-        self.config = config
+    def __init__(self, base_url: str, model: str, key_env: str):
+        self.base_url = base_url
+        self.model = model
+        self.key_env = key_env
 
     def describe(self) -> dict:
-        cfg = self.config
-        return {"backend": "http", "base_url": cfg.base_url,
-                "model": cfg.model,
-                "temperature": cfg.temperature if cfg.temperature is not None
-                else "provider-default"}
+        return {"backend": "http", "base_url": self.base_url,
+                "model": self.model}
 
     def complete(self, messages: list[ChatMessage],
                  tools: list[ToolDef]) -> Iterator[CompletionEvent]:
-        key = os.environ.get(self.config.api_key_env, "")
+        key = os.environ.get(self.key_env, "")
         if not key:
             raise AuthError(
-                f"no API key in ${self.config.api_key_env}; set it or use "
+                f"no API key in ${self.key_env}; set it or use "
                 "a scripted backend")
         body: dict = {
-            "model": self.config.model,
+            "model": self.model,
             "messages": [m.to_wire() for m in messages],
             "stream": True,
         }
         if tools:
             body["tools"] = [t.to_wire() for t in tools]
-        if self.config.temperature is not None:
-            body["temperature"] = self.config.temperature
 
         response = self._post_with_retry(key, body)
         try:
@@ -202,7 +187,7 @@ class HttpBackend:
 
     def _post_with_retry(self, key: str, body: dict):
         request = urllib.request.Request(
-            self.config.base_url.rstrip("/") + "/chat/completions",
+            self.base_url.rstrip("/") + "/chat/completions",
             data=json.dumps(body).encode("utf-8"),
             headers={"Authorization": f"Bearer {key}",
                      "Content-Type": "application/json"},
@@ -210,8 +195,7 @@ class HttpBackend:
         attempt = 0
         while True:
             try:
-                return urllib.request.urlopen(request,
-                                              timeout=self.config.timeout)
+                return urllib.request.urlopen(request, timeout=TIMEOUT_S)
             except HTTPError as exc:
                 with exc:
                     if exc.code == 401:
@@ -229,13 +213,13 @@ class HttpBackend:
                 except ValueError:
                     retry_after = None
                 attempt += 1
-                if attempt > self.config.retry_cap:
+                if attempt > RETRY_CAP:
                     raise RateLimited("provider throttled the request",
                                       retry_after=retry_after) from None
                 time.sleep(retry_after if retry_after is not None else 1.0)
             except (OSError, http.client.HTTPException) as exc:
                 attempt += 1
-                if attempt > self.config.retry_cap:
+                if attempt > RETRY_CAP:
                     raise TransportError(str(exc)) from exc
                 time.sleep(min(2.0, 0.2 * attempt))
 

@@ -32,11 +32,6 @@ def estimate_tokens(text: str) -> int:
 
 
 @dataclass
-class TokenBudget:
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-
-@dataclass
 class PromptBundle:
     instructions: str
     enriched_stack: EnrichedStack
@@ -170,7 +165,7 @@ def render_messages(bundle: PromptBundle) -> list[ChatMessage]:
     ]
 
 
-def _estimate_bundle(bundle: PromptBundle, budget: TokenBudget) -> int:
+def _estimate_bundle(bundle: PromptBundle, budget: int) -> int:
     """Estimated tokens of both messages; the estimate ignores `budget`."""
     return (estimate_tokens(bundle.instructions)
             + estimate_tokens(_user_sections(bundle)))
@@ -192,14 +187,14 @@ def _section_bytes(heading: str, parts: int, body: int, sep: int) -> int:
     return _bytes(heading) + body + sep * (parts - 1) + 2
 
 
-def truncate_bundle(bundle: PromptBundle, budget: TokenBudget) -> PromptBundle:
-    """Shrink the bundle deterministically until it fits the budget.
+def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
+    """Shrink the bundle deterministically until it fits `budget` tokens.
 
     Idempotent: a bundle that already fits is returned unchanged.
     Raises BudgetImpossible when the protected sections cannot fit.
     """
     # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
-    room = 4 * (budget.max_tokens - estimate_tokens(bundle.instructions))
+    room = 4 * (budget - estimate_tokens(bundle.instructions))
     entries = bundle.enriched_stack.entries
     entry_bytes = [_bytes(e.render()) for e in entries]
     block_bytes = [_bytes(_history_block(*e)) for e in bundle.history]
@@ -241,22 +236,25 @@ def truncate_bundle(bundle: PromptBundle, budget: TokenBudget) -> PromptBundle:
                            history=[])
 
     raise BudgetImpossible(
-        f"cannot fit the prompt in {budget.max_tokens} tokens: instructions, "
+        f"cannot fit the prompt in {budget} tokens: instructions, "
         "error, and user text alone exceed the budget")
 
 
 def make_initial_prompt(bundle: PromptBundle,
-                        budget: TokenBudget | None = None) -> list[ChatMessage]:
-    """Build the first prompt of a dialog, truncating to the budget."""
+                        max_tokens: int = DEFAULT_MAX_TOKENS
+                        ) -> list[ChatMessage]:
+    """Build the first prompt of a dialog, truncating to max_tokens."""
     if not bundle.instructions or not bundle.user_text:
         raise ValueError("instructions and user text must be nonempty")
-    budget = budget or TokenBudget()
-    return render_messages(truncate_bundle(bundle, budget))
+    return render_messages(truncate_bundle(bundle, max_tokens))
 
 
-def make_followup_prompt(history: str, user_text: str) -> list[ChatMessage]:
-    """A follow-up carries only the history since the last send plus text."""
+def make_followup_prompt(history: list[tuple[str, str]],
+                         user_text: str) -> list[ChatMessage]:
+    """A follow-up carries only the (command, output) pairs run since the
+    last send, rendered as in the first prompt, plus the user's text."""
     if not history:
         return [ChatMessage(role=USER, content=user_text)]
-    content = f"{_HISTORY_HEADING}{history}\n\nUser Text:\n{user_text}"
+    content = (f"{_HISTORY_HEADING}{format_history(history)}\n\n"
+               f"User Text:\n{user_text}")
     return [ChatMessage(role=USER, content=content)]

@@ -23,11 +23,10 @@ from dbgchat.llm import (
     TOOL,
     USER,
     HttpBackend,
-    HttpConfig,
     ScriptedBackend,
     validate_conversation,
 )
-from dbgchat.prompts import TokenBudget, estimate_tokens
+from dbgchat.prompts import estimate_tokens
 from dbgchat.sanitizer import native_strict
 from dbgchat.session import DebugSession, Frame, StopInfo
 
@@ -153,8 +152,8 @@ def test_debugger_command_routes_to_session(tmp_path):
     agent.handle_input("p x")
     assert session.commands == ["p x"]
     assert ui.events == [("debugger", "p x", "ran p x")]
-    assert agent.history.entries == [("p x", "ran p x")]
-    assert not agent.state.chat_in_progress
+    assert agent.history == [("p x", "ran p x")]
+    assert agent.messages == []
 
 
 def test_debugger_command_error_is_reported_not_raised(tmp_path):
@@ -163,7 +162,7 @@ def test_debugger_command_error_is_reported_not_raised(tmp_path):
                               session=session)
     agent.handle_input("p bad")
     assert ui.events == [("debugger", "p bad", 'error: No symbol "bad"')]
-    assert agent.history.entries == [("p bad", 'error: No symbol "bad"')]
+    assert agent.history == [("p bad", 'error: No symbol "bad"')]
 
 
 # -- history discipline -----------------------------------------------------
@@ -173,16 +172,16 @@ def test_history_accumulates_then_clears_on_send(tmp_path):
     for cmd in ["p a", "p b", "bt"]:
         agent.handle_input(cmd)
     assert len(agent.history) == 3
-    assert [c for c, _ in agent.history.entries] == ["p a", "p b", "bt"]
+    assert [c for c, _ in agent.history] == ["p a", "p b", "bt"]
 
     agent.handle_input("why is that?")
     assert len(agent.history) == 0
-    user = [m for m in agent.state.messages if m.role == USER][-1]
+    user = [m for m in agent.messages if m.role == USER][-1]
     for cmd in ["p a", "p b", "bt"]:
         assert f"{PROMPT}{cmd}\n" in user.content
         assert f"ran {cmd}" in user.content
     assert user.content.endswith("why is that?")
-    assert agent.state.chat_in_progress
+    assert agent.messages
 
 
 def test_followup_prompt_after_first_chat(tmp_path):
@@ -190,22 +189,22 @@ def test_followup_prompt_after_first_chat(tmp_path):
     agent, _, ui = make_agent(tmp_path, turns)
 
     agent.handle_input("first question")
-    systems = [m for m in agent.state.messages if m.role == SYSTEM]
+    systems = [m for m in agent.messages if m.role == SYSTEM]
     assert len(systems) == 1
 
     agent.handle_input("second question")
-    assert len([m for m in agent.state.messages if m.role == SYSTEM]) == 1
-    user = [m for m in agent.state.messages if m.role == USER][-1]
+    assert len([m for m in agent.messages if m.role == SYSTEM]) == 1
+    user = [m for m in agent.messages if m.role == USER][-1]
     assert user.content == "second question"
 
     agent.handle_input("p x")
     agent.handle_input("third question")
-    user = [m for m in agent.state.messages if m.role == USER][-1]
+    user = [m for m in agent.messages if m.role == USER][-1]
     assert f"{PROMPT}p x" in user.content
     assert "ran p x" in user.content
     assert user.content.endswith("third question")
     assert len(agent.history) == 0
-    validate_conversation(agent.state.messages)
+    validate_conversation(agent.messages)
 
 
 def test_first_request_over_budget_is_cut_to_fit(tmp_path):
@@ -218,11 +217,11 @@ def test_first_request_over_budget_is_cut_to_fit(tmp_path):
     stop = StopInfo(kind="signal", signal_name="SIGSEGV", frame=frames[0])
     session = FakeSession(frames=frames, stop=stop)
     agent, _, _ = make_agent(tmp_path, [[{"text": "ok"}]], session=session,
-                             budget=TokenBudget(1500))
+                             budget=1500)
     agent.handle_input("p x")
     agent.handle_input("why?")
 
-    first = agent.state.messages[:2]
+    first = agent.messages[:2]
     assert [m.role for m in first] == [SYSTEM, USER]
     assert sum(estimate_tokens(m.content) for m in first) <= 1500
     body = first[1].content
@@ -254,10 +253,10 @@ def test_prose_turn_streams_and_commits(tmp_path):
     assert events[0]["backend"]["backend"] == "script"
     assert events[2]["text"] == "Hello there."
 
-    roles = [m.role for m in agent.state.messages]
+    roles = [m.role for m in agent.messages]
     assert roles == [SYSTEM, USER, ASSISTANT]
-    assert agent.state.messages[-1].content == "Hello there."
-    validate_conversation(agent.state.messages)
+    assert agent.messages[-1].content == "Hello there."
+    validate_conversation(agent.messages)
 
 
 def test_tool_calls_execute_echo_and_reply(tmp_path):
@@ -277,8 +276,8 @@ def test_tool_calls_execute_echo_and_reply(tmp_path):
     assert ui.prose_text() == "All done."
 
     events = read_transcript(tmp_path / "t.jsonl")
-    audit_tool_flow(ui, agent.state.messages, events)
-    replies = [m for m in agent.state.messages if m.role == TOOL]
+    audit_tool_flow(ui, agent.messages, events)
+    replies = [m for m in agent.messages if m.role == TOOL]
     assert [m.content for m in replies] == ["#0 main ()", "(no output)"]
 
 
@@ -300,8 +299,8 @@ def test_denied_tool_calls_feed_reason_back(tmp_path):
     assert ui.prose_text() == "done"
 
     events = read_transcript(tmp_path / "t.jsonl")
-    audit_tool_flow(ui, agent.state.messages, events)
-    replies = [m.content for m in agent.state.messages if m.role == TOOL]
+    audit_tool_flow(ui, agent.messages, events)
+    replies = [m.content for m in agent.messages if m.role == TOOL]
     assert replies == outputs
 
 
@@ -353,10 +352,10 @@ def test_tool_loop_cap_single_completion(tmp_path, monkeypatch):
     assert "tool-call limit (4)" in notices[0][1]
     assert ui.kind("end") == [("end",)]
 
-    replies = [m for m in agent.state.messages if m.role == TOOL]
+    replies = [m for m in agent.messages if m.role == TOOL]
     assert len(replies) == 5
     assert "was not executed" in replies[-1].content
-    validate_conversation(agent.state.messages)
+    validate_conversation(agent.messages)
 
     events = read_transcript(tmp_path / "t.jsonl")
     assert events[-1] == {"event": "turn_aborted", "calls": 5}
@@ -372,7 +371,7 @@ def test_tool_loop_cap_spans_completions(tmp_path, monkeypatch):
     assert session.commands == ["p a", "p b"]
     assert len(ui.kind("echo")) == 2
     assert any("tool-call limit (2)" in e[1] for e in ui.kind("notice"))
-    validate_conversation(agent.state.messages)
+    validate_conversation(agent.messages)
 
 
 def test_backend_failure_ends_turn_gracefully(tmp_path):
@@ -390,10 +389,10 @@ def test_backend_failure_ends_turn_gracefully(tmp_path):
 
     events = read_transcript(tmp_path / "t.jsonl")
     assert events[-1]["event"] == "turn_error"
-    validate_conversation(agent.state.messages)
-    assert [m.role for m in agent.state.messages] == \
+    validate_conversation(agent.messages)
+    assert [m.role for m in agent.messages] == \
         [SYSTEM, USER, ASSISTANT, TOOL]
-    assert agent.state.chat_in_progress
+    assert agent.messages
 
 
 def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
@@ -401,9 +400,9 @@ def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
     stub_server.responses = [(None, CUT_STREAM), (200, sse(
         {"choices": [{"delta": {"content": "still here"}}]}))]
     monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
-    backend = HttpBackend(HttpConfig(
-        base_url=f"http://127.0.0.1:{stub_server.server_address[1]}/v1",
-        api_key_env="DBGCHAT_TEST_KEY", timeout=5))
+    backend = HttpBackend(
+        f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
+        "DBGCHAT_TEST_KEY")
     session, ui = FakeSession(), RecordingUi()
     agent = Agent(session, backend, native_strict(),
                   AgentConfig(workspace_root=str(tmp_path)), ui)
@@ -428,7 +427,7 @@ def test_malformed_scripted_call_ends_turn(tmp_path):
     agent.handle_input("have a look")
     assert session.commands == []
     assert len(ui.kind("notice")) == 1
-    assert [m.role for m in agent.state.messages] == [SYSTEM, USER]
+    assert [m.role for m in agent.messages] == [SYSTEM, USER]
 
 
 # -- live replays -----------------------------------------------------------
@@ -494,7 +493,7 @@ def test_replay_walkthrough(segv_binary, fixtures_dir, tmp_path):
     assert "Variables in this frame:" in prompt_text
     assert prompt_text.endswith("Why did the program stop here?")
 
-    audit_tool_flow(ui, agent.state.messages, events)
+    audit_tool_flow(ui, agent.messages, events)
     assert [e[1] for e in ui.kind("echo")] == [
         "bt", "p drawn_count", "code crash_segv.c:28",
         "definition crash_segv.c:43 drawn_count"]
@@ -531,6 +530,6 @@ def test_stop_state_preserved_across_hundred_turns(segv_binary, fixtures_dir,
             agent.handle_input(f"tell me about round {i}")
             assert session.stop == baseline
             assert session.stopped
-        validate_conversation(agent.state.messages)
+        validate_conversation(agent.messages)
     assert len(ui.kind("echo")) == 100
     assert len(ui.kind("end")) == 100

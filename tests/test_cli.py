@@ -13,7 +13,7 @@ import pytest
 import dbgchat
 from dbgchat import PROMPT
 from dbgchat.cli import (
-    Config,
+    MAX_STDIN_LINE,
     TerminalUi,
     build_parser,
     main,
@@ -21,6 +21,8 @@ from dbgchat.cli import (
     stop_report,
 )
 from dbgchat.session import Frame, StopInfo
+
+from conftest import FakeSession
 
 DATA = Path(__file__).parent / "data"
 REPLAY_SCRIPT = DATA / "replay_segv.json"
@@ -46,29 +48,50 @@ def test_parser_target_args_after_separator():
 
 
 def test_config_defaults_root_to_cwd():
-    config = Config(target="./prog")
-    assert config.root == os.getcwd()
+    ns = build_parser().parse_args(["./prog"])
+    assert os.path.abspath(ns.root) == os.getcwd()
 
 
-def test_config_rejects_unsafe_with_whitelist():
-    with pytest.raises(ValueError):
-        Config(target="./prog", unsafe=True, whitelist_path="fns.txt")
+def test_config_rejects_unsafe_with_whitelist(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--unsafe", "--whitelist", "fns.txt", "./prog"])
+    assert excinfo.value.code == 2
+    assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_config_rejects_nonpositive_budget():
-    with pytest.raises(ValueError):
-        Config(target="./prog", budget=0)
+def test_config_rejects_nonpositive_budget(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["--budget", "0", "./prog"])
+    assert excinfo.value.code == 2
+    assert "--budget: must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     [],
     ["--unsafe", "--whitelist", "f.txt", "./prog"],
     ["--budget", "-5", "./prog"],
+    ["--radius", "0", "./prog"],
+    ["--budget", "0", "./prog"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("length, message", [
+    (MAX_STDIN_LINE + 1, "longer than 4095 bytes"),
+    (MAX_STDIN_LINE, "target executable not found"),
+])
+def test_stdin_file_line_limit_checked_before_the_debugger(
+        tmp_path, capsys, length, message):
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_text("short\n" + "x" * length + "\nshort\n")
+    assert main(["--script", str(REPLAY_SCRIPT), "--stdin-file", str(stdin),
+                 "/no/such/binary"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dbgchat: ")
+    assert message in err
 
 
 def test_import_does_not_load_logging():
@@ -132,23 +155,6 @@ def test_notice_and_debugger_output():
 
 # -- stop report ------------------------------------------------------------
 
-class StopSession:
-    def __init__(self, stop, frames=()):
-        self._stop = stop
-        self._frames = list(frames)
-
-    @property
-    def stop(self):
-        return self._stop
-
-    @property
-    def stopped(self):
-        return self._stop is not None and self._stop.kind != "exited"
-
-    def backtrace(self):
-        return self._frames
-
-
 def test_stop_report_names_innermost_user_frame(tmp_path):
     user_file = str(tmp_path / "app.c")
     frames = [
@@ -157,9 +163,9 @@ def test_stop_report_names_innermost_user_frame(tmp_path):
         Frame(level=1, func="copy_all", file="app.c", line=40,
               fullname=user_file),
     ]
-    session = StopSession(
-        StopInfo(kind="signal", signal_name="SIGSEGV",
-                 signal_meaning="Segmentation fault"), frames)
+    session = FakeSession(frames=frames, stop=StopInfo(
+        kind="signal", signal_name="SIGSEGV",
+        signal_meaning="Segmentation fault"))
     report = stop_report(session, str(tmp_path))
     assert report == ("The program stopped on SIGSEGV "
                       "(Segmentation fault).\n"
@@ -167,13 +173,13 @@ def test_stop_report_names_innermost_user_frame(tmp_path):
 
 
 def test_stop_report_exited_has_no_frame_line():
-    session = StopSession(StopInfo(kind="exited", exit_code=1))
+    session = FakeSession(stop=StopInfo(kind="exited", exit_code=1))
     assert stop_report(session, "/nowhere") == \
         "The program exited with code 1."
 
 
 def test_stop_report_without_stop():
-    assert stop_report(StopSession(None), "/nowhere") == \
+    assert stop_report(FakeSession(), "/nowhere") == \
         "The program did not stop."
 
 

@@ -23,7 +23,6 @@ from dbgchat.llm import (
     ChatMessage,
     CompletionEvent,
     HttpBackend,
-    HttpConfig,
     ScriptedBackend,
     ToolCallRequest,
     ToolDef,
@@ -233,19 +232,16 @@ def test_scripted_describe(tmp_path):
 
 # -- HTTP backend ----------------------------------------------------------
 
-def _backend(server, monkeypatch, **overrides):
+def _backend(server, monkeypatch):
     monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
-    config = HttpConfig(
-        base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
-        model="test-model", api_key_env="DBGCHAT_TEST_KEY", timeout=5,
-        **overrides)
-    return HttpBackend(config)
+    return HttpBackend(f"http://127.0.0.1:{server.server_address[1]}/v1",
+                       "test-model", "DBGCHAT_TEST_KEY")
 
 
 def test_http_missing_key_fails_before_any_request(monkeypatch):
     monkeypatch.delenv("DBGCHAT_TEST_KEY", raising=False)
-    backend = HttpBackend(HttpConfig(base_url="http://127.0.0.1:9",
-                                     api_key_env="DBGCHAT_TEST_KEY"))
+    backend = HttpBackend("http://127.0.0.1:9", "test-model",
+                          "DBGCHAT_TEST_KEY")
     with pytest.raises(AuthError):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
@@ -265,12 +261,12 @@ def test_http_text_stream(stub_server, monkeypatch):
 
 def test_http_request_body_and_auth_header(stub_server, monkeypatch):
     stub_server.responses = [(200, sse())]
-    backend = _backend(stub_server, monkeypatch, temperature=0.0)
+    backend = _backend(stub_server, monkeypatch)
     list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     sent = stub_server.requests_seen[0]
     assert sent["model"] == "test-model"
     assert sent["stream"] is True
-    assert sent["temperature"] == 0.0
+    assert "temperature" not in sent
     assert [t["function"]["name"] for t in sent["tools"]] == [
         "debug", "code", "definition"]
     assert stub_server.auth_seen[0] == "Bearer sk-test"
@@ -328,7 +324,8 @@ def test_http_401_is_auth_error(stub_server, monkeypatch):
 def test_http_429_retries_then_raises(stub_server, monkeypatch):
     stub_server.extra_headers = {"Retry-After": "0"}
     stub_server.responses = [(429, ""), (429, "")]
-    backend = _backend(stub_server, monkeypatch, retry_cap=1)
+    monkeypatch.setattr("dbgchat.llm.RETRY_CAP", 1)
+    backend = _backend(stub_server, monkeypatch)
     with pytest.raises(RateLimited) as info:
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert info.value.retry_after == 0.0
@@ -340,7 +337,8 @@ def test_http_429_then_success(stub_server, monkeypatch):
     stub_server.responses = [(429, ""), (200, sse(
         {"choices": [{"delta": {"content": "ok"}}]},
     ))]
-    backend = _backend(stub_server, monkeypatch, retry_cap=2)
+    monkeypatch.setattr("dbgchat.llm.RETRY_CAP", 2)
+    backend = _backend(stub_server, monkeypatch)
     events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert events[0].text == "ok"
 
@@ -366,9 +364,8 @@ def test_http_connect_failures_capped(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
     monkeypatch.setattr("dbgchat.llm.time.sleep", lambda s: None)
     monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
-    backend = HttpBackend(HttpConfig(base_url=f"http://127.0.0.1:{port}",
-                                     api_key_env="DBGCHAT_TEST_KEY",
-                                     retry_cap=3))
+    backend = HttpBackend(f"http://127.0.0.1:{port}", "test-model",
+                          "DBGCHAT_TEST_KEY")
     with pytest.raises(TransportError):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert len(attempts) == 4
@@ -404,7 +401,6 @@ def test_http_invalid_utf8_is_transport_error(stub_server, monkeypatch):
 
 
 def test_http_describe(monkeypatch):
-    backend = HttpBackend(HttpConfig(model="m", base_url="http://x/v1"))
+    backend = HttpBackend("http://x/v1", "m", "DBGCHAT_TEST_KEY")
     info = backend.describe()
-    assert info == {"backend": "http", "base_url": "http://x/v1", "model": "m",
-                    "temperature": "provider-default"}
+    assert info == {"backend": "http", "base_url": "http://x/v1", "model": "m"}

@@ -14,7 +14,6 @@ from dbgchat.errors import BudgetImpossible
 from dbgchat.llm import SYSTEM, USER
 from dbgchat.prompts import (
     PromptBundle,
-    TokenBudget,
     error_section,
     estimate_tokens,
     format_history,
@@ -177,20 +176,31 @@ def test_initial_prompt_requires_instructions_and_text():
 
 
 def test_followup_empty_history_is_bare_text():
-    messages = make_followup_prompt("", "continue")
+    messages = make_followup_prompt([], "continue")
     assert len(messages) == 1
     assert messages[0].role == USER
     assert messages[0].content == "continue"
 
 
 def test_followup_embeds_history():
-    messages = make_followup_prompt(format_history([("p x", "5")]), "and?")
+    messages = make_followup_prompt([("p x", "5")], "and?")
     assert f"{PROMPT}p x\n5" in messages[0].content
     assert messages[0].content.endswith("User Text:\nand?")
 
 
+def test_followup_history_renders_as_in_the_first_prompt():
+    history = [("bt", "#0 main ()\n"), ("p y", "")]
+    content = make_followup_prompt(history, "go on")[0].content
+    assert content == (
+        "History:\nThis is the history of some debugger commands I ran "
+        f"and the results:\n{PROMPT}bt\n#0 main ()\n{PROMPT}p y\n\n"
+        "User Text:\ngo on")
+    first = make_initial_prompt(_bundle(history=history, user_text="go on"))
+    assert content in first[1].content
+
+
 def test_followup_preserves_order():
-    history = format_history([("bt", "#0"), ("p y", "7")])
+    history = [("bt", "#0"), ("p y", "7")]
     content = make_followup_prompt(history, "go on")[0].content
     assert content.index(f"{PROMPT}bt") < content.index(f"{PROMPT}p y")
 
@@ -198,13 +208,13 @@ def test_followup_preserves_order():
 # -- truncation ------------------------------------------------------------
 
 def _fit_budget(bundle: PromptBundle) -> int:
-    messages = make_initial_prompt(bundle, TokenBudget(10**9))
+    messages = make_initial_prompt(bundle, 10**9)
     return sum(estimate_tokens(m.content) for m in messages)
 
 
 def test_no_truncation_when_fitting():
     bundle = _bundle()
-    budget = TokenBudget(_fit_budget(bundle))
+    budget = _fit_budget(bundle)
     messages = make_initial_prompt(bundle, budget)
     assert f"{PROMPT}p x\n5" in messages[1].content
     assert "Inputs:" in messages[1].content
@@ -214,7 +224,7 @@ def test_no_truncation_when_fitting():
 def test_history_dropped_oldest_first():
     entries = [("p a", "A" * 400), ("p b", "B"), ("p c", "C")]
     bundle = _bundle(history=entries)
-    budget = TokenBudget(_fit_budget(bundle) - 50)
+    budget = _fit_budget(bundle) - 50
     body = make_initial_prompt(bundle, budget)[1].content
     assert f"{PROMPT}p a" not in body
     assert f"{PROMPT}p b\nB" in body
@@ -225,7 +235,7 @@ def test_inputs_dropped_after_history():
     bundle = _bundle(history=[("p a", "A" * 100)],
                      inputs="Command-line arguments: " + "x" * 400)
     floor = _fit_budget(_bundle(history=[], inputs=""))
-    budget = TokenBudget(floor + 2)
+    budget = floor + 2
     body = make_initial_prompt(bundle, budget)[1].content
     assert "History:" not in body
     assert "Inputs:" not in body
@@ -236,19 +246,18 @@ def test_stack_frames_dropped_outermost_first_with_note():
     bundle = _bundle(enriched_stack=_stack(20), history=[], inputs="")
     keep5 = _fit_budget(_bundle(enriched_stack=_stack(5), history=[],
                                 inputs=""))
-    budget = TokenBudget(keep5)
-    body = make_initial_prompt(bundle, budget)[1].content
+    body = make_initial_prompt(bundle, keep5)[1].content
     assert re.search(r"\[\.\.\. \d+ frame\(s\) omitted to fit the token "
                      r"budget\]", body)
     assert "> f19.c(29)fn19()" in body      # stopped frame survives
     assert "f0.c(10)fn0()" not in body      # outermost dropped first
     assert estimate_tokens(instructions_text()) + estimate_tokens(body) \
-        <= budget.max_tokens
+        <= keep5
 
 
 def test_stopped_frame_never_dropped():
     bundle = _bundle(enriched_stack=_stack(2), history=[], inputs="")
-    small = TokenBudget(_fit_budget(bundle) - 1)
+    small = _fit_budget(bundle) - 1
     body = make_initial_prompt(bundle, small)[1].content
     assert "> f1.c(11)fn1()" in body
     assert "f0.c(10)fn0()" not in body
@@ -259,7 +268,7 @@ def test_library_markers_survive_truncation():
                      inputs="")
     keep = _fit_budget(_bundle(enriched_stack=_stack(3), history=[],
                                inputs=""))
-    body = make_initial_prompt(bundle, TokenBudget(keep + 40))[1].content
+    body = make_initial_prompt(bundle, keep + 40)[1].content
     assert "[... skipping 2 hidden frame(s)]" in body
 
 
@@ -276,7 +285,7 @@ def test_frames_with_spaces_in_names_are_counted():
     seen = 0
     for budget_tokens in range(floor, _fit_budget(bundle) + 1):
         try:
-            messages = make_initial_prompt(bundle, TokenBudget(budget_tokens))
+            messages = make_initial_prompt(bundle, budget_tokens)
         except BudgetImpossible:
             continue
         seen += 1
@@ -293,7 +302,7 @@ def test_frames_with_spaces_in_names_are_counted():
 def test_history_output_line_like_prompt_stays_with_its_entry():
     entries = [("p a", "A" * 400 + f"\n{PROMPT}not a command"), ("p b", "B")]
     bundle = _bundle(history=entries)
-    budget = TokenBudget(_fit_budget(bundle) - 50)
+    budget = _fit_budget(bundle) - 50
     body = make_initial_prompt(bundle, budget)[1].content
     assert f"{PROMPT}p a" not in body
     assert "not a command" not in body
@@ -304,7 +313,7 @@ def test_budget_impossible():
     bundle = _bundle(enriched_stack=_stack(1), history=[], inputs="",
                      user_text="x" * 4000)
     with pytest.raises(BudgetImpossible):
-        make_initial_prompt(bundle, TokenBudget(100))
+        make_initial_prompt(bundle, 100)
 
 
 def test_protected_sections_never_altered():
@@ -315,7 +324,7 @@ def test_protected_sections_never_altered():
     seen = 0
     for budget_tokens in range(floor + 5, _fit_budget(bundle) + 60, 13):
         try:
-            messages = make_initial_prompt(bundle, TokenBudget(budget_tokens))
+            messages = make_initial_prompt(bundle, budget_tokens)
         except BudgetImpossible:
             continue
         seen += 1
@@ -378,9 +387,8 @@ def _minimal_stack(stack: EnrichedStack) -> EnrichedStack:
 @settings(max_examples=1000, deadline=None)
 @given(bundle=bundles(), budget_tokens=st.integers(50, 6000))
 def test_budget_safety_and_protection(bundle, budget_tokens):
-    budget = TokenBudget(budget_tokens)
     try:
-        messages = make_initial_prompt(bundle, budget)
+        messages = make_initial_prompt(bundle, budget_tokens)
     except BudgetImpossible:
         # Only legal when even the fully-truncated form cannot fit.
         floor = PromptBundle(
@@ -408,12 +416,11 @@ def test_budget_safety_and_protection(bundle, budget_tokens):
 @settings(max_examples=300, deadline=None)
 @given(bundle=bundles(), budget_tokens=st.integers(200, 6000))
 def test_truncation_idempotent(bundle, budget_tokens):
-    budget = TokenBudget(budget_tokens)
     try:
-        once = truncate_bundle(bundle, budget)
+        once = truncate_bundle(bundle, budget_tokens)
     except BudgetImpossible:
         return
-    assert truncate_bundle(once, budget) == once
+    assert truncate_bundle(once, budget_tokens) == once
 
 
 @settings(max_examples=100)
@@ -422,5 +429,5 @@ def test_construction_order_irrelevant(bundle):
     from dataclasses import fields
     values = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
     shuffled = PromptBundle(**dict(reversed(list(values.items()))))
-    big = TokenBudget(10**9)
+    big = 10**9
     assert make_initial_prompt(shuffled, big) == make_initial_prompt(bundle, big)

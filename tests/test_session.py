@@ -15,7 +15,6 @@ from dbgchat import session as session_module
 from dbgchat.cli import stop_report
 from dbgchat.enrich import build_enriched_stack
 from dbgchat.errors import EvaluationError, NotStopped
-from dbgchat.mi import MIOutput, parse_mi_line
 from dbgchat.session import (
     DebugSession,
     _frame_from_payload,
@@ -231,81 +230,71 @@ def test_quote_mi_arg_never_emits_control_characters(text):
     assert not any(c < " " or c == "\x7f" for c in quoted)
 
 
-# -- one stack snapshot per stop, through a scripted handle ----------------
+# -- one stack snapshot per stop, through a scripted MI child ---------------
 
+_RUN = ["^running", "(gdb) "]
 _STOPPED = ('*stopped,reason="signal-received",signal-name="SIGSEGV",'
             'frame={level="0",func="inner",file="app.c",line="5"}')
 
 
-class ScriptedHandle:
-    """Answers MI commands from fixed lines and records every command."""
-
-    def __init__(self, root):
-        frames = ",".join(
-            f'frame={{level="{i}",func="{func}",file="app.c",'
-            f'fullname="{root}/app.c",line="{5 + i}"}}'
-            for i, func in enumerate(["inner", "middle", "main"]))
-        self.answers = {
-            "-exec-run": "^running",
-            "-stack-info-depth": '^done,depth="3"',
-            "-stack-list-frames": f"^done,stack=[{frames}]",
-            "-stack-list-variables": '^done,variables=[{name="x",type="int",value="1"}]',
-            "-symbol-info-variables": "^done,symbols={debug=[]}",
-            '-interpreter-exec console "next"': "^running",
-        }
-        self.commands = []
-
-    def send_command(self, command):
-        self.commands.append(command)
-        key = next((k for k in self.answers if command.startswith(k)), None)
-        line = self.answers[key] if key else '~"ok\\n"\n^done'
-        return MIOutput([parse_mi_line(text)
-                         for text in (*line.split("\n"), "(gdb) ")])
-
-    def wait_for_stop(self, timeout, stdin=None):
-        return parse_mi_line(_STOPPED)
-
-    def count(self, prefix):
-        return sum(c.startswith(prefix) for c in self.commands)
+def _scripted_commands(root) -> dict:
+    """fake_gdb answers for a target stopped three frames deep."""
+    frames = ",".join(
+        f'frame={{level="{i}",func="{func}",file="app.c",'
+        f'fullname="{root}/app.c",line="{5 + i}"}}'
+        for i, func in enumerate(["inner", "middle", "main"]))
+    return {
+        "-exec-run": [*_RUN, _STOPPED, "(gdb) "],
+        "-stack-info-depth": ['^done,depth="3"', "(gdb) "],
+        "-stack-list-frames": [f"^done,stack=[{frames}]", "(gdb) "],
+        "-stack-list-variables": [
+            '^done,variables=[{name="x",type="int",value="1"}]', "(gdb) "],
+        "-symbol-info-variables": ["^done,symbols={debug=[]}", "(gdb) "],
+        '-interpreter-exec console "next"': [*_RUN, _STOPPED, "(gdb) "],
+        "": ['~"ok\\n"', "^done", "(gdb) "],
+    }
 
 
 @pytest.fixture()
-def scripted(tmp_path, monkeypatch):
-    """A stopped DebugSession over a ScriptedHandle, and the handle."""
-    handle = ScriptedHandle(tmp_path)
-    monkeypatch.setattr(session_module, "spawn_debugger",
-                        lambda *args: handle)
-    session = DebugSession("app")
+def scripted(fake_gdb, tmp_path):
+    """A stopped DebugSession over fake_gdb, and ``count(prefix)``: how
+    many lines the child wrote that start with ``prefix``."""
+    log = tmp_path / "stdout.log"
+    target, cfg = fake_gdb(_scripted_commands(tmp_path), log=str(log))
+    session = DebugSession(target, driver=cfg)
     session.run_to_stop()
-    return session, handle
+
+    def count(prefix):
+        return sum(line.startswith(prefix)
+                   for line in log.read_text().splitlines())
+    yield session, count
+    session.close()
 
 
 def test_stop_report_and_enrichment_share_one_stack_snapshot(scripted,
                                                              tmp_path):
-    session, handle = scripted
+    session, count = scripted
     assert "in inner()" in stop_report(session, str(tmp_path))
     stack = build_enriched_stack(session, str(tmp_path))
     assert (stack.total_frames, stack.shown_count) == (3, 3)
     session.execute_console("p x")
     assert len(session.backtrace()) == 3
-    assert handle.count("-stack-info-depth") == 1
-    assert handle.count("-stack-list-frames") == 1
+    assert count("^done,depth=") == 1
+    assert count("^done,stack=") == 1
 
 
 @pytest.mark.parametrize("command", ["next", "return"])
 def test_console_command_that_may_change_the_stack_drops_the_snapshot(
         scripted, command):
-    session, handle = scripted
+    session, count = scripted
     session.backtrace()
     session.execute_console(command)
     assert len(session.backtrace()) == 3
-    assert handle.count("-stack-info-depth") == 2
-    assert handle.count("-stack-list-frames") == 2
+    assert count("^done,depth=") == 2
+    assert count("^done,stack=") == 2
 
 
 # -- the target's standard input, through a scripted MI child ---------------
-
-_RUN = ["^running", "(gdb) "]
 
 
 def test_stdin_reaches_the_target_then_eof(fake_gdb):
