@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
@@ -26,6 +26,7 @@ from .prompts import (
     instructions_text,
     make_followup_prompt,
     make_initial_prompt,
+    stack_room,
 )
 from .sanitizer import DEFAULT_PREFIXES, RESUME_COMMANDS, SanitizerPolicy, \
     sanitize
@@ -165,20 +166,22 @@ class Agent:
         self._run_chat_turn()
 
     def _initial_bundle(self, line: str) -> PromptBundle:
-        try:
-            stack = build_enriched_stack(
-                self.session, self.config.workspace_root,
-                radius=self.config.radius)
-        except NotStopped:
-            stack = EnrichedStack(entries=[], total_frames=0)
-        return PromptBundle(
+        bundle = PromptBundle(
             instructions=instructions_text(),
-            enriched_stack=stack,
+            enriched_stack=EnrichedStack(entries=[], total_frames=0),
             inputs=format_inputs(self.config.argv, self.config.stdin_text),
             error=error_section(self.session.stop),
             history=self.history,
             user_text=line,
         )
+        try:
+            stack = build_enriched_stack(
+                self.session, self.config.workspace_root,
+                radius=self.config.radius,
+                room=stack_room(bundle, self.config.budget))
+        except NotStopped:
+            return bundle
+        return replace(bundle, enriched_stack=stack)
 
     def _run_chat_turn(self) -> str:
         final_parts: list[str] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import PROMPT, __version__
@@ -30,6 +31,9 @@ from .session import DebugSession, Frame
 
 #: The target's terminal is in canonical mode, which cuts longer lines.
 MAX_STDIN_LINE = 4095
+#: Characters that mode edits (DEL, ^U, ^W, ^D, ...) or turns into signals
+#: (^C, ^\, ^Z): every one below U+0020 but tab and newline, and DEL.
+_TTY_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 
 
 def positive_int(text: str) -> int:
@@ -195,6 +199,12 @@ def _read_stdin_file(path: str) -> str:
             raise ValueError(
                 f"{path}: line {number} is longer than {MAX_STDIN_LINE} "
                 "bytes, which the target's terminal would cut")
+        bad = _TTY_CONTROL.search(line)
+        if bad:
+            raise ValueError(
+                f"{path}: line {number} holds the control character "
+                f"{bad.group()!r}, which the target's terminal would edit "
+                "or act on")
     return text
 
 

@@ -63,6 +63,10 @@ def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS) -> str:
     return "\n".join(out)
 
 
+def _head(frame: Frame) -> str:
+    return f"{frame.file}({frame.line}){frame.func}()"
+
+
 @dataclass
 class EnrichedFrame:
     frame: Frame
@@ -72,7 +76,7 @@ class EnrichedFrame:
     marked: bool = False
 
     def render(self) -> str:
-        head = f"{self.frame.file}({self.frame.line}){self.frame.func}()"
+        head = _head(self.frame)
         if self.marked:
             head = "> " + head
         parts = [head]
@@ -105,7 +109,10 @@ class ElisionMarker:
 
 @dataclass
 class EnrichedStack:
-    entries: list[EnrichedFrame | ElisionMarker]
+    """Entries outermost-first.  A bare Frame is a user frame the budget
+    left unfetched; it renders as nothing and counts as neither shown nor
+    hidden."""
+    entries: list[EnrichedFrame | ElisionMarker | Frame]
     total_frames: int
 
     @property
@@ -118,7 +125,8 @@ class EnrichedStack:
                    if isinstance(e, ElisionMarker))
 
     def render(self) -> str:
-        return "\n\n".join(e.render() for e in self.entries)
+        return "\n\n".join(e.render() for e in self.entries
+                           if not isinstance(e, Frame))
 
 
 def is_user_frame(frame: Frame, workspace_root: str) -> bool:
@@ -160,15 +168,31 @@ def _render_bindings(bindings: list[Binding],
     return out
 
 
+def _cost(text: str) -> int:
+    """Bytes an entry rendered as `text` adds to the stack, with the blank
+    line that joins it to the next."""
+    return len(text.encode("utf-8")) + 2
+
+
 def build_enriched_stack(session, workspace_root: str,
-                         radius: int = DEFAULT_RADIUS) -> EnrichedStack:
-    """Enrich the stopped session's stack.  Raises NotStopped otherwise."""
+                         radius: int = DEFAULT_RADIUS,
+                         room: int | None = None) -> EnrichedStack:
+    """Enrich the stopped session's stack.  Raises NotStopped otherwise.
+
+    `room` is the bytes a prompt leaves for the entries, each counted with
+    its separator.  User frames are then enriched innermost-out until the
+    stack cannot fit even if every frame further out were cut behind the
+    budget's note, or shown as a bare head line, whichever is smaller; the
+    frame that overflows is the last one fetched, and the outermost
+    frame's globals are fetched only if the walk gets past it.  Without
+    `room` every frame is enriched.
+    """
     if not session.stopped:
         raise NotStopped("cannot enrich a stack without a stopped target")
     total = session.stack_depth()
     frames = session.backtrace()
 
-    entries: list[EnrichedFrame | ElisionMarker] = []
+    entries: list[EnrichedFrame | ElisionMarker | Frame] = []
     pending_hidden = total - len(frames)  # frames beyond the cap, outermost
     for frame in reversed(frames):
         if not is_user_frame(frame, workspace_root):
@@ -177,18 +201,32 @@ def build_enriched_stack(session, workspace_root: str,
         if pending_hidden:
             entries.append(ElisionMarker(pending_hidden))
             pending_hidden = 0
-        entries.append(_enrich_frame(session, frame, radius))
+        entries.append(frame)
     if pending_hidden:
         entries.append(ElisionMarker(pending_hidden))
 
-    shown = [e for e in entries if isinstance(e, EnrichedFrame)]
-    if shown:
-        shown[-1].marked = True
-        outer = shown[0]
-        raw_globals = session.global_variables(
-            outer.frame.fullname, frame=outer.frame.level)
-        outer.globals = _render_bindings(
-            raw_globals, _evaluator_for(session, outer.frame.level))
+    user = [i for i, e in enumerate(entries) if isinstance(e, Frame)]
+    used = sum(_cost(e.render()) for e in entries
+               if isinstance(e, ElisionMarker))
+    outside = sum(_cost(_head(entries[i])) for i in user)
+    for outer in reversed(range(len(user))):  # user frames outside this one
+        frame = entries[user[outer]]
+        outside -= _cost(_head(frame))
+        enriched = _enrich_frame(session, frame, radius)
+        enriched.marked = outer == len(user) - 1
+        entries[user[outer]] = enriched
+        used += _cost(enriched.render())
+        if room is not None and used + min(
+                outside,
+                _cost(ElisionMarker(outer, budget_cut=True).render())) > room:
+            break
+    else:
+        if user:
+            outermost = entries[user[0]]
+            raw_globals = session.global_variables(
+                outermost.frame.fullname, frame=outermost.frame.level)
+            outermost.globals = _render_bindings(
+                raw_globals, _evaluator_for(session, outermost.frame.level))
     return EnrichedStack(entries=entries, total_frames=total)
 
 

@@ -11,6 +11,12 @@ frames from the outermost end (the stopped frame is never dropped), with
 one count note where the first frame was dropped.  Each entry is rendered
 once to learn its size; every cut after that is arithmetic on the sizes.
 Instructions, Error, and User Text are never altered.
+
+Since the cut order is fixed, the frames it would drop are known before
+they are fetched: `stack_room` tells the stack builder how many bytes the
+stack may take, and the builder stops at the first frame that cannot fit.
+The frames further out, never fetched, reach truncation as bare Frames,
+which never fit, so the same cut drops them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from . import PROMPT
 from .enrich import ElisionMarker, EnrichedFrame, EnrichedStack
 from .errors import BudgetImpossible
 from .llm import SYSTEM, USER, ChatMessage
-from .session import StopInfo
+from .session import Frame, StopInfo
 
 DEFAULT_MAX_TOKENS = 16000
 
@@ -187,19 +193,35 @@ def _section_bytes(heading: str, parts: int, body: int, sep: int) -> int:
     return _bytes(heading) + body + sep * (parts - 1) + 2
 
 
+def _room(bundle: PromptBundle, budget: int) -> int:
+    """Bytes `budget` tokens leave for the Stack, Inputs and History
+    sections once Instructions, Error and User Text are in."""
+    fixed = _bytes(_user_sections(replace(
+        bundle, enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
+    # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
+    return 4 * (budget - estimate_tokens(bundle.instructions)) - fixed
+
+
+def stack_room(bundle: PromptBundle, budget: int) -> int:
+    """The `room` for build_enriched_stack: bytes the stack's entries may
+    take, each with its separator, before a frame has to be cut.  Only the
+    bundle's Instructions, Error and User Text are read."""
+    return _room(bundle, budget) - _bytes(_STACK_HEADING)
+
+
 def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
     """Shrink the bundle deterministically until it fits `budget` tokens.
 
     Idempotent: a bundle that already fits is returned unchanged.
     Raises BudgetImpossible when the protected sections cannot fit.
+    A bare Frame in the stack never fits, so it is always cut.
     """
-    # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
-    room = 4 * (budget - estimate_tokens(bundle.instructions))
+    room = _room(bundle, budget)
     entries = bundle.enriched_stack.entries
-    entry_bytes = [_bytes(e.render()) for e in entries]
+    never = max(room, 0) + 1  # no stack holding a bare Frame fits
+    entry_bytes = [never if isinstance(e, Frame) else _bytes(e.render())
+                   for e in entries]
     block_bytes = [_bytes(_history_block(*e)) for e in bundle.history]
-    fixed = _bytes(_user_sections(replace(
-        bundle, enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
     stack = _section_bytes(_STACK_HEADING, len(entries), sum(entry_bytes), 2)
     inputs = (_bytes(_INPUTS_HEADING + bundle.inputs) + 2
               if bundle.inputs else 0)
@@ -210,23 +232,23 @@ def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
             history -= block_bytes[dropped - 1]
         kept = _section_bytes(_HISTORY_HEADING, len(block_bytes) - dropped,
                               history, 1)
-        if fixed + stack + inputs + kept <= room:
+        if stack + inputs + kept <= room:
             return (replace(bundle, history=bundle.history[dropped:])
                     if dropped else bundle)
 
     # Without inputs; when there were none, the last check above was this.
-    if fixed + stack <= room:
+    if stack <= room:
         return replace(bundle, inputs="", history=[])
 
-    droppable = [i for i, e in enumerate(entries)
-                 if isinstance(e, EnrichedFrame) and not e.marked]
+    droppable = [i for i, e in enumerate(entries) if isinstance(e, Frame)
+                 or isinstance(e, EnrichedFrame) and not e.marked]
     body = sum(entry_bytes)
     for count, index in enumerate(droppable, start=1):
         body -= entry_bytes[index]
         note = ElisionMarker(count, budget_cut=True)
         size = _section_bytes(_STACK_HEADING, len(entries) - count + 1,
                               body + _bytes(note.render()), 2)
-        if fixed + size <= room:
+        if size <= room:
             gone = set(droppable[:count])
             kept_entries = [e for i, e in enumerate(entries) if i not in gone]
             kept_entries.insert(droppable[0], note)

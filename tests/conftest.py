@@ -89,23 +89,27 @@ class FakeSession:
 
     Console commands are recorded and answered from ``outputs`` (an
     exception there is raised).  ``frames``, innermost first, make the
-    target stopped; every frame has one variable ``x`` holding its level
-    and every file one global ``g = 7``.  ``total`` counts frames beyond
-    the list as well; like a session's stack snapshot, depth is counted up
-    to ``DEPTH_PROBE_CAP`` and at most ``DEFAULT_FRAME_CAP`` frames are
-    listed.  ``symbols`` maps a name to the ``(fullname, line)`` of its
-    definition in the debug info.
+    target stopped; a frame's variables are ``variables[level]``, by
+    default one ``x`` holding its level, and every file has one global
+    ``g = 7``.  ``total`` counts frames beyond the list as well; like a
+    session's stack snapshot, depth is counted up to ``DEPTH_PROBE_CAP``
+    and at most ``DEFAULT_FRAME_CAP`` frames are listed.  ``symbols`` maps
+    a name to the ``(fullname, line)`` of its definition in the debug
+    info.  ``calls`` records each ``frame_variables``, ``evaluate`` and
+    ``global_variables`` call as ``(method, frame level)``.
     """
 
     def __init__(self, outputs=None, frames=(), total=None, stop=None,
-                 symbols=None):
+                 symbols=None, variables=None):
         self.commands = []
+        self.calls = []
         self.outputs = dict(outputs or {})
         self.frames = list(frames)
         self.total = total if total is not None else len(self.frames)
         self.stopped = bool(self.frames)
         self.stop = stop
         self.symbols = dict(symbols or {})
+        self.variables = dict(variables or {})
 
     def execute_console(self, command):
         self.commands.append(command)
@@ -124,13 +128,21 @@ class FakeSession:
         return self.frames[:DEFAULT_FRAME_CAP]
 
     def frame_variables(self, level):
-        return [Binding(name="x", value=str(level), type="int")]
+        self.calls.append(("frame_variables", level))
+        return self.variables.get(
+            level, [Binding(name="x", value=str(level), type="int")])
 
     def global_variables(self, fullname, frame):
+        self.calls.append(("global_variables", frame))
         return [Binding(name="g", value="7", type="int")]
 
     def evaluate(self, expression, frame=None):
+        self.calls.append(("evaluate", frame))
         return "0"
+
+    def levels(self, method):
+        """The frame levels of each recorded call to ``method``."""
+        return [level for name, level in self.calls if name == method]
 
 
 # -- a stub chat-completions provider ---------------------------------------

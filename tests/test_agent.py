@@ -234,6 +234,11 @@ def test_first_request_over_budget_is_cut_to_fit(tmp_path):
     assert shown + int(note.group(1)) == 40
     assert f"{PROMPT}p x" not in body
     assert body.endswith("User Text:\nwhy?")
+    # Only the shown frames and the one that overflowed were fetched; the
+    # outermost frame was cut, so its globals were never asked for.
+    assert session.levels("frame_variables") == list(range(shown + 1))
+    assert session.levels("evaluate") == []
+    assert session.levels("global_variables") == []
 
 
 # -- plain chat turns -------------------------------------------------------

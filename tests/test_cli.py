@@ -94,6 +94,19 @@ def test_stdin_file_line_limit_checked_before_the_debugger(
     assert message in err
 
 
+@pytest.mark.parametrize("char", ["\x7f", "\x15", "\x17", "\x04", "\x03",
+                                  "\x1c", "\x1a", "\x00", "\x1b"])
+def test_stdin_file_control_characters_refused_before_the_debugger(
+        tmp_path, capsys, char):
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_bytes(b"tab\tis fine\n" + f"ab{char}cd\n".encode())
+    assert main(["--script", str(REPLAY_SCRIPT), "--stdin-file", str(stdin),
+                 "/no/such/binary"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dbgchat: {stdin}: line 2 holds the control "
+                          f"character {char!r}")
+
+
 def test_import_does_not_load_logging():
     # Nothing logs, so importing the entry point must not pay for logging.
     src = str(Path(dbgchat.__file__).parent.parent)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,25 @@ from hypothesis import strategies as st
 from dbgchat.enrich import (
     ElisionMarker,
     EnrichedFrame,
+    EnrichedStack,
     build_enriched_stack,
     is_user_frame,
     source_window,
 )
-from dbgchat.errors import NotStopped, SourceUnavailable
-from dbgchat.session import DebugSession, Frame
+from dbgchat.errors import BudgetImpossible, NotStopped, SourceUnavailable
+from dbgchat.prompts import (
+    PromptBundle,
+    estimate_tokens,
+    instructions_text,
+    make_initial_prompt,
+    render_messages,
+    stack_room,
+    truncate_bundle,
+)
+from dbgchat.session import DEFAULT_FRAME_CAP, Binding, DebugSession, Frame
 
 from conftest import FakeSession
+from test_prompts import _minimal_stack
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -171,6 +183,194 @@ def test_all_library_stack_renders_single_marker():
     stack = build_enriched_stack(_synthetic("lll"), "/ws/src")
     assert stack.shown_count == 0
     assert stack.render() == "[... skipping 3 hidden frame(s)]"
+
+
+# -- budgeted enrichment ----------------------------------------------------
+
+_SOURCE_LINES = (3, 12, 40)
+
+
+@pytest.fixture(scope="module")
+def source_root(tmp_path_factory):
+    """Sources of three lengths; a tiny frame names a file that is not there."""
+    root = tmp_path_factory.mktemp("ws")
+    for n in _SOURCE_LINES:
+        (root / f"s{n}.c").write_text(
+            "".join(f"int v{i} = {i};\n" for i in range(n)))
+    return root
+
+
+_TYPES = {"int": "5", "int *": "0x10", "char": "99 'c'"}
+
+# One frame: ("lib",), ("tiny",) with no source and no variables, or
+# ("user", source length, line, variable types), a pointer costing one
+# evaluation.
+_frame_specs = st.one_of(
+    st.just(("lib",)),
+    st.just(("tiny",)),
+    st.tuples(st.just("user"), st.sampled_from(_SOURCE_LINES),
+              st.integers(1, 3),
+              st.lists(st.sampled_from(sorted(_TYPES)), max_size=3)),
+)
+
+
+def _budget_session(specs, extra, root) -> FakeSession:
+    frames, variables = [], {}
+    for level, spec in enumerate(specs):
+        if spec[0] == "lib":
+            frames.append(_frame(level, func=f"lib{level}",
+                                 fullname="./lib/inner.c"))
+        elif spec[0] == "tiny":
+            frames.append(_frame(level, func="t", file=f"t{level}.c",
+                                 fullname=f"{root}/gone{level}.c", line=2))
+            variables[level] = []
+        else:
+            _, lines, line, types = spec
+            frames.append(_frame(level, func=f"fn{level}", file=f"s{lines}.c",
+                                 fullname=f"{root}/s{lines}.c", line=line))
+            variables[level] = [Binding(f"v{i}", _TYPES[t], t)
+                                for i, t in enumerate(types)]
+    return FakeSession(frames=frames, total=len(frames) + extra,
+                       variables=variables)
+
+
+_texts = st.text(alphabet="abc xyz\n", max_size=60)
+
+
+@st.composite
+def _budget_cases(draw):
+    specs = draw(st.lists(_frame_specs, min_size=1, max_size=60).filter(
+        lambda s: any(spec[0] != "lib" for spec in s)))
+    extra = draw(st.one_of(st.just(0), st.integers(1, 2 * DEFAULT_FRAME_CAP)))
+    bundle = PromptBundle(
+        instructions=instructions_text(),
+        enriched_stack=EnrichedStack([], 0),
+        inputs=draw(_texts),
+        error=draw(st.text(alphabet="abc xyz", min_size=1, max_size=80)),
+        history=draw(st.lists(st.tuples(st.just("p x"), _texts),
+                              max_size=4)),
+        user_text=draw(st.text(alphabet="abc xyz", min_size=1,
+                               max_size=80)),
+    )
+    # The budget in percent of the way from a prompt whose stack is cut to
+    # the stopped frame to one that shows the whole stack.
+    return specs, extra, bundle, draw(st.integers(-5, 110))
+
+
+def _tokens(bundle: PromptBundle, stack: EnrichedStack) -> int:
+    """Tokens of the first request with `stack` and no Inputs or History."""
+    alone = replace(bundle, enriched_stack=stack, inputs="", history=[])
+    return sum(estimate_tokens(m.content) for m in render_messages(alone))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_budget_cases())
+def test_budgeted_enrichment_gives_the_same_first_request(source_root, case):
+    specs, extra, bundle, share = case
+    root = str(source_root)
+    full_session = _budget_session(specs, extra, root)
+    full = replace(bundle,
+                   enriched_stack=build_enriched_stack(full_session, root))
+    least = _tokens(bundle, _minimal_stack(full.enriched_stack))
+    budget = least + share * (_tokens(bundle, full.enriched_stack) - least) // 100
+    session = _budget_session(specs, extra, root)
+    budgeted = replace(bundle, enriched_stack=build_enriched_stack(
+        session, root, room=stack_room(bundle, budget)))
+
+    user = [level for level, spec in enumerate(specs) if spec[0] != "lib"]
+    try:
+        expected = make_initial_prompt(full, budget)
+    except BudgetImpossible:
+        with pytest.raises(BudgetImpossible):
+            make_initial_prompt(budgeted, budget)
+        kept, fits = user[:1], False
+    else:
+        assert make_initial_prompt(budgeted, budget) == expected
+        kept = [e.frame.level
+                for e in truncate_bundle(full, budget).enriched_stack.entries
+                if isinstance(e, EnrichedFrame)]
+        kept.reverse()
+        fits = True
+
+    # Frames are fetched innermost-out, every kept frame among them.
+    fetched = session.levels("frame_variables")
+    assert fetched == user[:len(fetched)]
+    assert fetched[:len(kept)] == kept
+    assert set(session.levels("evaluate")) <= set(fetched)
+    globals_at = session.levels("global_variables")
+    assert globals_at in ([], user[-1:])
+    if kept == user:
+        assert fetched == user
+        if fits:
+            assert globals_at == user[-1:]
+        return
+    # Past the first dropped frame nothing is fetched, unless every frame
+    # outside it could still have been shown as a bare head line.
+    overflow = user[len(kept)]
+    heads = EnrichedStack(
+        [e if not isinstance(e, EnrichedFrame) or e.frame.level in kept
+         or e.frame.level == overflow else EnrichedFrame(e.frame, None, [])
+         for e in full.enriched_stack.entries], 0)
+    if _tokens(bundle, heads) > budget:
+        assert fetched[len(kept):] in ([], [overflow])
+    # The outermost frame's globals come only with the frame itself.
+    if user[-1] not in fetched:
+        assert globals_at == []
+
+
+def test_tiny_frames_that_fit_only_without_the_note_are_all_fetched(
+        source_root):
+    # Frames without source or variables are smaller than the note that
+    # would replace them, so the walk cannot stop on the note.
+    specs = [("user", 12, 2, ["int"])] + [("tiny",)] * 5
+    root = str(source_root)
+    full = build_enriched_stack(_budget_session(specs, 0, root), root)
+    note = ElisionMarker(1, budget_cut=True).render()
+    assert all(len(e.render()) < len(note) for e in full.entries[1:-1])
+    bundle = PromptBundle(instructions_text(), full, "", "err", [], "why?")
+    budget = estimate_tokens(bundle.instructions) + estimate_tokens(
+        render_messages(bundle)[1].content)
+    session = _budget_session(specs, 0, root)
+    stack = build_enriched_stack(session, root,
+                                 room=stack_room(bundle, budget))
+    assert stack == full
+    assert session.levels("frame_variables") == list(range(6))
+    assert session.levels("global_variables") == [5]
+    # One token less and the note stands for the two outermost frames,
+    # which only the outermost frame's globals could tell.
+    session = _budget_session(specs, 0, root)
+    stack = build_enriched_stack(session, root,
+                                 room=stack_room(bundle, budget - 1))
+    assert session.levels("frame_variables") == list(range(6))
+    assert session.levels("global_variables") == [5]
+    cut = make_initial_prompt(replace(bundle, enriched_stack=stack),
+                              budget - 1)
+    assert cut == make_initial_prompt(bundle, budget - 1)
+    assert "[... 2 frame(s) omitted" in cut[1].content
+
+
+def test_single_user_frame_gets_its_globals_only_with_room_left(
+        source_root):
+    specs = [("lib",), ("user", 40, 3, ["int *"]), ("lib",)]
+    root = str(source_root)
+    for room in (None, 10**6, 0):
+        session = _budget_session(specs, 0, root)
+        stack = build_enriched_stack(session, root, room=room)
+        assert stack.shown_count == 1
+        expected = [] if room == 0 else [1]
+        assert session.levels("global_variables") == expected, room
+        assert session.levels("frame_variables") == [1]
+        assert session.levels("evaluate") == [1]
+
+
+def test_unfetched_frames_render_as_nothing(source_root):
+    specs = [("user", 12, 2, ["int"])] * 4
+    root = str(source_root)
+    stack = build_enriched_stack(_budget_session(specs, 0, root), root,
+                                 room=0)
+    assert [type(e) for e in stack.entries] == [Frame] * 3 + [EnrichedFrame]
+    assert stack.shown_count == 1 and stack.hidden_count == 0
+    assert stack.render() == stack.entries[-1].render()
 
 
 # -- live fixtures ---------------------------------------------------------

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+from dataclasses import replace
 from pathlib import Path
+
+from dbgchat import agent, prompts
+from dbgchat.session import Frame
+
+from conftest import FakeSession
 
 TRACED = Path(__file__).parent.parent / "perfbench" / "traced.py"
 
@@ -65,3 +72,32 @@ def test_every_traced_name_exists():
     missing = [f"{ast.unparse(owner)}.{name}" for owner, name in patched
                if not hasattr(_resolve(owner, ns), name)]
     assert missing == []
+
+
+def test_traced_hooks_keep_their_shapes():
+    # traced.py reads ``shown_count`` off what agent.build_enriched_stack
+    # returns, and calls ``_estimate_bundle(bundle, budget)`` with the
+    # first two arguments of truncate_bundle, before and after the cut.
+    # ``Recorder._close`` swallows any error there, so a drift would zero
+    # those layer metrics without a word.
+    for fn in (prompts.truncate_bundle, prompts._estimate_bundle):
+        params = list(inspect.signature(fn).parameters.values())[:2]
+        assert [p.name for p in params] == ["bundle", "budget"], fn
+        assert all(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                   for p in params), fn
+
+    frames = [Frame(level=n, func=f"fn{n}", file=f"f{n}.c",
+                    fullname=f"/ws/f{n}.c", line=1) for n in range(30)]
+    bundle = prompts.PromptBundle(
+        prompts.instructions_text(), None, "", "err", [], "why?")
+    budget = 500
+    stack = agent.build_enriched_stack(
+        FakeSession(frames=frames), "/ws",
+        room=prompts.stack_room(bundle, budget))
+    assert 0 < stack.shown_count < len(frames)
+    # The bundle truncate_bundle gets still holds the unfetched frames.
+    bundle = replace(bundle, enriched_stack=stack)
+    before = prompts._estimate_bundle(bundle, budget)
+    after = prompts._estimate_bundle(
+        prompts.truncate_bundle(bundle, budget), budget)
+    assert before >= after > 0
