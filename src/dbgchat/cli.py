@@ -1,9 +1,19 @@
 """Command-line entry point: flags, startup, the interactive loop.
 
-Startup spawns the debugger on the target, runs to the first stop, prints
-a short stop report, and hands control to the read-eval loop.  Lines are
-routed to the debugger or to the model by the agent; EOF or "quit" ends
-the session and the debugger child with it.
+Startup runs in this order:
+
+1. Checks that need no child: the --stdin-file contents, the sanitizer
+   policy, the --script file or the API key's presence, the --log file.
+2. The debugger is spawned on the target and left to boot.
+3. Meanwhile the HTTP backend is built, which loads the HTTP stack
+   (``urllib.request``, ``http.client``, ``ssl``, ``email``); importing
+   this module does not.  --script sessions skip this step.
+4. The debugger's first prompt and its tty setup are read, and the target
+   runs to its first stop.
+5. A short stop report is printed and the read-eval loop starts.
+
+Lines are routed to the debugger or to the model by the agent; EOF or
+"quit" ends the session and the debugger child with it.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import sys
 
 from . import PROMPT, __version__
 from .agent import Agent, AgentConfig, Transcript
-from .enrich import DEFAULT_RADIUS, is_user_frame
+from .enrich import DEFAULT_RADIUS, user_frame_test
 from .errors import DbgChatError, DebuggerError, AuthError
 from .llm import HttpBackend, ScriptedBackend
 from .prompts import DEFAULT_MAX_TOKENS
@@ -129,9 +139,10 @@ class TerminalUi:
 def _innermost_user_frame(session: DebugSession, root: str) -> Frame | None:
     if not session.stopped:
         return None
+    is_user_frame = user_frame_test(root)
     try:
         for frame in session.backtrace():
-            if is_user_frame(frame, root):
+            if is_user_frame(frame):
                 return frame
     except DebuggerError:
         return None
@@ -181,14 +192,15 @@ def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
     return native_strict()
 
 
-def _build_backend(ns: argparse.Namespace):
+def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
+    """The replay backend, or None after checking the API key is set."""
     if ns.script:
         return ScriptedBackend(ns.script)
     if not os.environ.get(ns.key_env):
         raise AuthError(
             f"no API key: set the {ns.key_env} environment variable "
             "or pass --script")
-    return HttpBackend(ns.base_url, ns.model, ns.key_env)
+    return None
 
 
 def _read_stdin_file(path: str) -> str:
@@ -209,15 +221,20 @@ def _read_stdin_file(path: str) -> str:
 
 
 def _run(ns: argparse.Namespace, in_stream, out) -> int:
+    # Configuration problems must surface before a debugger child exists.
     stdin_text = _read_stdin_file(ns.stdin_file) if ns.stdin_file else None
     root = os.path.abspath(ns.root)
-    # Configuration problems must surface before a debugger child exists.
     policy = _build_policy(ns)
-    backend = _build_backend(ns)
+    backend = _script_backend(ns)
     transcript = Transcript(ns.log) if ns.log else None
 
+    # The debugger boots while the HTTP stack loads; its first prompt is
+    # read in run_to_stop, so the two take the longer one's time, not
+    # their sum.
     session = DebugSession(ns.target, ns.target_args)
     try:
+        if backend is None:
+            backend = HttpBackend(ns.base_url, ns.model, ns.key_env)
         session.run_to_stop(stdin_text)
         out.write(stop_report(session, root) + "\n")
         agent = Agent(

@@ -26,9 +26,10 @@ Layout, top to bottom, outermost frame first:
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Callable
 
 from .errors import NotStopped, SourceUnavailable
 from .session import Binding, Frame
@@ -37,17 +38,23 @@ from .values import RenderedValue, render_value
 DEFAULT_RADIUS = 5
 
 
-def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS) -> str:
+def _read_source(path: str) -> list[str]:
+    """The lines of a source file; SourceUnavailable if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise SourceUnavailable(path) from exc
+
+
+def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS,
+                  read: Callable[[str], list[str]] = _read_source) -> str:
     """A numbered source block around line, the line itself marked.
 
     The window spans 2*radius lines, clamped at file boundaries but kept at
-    full size whenever the file allows it.
+    full size whenever the file allows it.  `read` gives the file's lines.
     """
-    try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise SourceUnavailable(path) from exc
+    lines = read(path)
     if not 1 <= line <= len(lines):
         raise SourceUnavailable(f"{path}:{line} is past end of file")
 
@@ -129,22 +136,28 @@ class EnrichedStack:
                            if not isinstance(e, Frame))
 
 
-def is_user_frame(frame: Frame, workspace_root: str) -> bool:
-    """A frame is user code when its source file lives under the root.
+def user_frame_test(workspace_root: str) -> Callable[[Frame], bool]:
+    """A test for user code: a frame whose source file lives under the root.
 
     The debugger reports resolvable sources with absolute paths; library
-    frames often carry relative build-tree paths, which never qualify.
+    frames often carry relative build-tree paths, which never qualify.  The
+    root is resolved once, here.  A path that starts with exactly two
+    slashes has a root of its own, as in pathlib.
     """
-    if not frame.has_source or frame.line is None:
-        return False
-    path = frame.fullname or frame.file
-    if not os.path.isabs(path):
-        return False
     root = os.path.abspath(workspace_root)
-    try:
-        return Path(os.path.normpath(path)).is_relative_to(root)
-    except ValueError:
-        return False
+    prefix = os.path.join(root, "")
+    double_slash = root.startswith("//")
+
+    def is_user_frame(frame: Frame) -> bool:
+        if not frame.has_source or frame.line is None:
+            return False
+        path = frame.fullname or frame.file
+        if not os.path.isabs(path):
+            return False
+        path = os.path.normpath(path)
+        return ((path == root or path.startswith(prefix))
+                and path.startswith("//") == double_slash)
+    return is_user_frame
 
 
 def _dedup(bindings: list[Binding]) -> list[Binding]:
@@ -192,10 +205,11 @@ def build_enriched_stack(session, workspace_root: str,
     total = session.stack_depth()
     frames = session.backtrace()
 
+    is_user_frame = user_frame_test(workspace_root)
     entries: list[EnrichedFrame | ElisionMarker | Frame] = []
     pending_hidden = total - len(frames)  # frames beyond the cap, outermost
     for frame in reversed(frames):
-        if not is_user_frame(frame, workspace_root):
+        if not is_user_frame(frame):
             pending_hidden += 1
             continue
         if pending_hidden:
@@ -209,10 +223,11 @@ def build_enriched_stack(session, workspace_root: str,
     used = sum(_cost(e.render()) for e in entries
                if isinstance(e, ElisionMarker))
     outside = sum(_cost(_head(entries[i])) for i in user)
+    read = functools.cache(_read_source)  # each file once per build
     for outer in reversed(range(len(user))):  # user frames outside this one
         frame = entries[user[outer]]
         outside -= _cost(_head(frame))
-        enriched = _enrich_frame(session, frame, radius)
+        enriched = _enrich_frame(session, frame, radius, read)
         enriched.marked = outer == len(user) - 1
         entries[user[outer]] = enriched
         used += _cost(enriched.render())
@@ -236,10 +251,11 @@ def _evaluator_for(session, level: int):
     return evaluate
 
 
-def _enrich_frame(session, frame: Frame, radius: int) -> EnrichedFrame:
+def _enrich_frame(session, frame: Frame, radius: int,
+                  read: Callable[[str], list[str]]) -> EnrichedFrame:
     try:
         window = source_window(frame.fullname or frame.file, frame.line,
-                               radius)
+                               radius, read)
     except SourceUnavailable:
         window = None
     bindings = _render_bindings(session.frame_variables(frame.level),

@@ -2,20 +2,19 @@
 
 Speaks the de-facto chat-completions wire shape over HTTPS with streamed
 chunks.  The provider base URL and model name are configuration; nothing
-provider-specific is hard-coded.  The scripted backend replays pre-authored
+provider-specific is hard-coded.  The HTTP stack (``urllib.request``,
+``http.client``, ``ssl``, ``email``) loads when an ``HttpBackend`` is
+built, not at import.  The scripted backend replays pre-authored
 turns from a JSON file for deterministic, network-free runs.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import time
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterator
-from urllib.error import HTTPError
 
 from .errors import (
     AuthError,
@@ -145,6 +144,7 @@ RETRY_CAP = 3      # retries after a throttle or a failed connection
 def _lines(response) -> Iterator[str]:
     """The response body line by line, decoded as UTF-8.  A read that fails
     part-way becomes a TransportError, which ends the chat turn only."""
+    import http.client
     try:
         for raw in response:
             yield raw.decode("utf-8")
@@ -156,6 +156,8 @@ class HttpBackend:
     """Streams chat completions from an HTTP provider."""
 
     def __init__(self, base_url: str, model: str, key_env: str):
+        # Load the HTTP stack now rather than in the first chat turn.
+        import urllib.request
         self.base_url = base_url
         self.model = model
         self.key_env = key_env
@@ -186,6 +188,9 @@ class HttpBackend:
             response.close()
 
     def _post_with_retry(self, key: str, body: dict):
+        import http.client
+        import urllib.request
+        from urllib.error import HTTPError
         request = urllib.request.Request(
             self.base_url.rstrip("/") + "/chat/completions",
             data=json.dumps(body).encode("utf-8"),

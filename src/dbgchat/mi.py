@@ -348,6 +348,11 @@ class DebuggerHandle:
     One command may be in flight at a time.  Its caller reads stdout in
     ``read_until_prompt``, which keeps lines after the prompt for the next
     read and drains the pty the inferior is wired to meanwhile.
+
+    Before its first command, ``send_command`` reads the child's boot
+    prompt and points the inferior at ``tty_slave`` with
+    ``-inferior-tty-set``; a failure there raises ProtocolHandshakeFailed
+    and closes the handle.
     """
 
     def __init__(self, proc: subprocess.Popen, tty_master: int,
@@ -368,6 +373,7 @@ class DebuggerHandle:
         self._transcript = transcript
         self._in_flight = threading.Lock()
         self._closed = False
+        self._handshake_owed = True
 
     # -- reading -----------------------------------------------------------
 
@@ -431,6 +437,24 @@ class DebuggerHandle:
 
     # -- protocol ----------------------------------------------------------
 
+    def _finish_handshake(self) -> None:
+        """Read the boot prompt, then wire the inferior to the pty."""
+        self._handshake_owed = False
+        try:
+            self.read_until_prompt(HANDSHAKE_TIMEOUT)
+            out = self.send_command(
+                f"-inferior-tty-set {os.ttyname(self._tty_slave)}",
+                timeout=HANDSHAKE_TIMEOUT)
+            if out.result_class != "done":
+                raise ProtocolHandshakeFailed(
+                    f"tty setup failed: {out.result_class}")
+        except (CommandTimeout, DebuggerExited) as exc:
+            self.close()
+            raise ProtocolHandshakeFailed(str(exc)) from exc
+        except Exception:
+            self.close()
+            raise
+
     def read_until_prompt(self, timeout: float,
                           feed: bytearray | None = None) -> list[MIRecord]:
         """Collect records up to and including the next prompt, writing
@@ -453,6 +477,8 @@ class DebuggerHandle:
     def send_command(self, command: str,
                      timeout: float = DEFAULT_COMMAND_TIMEOUT) -> MIOutput:
         """Send one MI command and return all records up to the prompt."""
+        if self._handshake_owed:
+            self._finish_handshake()
         if self._eof or self._proc.poll() is not None:
             raise DebuggerExited("debugger is not running")
         if not self._in_flight.acquire(blocking=False):
@@ -496,6 +522,7 @@ class DebuggerHandle:
         if self._closed:
             return
         self._closed = True
+        self._handshake_owed = False
         if self._proc.poll() is None:
             try:
                 assert self._proc.stdin is not None
@@ -541,9 +568,10 @@ class DebuggerHandle:
 
 def spawn_debugger(executable: str, target_args: list[str] | None = None,
                    config: DriverConfig | None = None) -> DebuggerHandle:
-    """Start the debugger on a target and consume the first prompt.
+    """Start the debugger on a target and return while it boots.
 
-    The target is loaded (symbols read) but not yet running.
+    The handshake waits for the first command, so the caller may do other
+    work while the debugger reads the target's symbols.
     """
     cfg = config or DriverConfig()
     target_args = target_args or []
@@ -554,7 +582,6 @@ def spawn_debugger(executable: str, target_args: list[str] | None = None,
         raise DebuggerNotFound(f"debugger not found on PATH: {cfg.debugger}")
 
     master, slave = pty.openpty()
-    slave_name = os.ttyname(slave)
 
     transcript = None
     if cfg.transcript_path:
@@ -576,18 +603,5 @@ def spawn_debugger(executable: str, target_args: list[str] | None = None,
         raise DebuggerNotFound(
             f"debugger not found on PATH: {cfg.debugger}") from exc
 
-    handle = DebuggerHandle(proc, tty_master=master, tty_slave=slave,
-                            transcript=transcript)
-    try:
-        handle.read_until_prompt(HANDSHAKE_TIMEOUT)
-        out = handle.send_command(f"-inferior-tty-set {slave_name}",
-                                  timeout=HANDSHAKE_TIMEOUT)
-        if out.result_class != "done":
-            raise ProtocolHandshakeFailed(f"tty setup failed: {out.result_class}")
-    except (CommandTimeout, DebuggerExited) as exc:
-        handle.close()
-        raise ProtocolHandshakeFailed(str(exc)) from exc
-    except Exception:
-        handle.close()
-        raise
-    return handle
+    return DebuggerHandle(proc, tty_master=master, tty_slave=slave,
+                          transcript=transcript)

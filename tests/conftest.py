@@ -70,7 +70,7 @@ def fake_gdb(tmp_path):
 
     Handing both to ``spawn_debugger`` or ``DebugSession`` starts
     ``tests/fake_gdb.py`` in gdb's place, answering from ``commands``;
-    ``fields`` go into the script as well (``log``).
+    ``fields`` go into the script as well (``log``, ``boot``).
     """
     debugger = tmp_path / "gdb"
     debugger.write_text(

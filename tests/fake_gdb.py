@@ -6,11 +6,13 @@ It takes the command line ``spawn_debugger`` gives gdb::
 
 SCRIPT, in the place of the target executable, is a JSON file::
 
-    {"commands": {"-exec-run": [STEP, ...], ...}, "log": "PATH"}
+    {"commands": {"-exec-run": [STEP, ...], ...}, "boot": [STEP, ...],
+     "log": "PATH"}
 
-The child prints a prompt, then answers each command line on stdin with
-the steps of the first key the line starts with.  A step is a line for
-stdout (scripts write their own ``(gdb) `` prompts) or one of:
+The child runs the ``boot`` steps, prints a prompt, then answers each
+command line on stdin with the steps of the first key the line starts
+with.  A step is a line for stdout (scripts write their own ``(gdb) ``
+prompts) or one of:
 
     {"tty": TEXT}       the target writes TEXT to its terminal
     {"read_tty": true}  the target reads its terminal up to EOF, then
@@ -18,8 +20,9 @@ stdout (scripts write their own ``(gdb) `` prompts) or one of:
     {"sleep": SECONDS}
     {"exit": CODE}
 
-Built in: ``-inferior-tty-set PATH`` opens the target's terminal,
-``-gdb-exit`` answers ``^exit`` and quits, and any other command gets
+Built in: ``-inferior-tty-set PATH`` opens the target's terminal, unless
+``commands`` has the key ``-inferior-tty-set``; ``-gdb-exit`` answers
+``^exit`` and quits, and any other command gets
 ``^error,msg="not recorded"``.  With ``log`` set, every byte written to
 stdout is appended to that file as well.  The child quits at EOF on stdin.
 """
@@ -45,28 +48,18 @@ def main(argv: list[str]) -> int:
     def flush() -> None:
         data = b"".join(pending)
         pending.clear()
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        if log is not None:
+        if log is not None:  # first, so that a reader of a reply finds it
             log.write(data)
             log.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
     def to_tty(data: bytes) -> None:
         while data:
             data = data[os.write(tty, data):]
 
-    pending.append(b"(gdb) \n")
-    flush()
-    for raw in sys.stdin.buffer:
-        line = raw.decode().rstrip("\n")
-        if line.startswith("-inferior-tty-set "):
-            tty = os.open(line.split(" ", 1)[1], os.O_RDWR | os.O_NOCTTY)
-            steps = ["^done", "(gdb) "]
-        elif line == "-gdb-exit":
-            steps = ["^exit", {"exit": 0}]
-        else:
-            steps = next((v for k, v in commands.items() if line.startswith(k)),
-                         ['^error,msg="not recorded"', "(gdb) "])
+    def run(steps) -> int | None:
+        """Play steps; the exit code if one of them quits."""
         for step in steps:
             if isinstance(step, str):
                 pending.append(step.encode() + b"\n")
@@ -84,6 +77,25 @@ def main(argv: list[str]) -> int:
             elif "exit" in step:
                 return step["exit"]
         flush()
+        return None
+
+    code = run([*script.get("boot", []), "(gdb) "])
+    if code is not None:
+        return code
+    for raw in sys.stdin.buffer:
+        line = raw.decode().rstrip("\n")
+        if (line.startswith("-inferior-tty-set ")
+                and "-inferior-tty-set" not in commands):
+            tty = os.open(line.split(" ", 1)[1], os.O_RDWR | os.O_NOCTTY)
+            steps = ["^done", "(gdb) "]
+        elif line == "-gdb-exit":
+            steps = ["^exit", {"exit": 0}]
+        else:
+            steps = next((v for k, v in commands.items() if line.startswith(k)),
+                         ['^error,msg="not recorded"', "(gdb) "])
+        code = run(steps)
+        if code is not None:
+            return code
     return 0
 
 

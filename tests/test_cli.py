@@ -1,11 +1,13 @@
 """CLI behavior: flags, rendering, exit codes, end-to-end replays."""
 
+import gc
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -107,14 +109,65 @@ def test_stdin_file_control_characters_refused_before_the_debugger(
                           f"character {char!r}")
 
 
+def test_debugger_exit_during_boot_is_a_one_line_error(
+        fake_gdb, tmp_path, monkeypatch, capsys):
+    target, _ = fake_gdb({}, boot=[{"sleep": 0.05}, {"exit": 1}])
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--script", str(REPLAY_SCRIPT), target]) == 1
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("dbgchat: ")
+    assert "Traceback" not in captured.err
+    assert PROMPT not in captured.out
+
+
+HTTP_STACK = ("http.client", "urllib.request", "ssl", "email")
+
+
+def loaded_after(code, *args, input_text=""):
+    """Which of HTTP_STACK and logging a subprocess running code has
+    loaded by its end; code reads its arguments from sys.argv[1:]."""
+    src = str(Path(dbgchat.__file__).parent.parent)
+    probe = (f"{code}\nimport sys\nprint([m for m in "
+             f"{HTTP_STACK + ('logging',)!r} if m in sys.modules], "
+             "file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", probe, *args],
+                            input=input_text, text=True, capture_output=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return result.stderr.strip().splitlines()[-1]
+
+
 def test_import_does_not_load_logging():
     # Nothing logs, so importing the entry point must not pay for logging.
-    src = str(Path(dbgchat.__file__).parent.parent)
-    probe = "import sys, dbgchat.cli; print('logging' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], text=True,
-                            capture_output=True, timeout=60,
-                            env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.strip() == "False", result.stderr
+    assert "logging" not in loaded_after("import dbgchat.cli")
+
+
+def test_import_does_not_load_the_http_stack():
+    assert loaded_after("import dbgchat.cli") == "[]"
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    (["--script", str(REPLAY_SCRIPT)], []),
+    # Built while the debugger boots, so no chat turn pays for it.
+    (["--key-env", "DBGCHAT_TEST_KEY"], list(HTTP_STACK)),
+])
+def test_only_http_sessions_load_the_http_stack(fake_gdb, tmp_path, flags,
+                                                loaded):
+    target, _ = fake_gdb({"-exec-run": [
+        "^running", "(gdb) ", '*stopped,reason="signal-received",'
+        'signal-name="SIGSEGV"', "(gdb) "]})
+    code = ("import os, sys\n"
+            "os.environ['DBGCHAT_TEST_KEY'] = 'sk-test'\n"
+            f"os.environ['PATH'] = {str(tmp_path)!r} + os.pathsep + "
+            "os.environ['PATH']\n"
+            "from dbgchat.cli import main\n"
+            "assert main(sys.argv[1:]) == 0")
+    assert loaded_after(code, *flags, target,
+                        input_text="quit\n") == str(loaded)
 
 
 # -- terminal rendering -----------------------------------------------------

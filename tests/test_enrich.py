@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbgchat import enrich
 from dbgchat.enrich import (
     ElisionMarker,
     EnrichedFrame,
     EnrichedStack,
     build_enriched_stack,
-    is_user_frame,
     source_window,
+    user_frame_test,
 )
 from dbgchat.errors import BudgetImpossible, NotStopped, SourceUnavailable
 from dbgchat.prompts import (
@@ -107,11 +109,49 @@ def _frame(level, func="f", fullname="", file="", line=1):
 
 
 def test_user_frame_requires_absolute_path_under_root():
-    assert is_user_frame(_frame(0, fullname="/ws/app/main.c"), "/ws/app")
-    assert not is_user_frame(_frame(0, fullname="/other/main.c"), "/ws/app")
-    assert not is_user_frame(_frame(0, fullname="./nptl/pthread_kill.c"),
-                             "/ws/app")
-    assert not is_user_frame(Frame(level=0, func="??"), "/ws/app")
+    is_user_frame = user_frame_test("/ws/app")
+    assert is_user_frame(_frame(0, fullname="/ws/app/main.c"))
+    assert not is_user_frame(_frame(0, fullname="/other/main.c"))
+    assert not is_user_frame(_frame(0, fullname="./nptl/pthread_kill.c"))
+    assert not is_user_frame(_frame(0, fullname="/ws/apple/main.c"))
+    assert not is_user_frame(Frame(level=0, func="??"))
+
+
+def _is_user_frame_with_pathlib(frame: Frame, workspace_root: str) -> bool:
+    """The classification as pathlib gives it, resolving the root per frame."""
+    if not frame.has_source or frame.line is None:
+        return False
+    path = frame.fullname or frame.file
+    if not os.path.isabs(path):
+        return False
+    root = os.path.abspath(workspace_root)
+    try:
+        return Path(os.path.normpath(path)).is_relative_to(root)
+    except ValueError:
+        return False
+
+
+_SEGMENTS = st.sampled_from(["a", "b", "bc", "b.c", "..", ".", ""])
+_PATHS = st.builds(
+    lambda lead, parts, tail: lead + "/".join(parts) + tail,
+    st.sampled_from(["", "/", "//", "///", "./", "../", "@/"]),
+    st.lists(_SEGMENTS, max_size=5), st.sampled_from(["", "/", "//"]))
+
+
+@settings(max_examples=2000)
+@given(root=_PATHS, paths=st.lists(_PATHS, min_size=1, max_size=8),
+       use_file=st.booleans())
+def test_user_frame_matches_pathlib(root, paths, use_file):
+    # Roots and paths from few names, so that equal, nested, sibling
+    # (a/b against a/bc) and unrelated pairs all come up.  "@" is the
+    # working directory, which relative roots resolve against.
+    root = root.replace("@", os.getcwd())
+    is_user_frame = user_frame_test(root)
+    for path in (p.replace("@", os.getcwd()) for p in paths):
+        frame = (_frame(0, file=path) if use_file
+                 else _frame(0, fullname=path, file="other.c"))
+        assert is_user_frame(frame) == \
+            _is_user_frame_with_pathlib(frame, root), (root, path)
 
 
 # -- synthetic assembly properties ----------------------------------------
@@ -170,6 +210,32 @@ def test_beyond_cap_frames_counted_outermost():
     assert stack.entries[0].hidden_count == 20
     shown = [e for e in stack.entries if isinstance(e, EnrichedFrame)]
     assert [e.frame.level for e in shown] == list(range(9, -1, -1))
+
+
+def test_each_source_file_is_read_once_per_build(tmp_path, monkeypatch):
+    recursive = tmp_path / "rec.c"
+    recursive.write_text("".join(f"line {i}\n" for i in range(1, 31)))
+    (tmp_path / "main.c").write_text("int main(void)\n{\n}\n")
+    frames = [_frame(level, func="rec", fullname=str(recursive),
+                     line=10 + level) for level in range(5)]
+    frames.append(_frame(5, func="main", fullname=str(tmp_path / "main.c"),
+                         line=2))
+    reads = []
+    read_source = enrich._read_source
+    monkeypatch.setattr(enrich, "_read_source",
+                        lambda path: reads.append(path) or read_source(path))
+    session = FakeSession(frames=frames)
+
+    first = build_enriched_stack(session, str(tmp_path))
+    assert sorted(reads) == [str(tmp_path / "main.c"), str(recursive)]
+    windows = [e.window for e in first.entries if isinstance(e, EnrichedFrame)]
+    assert windows == [source_window(f.fullname, f.line)
+                       for f in reversed(frames)]
+    # A source edited between builds is read afresh.
+    recursive.write_text("".join(f"edited {i}\n" for i in range(1, 31)))
+    second = build_enriched_stack(session, str(tmp_path))
+    assert len(reads) == 4
+    assert "edited 14" in second.render()
 
 
 def test_not_stopped_raises():

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from dbgchat.errors import (
     CommandTimeout,
     DebuggerExited,
+    ProtocolHandshakeFailed,
     TargetNotFound,
 )
 from dbgchat.mi import (
@@ -410,6 +411,49 @@ def test_a_handle_starts_no_thread(fake_gdb):
         assert "read 6 bytes" in dbg.target_output()
         assert threading.active_count() == before
     assert threading.active_count() == before
+
+
+# -- the handshake, read before the first reply ----------------------------
+
+def test_boot_output_is_not_a_reply(fake_gdb):
+    target, cfg = fake_gdb({"-data-evaluate-expression": [
+        '^done,value="2"', "(gdb) "]},
+        boot=['=thread-group-added,id="i1"', '~"Reading symbols"'])
+    with spawn_debugger(target, config=cfg) as dbg:
+        out = dbg.send_command("-data-evaluate-expression 1+1")
+        assert out.result.payload == {"value": "2"}
+
+
+def test_tty_setup_error_fails_the_handshake(fake_gdb):
+    target, cfg = fake_gdb({"-inferior-tty-set": [
+        '^error,msg="Cannot open tty"', "(gdb) "]})
+    dbg = spawn_debugger(target, config=cfg)
+    with pytest.raises(ProtocolHandshakeFailed, match="tty setup failed"):
+        dbg.send_command("-exec-run")
+    assert dbg._proc.poll() is not None
+    with pytest.raises(DebuggerExited):
+        dbg.send_command("-exec-run")
+
+
+@pytest.mark.parametrize("boot", [[{"exit": 1}],
+                                  [{"sleep": 0.05}, {"exit": 1}]])
+def test_exit_during_boot_fails_the_handshake(fake_gdb, boot):
+    target, cfg = fake_gdb({}, boot=boot)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dbg = spawn_debugger(target, config=cfg)
+        with pytest.raises(ProtocolHandshakeFailed):
+            dbg.send_command("-exec-run")
+        del dbg
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_closing_before_the_handshake_reaps_the_child(fake_gdb):
+    target, cfg = fake_gdb({}, boot=[{"sleep": 0.1}])
+    dbg = spawn_debugger(target, config=cfg)
+    dbg.close()
+    assert dbg._proc.poll() is not None
 
 
 # -- live debugger sessions ------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,16 @@ def test_console_command_that_may_change_the_stack_drops_the_snapshot(
     assert len(session.backtrace()) == 3
     assert count("^done,depth=") == 2
     assert count("^done,stack=") == 2
+
+
+def test_run_to_stop_waits_out_a_slow_boot(fake_gdb):
+    target, cfg = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]},
+                           boot=[{"sleep": 0.3}])
+    started = time.monotonic()
+    with DebugSession(target, driver=cfg) as s:
+        assert time.monotonic() - started < 0.15
+        assert s.run_to_stop().signal_name == "SIGSEGV"
+        assert time.monotonic() - started >= 0.3
 
 
 # -- the target's standard input, through a scripted MI child ---------------
