@@ -228,11 +228,12 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
     backend = _script_backend(ns)
     transcript = Transcript(ns.log) if ns.log else None
 
-    # The debugger boots while the HTTP stack loads; its first prompt is
-    # read in run_to_stop, so the two take the longer one's time, not
-    # their sum.
-    session = DebugSession(ns.target, ns.target_args)
+    session = None
     try:
+        # The debugger boots while the HTTP stack loads; its first prompt
+        # is read in run_to_stop, so the two take the longer one's time,
+        # not their sum.
+        session = DebugSession(ns.target, ns.target_args)
         if backend is None:
             backend = HttpBackend(ns.base_url, ns.model, ns.key_env)
         session.run_to_stop(stdin_text)
@@ -249,7 +250,8 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
     finally:
         if transcript is not None:
             transcript.close()
-        session.close()
+        if session is not None:
+            session.close()
     return 0
 
 

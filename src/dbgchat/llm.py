@@ -6,6 +6,11 @@ provider-specific is hard-coded.  The HTTP stack (``urllib.request``,
 ``http.client``, ``ssl``, ``email``) loads when an ``HttpBackend`` is
 built, not at import.  The scripted backend replays pre-authored
 turns from a JSON file for deterministic, network-free runs.
+
+Every request re-sends the whole conversation, and a message never
+changes once the agent has appended it.  So messages are immutable, each
+is encoded to JSON once, the first time a request carries it, and a
+request body is joined from those encodings rather than re-encoded.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .errors import (
@@ -41,12 +47,25 @@ class ToolCallRequest:
     arguments: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChatMessage:
+    """One message of the conversation.
+
+    Frozen, because ``wire_json`` caches its encoding: the conversation is
+    re-sent whole with every request, and a message that changed after
+    its first send would go out stale.  Its ``tool_calls`` list must not
+    be changed either.
+    """
+
     role: str
     content: str = ""
     tool_call_id: str | None = None           # Tool role only
     tool_calls: list[ToolCallRequest] = field(default_factory=list)
+
+    @cached_property
+    def wire_json(self) -> str:
+        """``to_wire()`` as JSON, encoded on first use."""
+        return json.dumps(self.to_wire())
 
     def to_wire(self) -> dict:
         msg: dict = {"role": self.role, "content": self.content}
@@ -65,13 +84,18 @@ class ChatMessage:
         return msg
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolDef:
-    """A callable the model may invoke; all parameters are text."""
+    """A callable the model may invoke; all parameters are text.  Frozen,
+    like ``ChatMessage``, so that its encoding is computed once."""
 
     name: str
     description: str
     parameters: list[tuple[str, str]]  # (param name, param description)
+
+    @cached_property
+    def wire_json(self) -> str:
+        return json.dumps(self.to_wire())
 
     def to_wire(self) -> dict:
         props = {name: {"type": "string", "description": desc}
@@ -173,27 +197,28 @@ class HttpBackend:
             raise AuthError(
                 f"no API key in ${self.key_env}; set it or use "
                 "a scripted backend")
-        body: dict = {
-            "model": self.model,
-            "messages": [m.to_wire() for m in messages],
-            "stream": True,
-        }
+        # Byte for byte what json.dumps gives for the same dict, with its
+        # default separators and ensure_ascii.
+        body = ('{"model": ' + json.dumps(self.model)
+                + ', "messages": [' + ", ".join(m.wire_json for m in messages)
+                + '], "stream": true')
         if tools:
-            body["tools"] = [t.to_wire() for t in tools]
+            body += ', "tools": [' + ", ".join(t.wire_json for t in tools) + "]"
+        body += "}"
 
-        response = self._post_with_retry(key, body)
+        response = self._post_with_retry(key, body.encode("utf-8"))
         try:
             yield from self._stream_events(response, tools)
         finally:
             response.close()
 
-    def _post_with_retry(self, key: str, body: dict):
+    def _post_with_retry(self, key: str, body: bytes):
         import http.client
         import urllib.request
         from urllib.error import HTTPError
         request = urllib.request.Request(
             self.base_url.rstrip("/") + "/chat/completions",
-            data=json.dumps(body).encode("utf-8"),
+            data=body,
             headers={"Authorization": f"Bearer {key}",
                      "Content-Type": "application/json"},
             method="POST")

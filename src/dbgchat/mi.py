@@ -471,7 +471,7 @@ class DebuggerHandle:
                 raise DebuggerExited("debugger closed its output stream")
             if not self._pump(deadline, feed):
                 raise CommandTimeout(
-                    f"no prompt within {timeout:.0f}s ({len(records)} records so far)"
+                    f"no prompt within {timeout:g}s ({len(records)} records so far)"
                 )
 
     def send_command(self, command: str,

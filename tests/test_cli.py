@@ -124,6 +124,22 @@ def test_debugger_exit_during_boot_is_a_one_line_error(
     assert PROMPT not in captured.out
 
 
+def test_failed_spawn_closes_the_log(tmp_path, monkeypatch, capsys):
+    # The log is opened before the debugger starts, and closed when the
+    # start fails; an unclosed file would show as a ResourceWarning.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["--script", str(REPLAY_SCRIPT),
+                     "--log", str(tmp_path / "x.jsonl"),
+                     "/no/such/binary"]) == 1
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+    assert capsys.readouterr().err.startswith(
+        "dbgchat: target executable not found")
+
+
 HTTP_STACK = ("http.client", "urllib.request", "ssl", "email")
 
 

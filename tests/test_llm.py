@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
+import os
 import socket
 import urllib.request
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbgchat.errors import (
     AuthError,
@@ -18,6 +24,7 @@ from dbgchat.errors import (
 )
 from dbgchat.llm import (
     ASSISTANT,
+    SYSTEM,
     TOOL,
     USER,
     ChatMessage,
@@ -69,6 +76,12 @@ def test_tool_spec_wire_all_params_text_and_required():
     assert set(fn["parameters"]["required"]) == {"loc", "symbol"}
     assert all(p["type"] == "string"
                for p in fn["parameters"]["properties"].values())
+
+
+def test_built_message_cannot_change():
+    msg = ChatMessage(USER, "hi")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.content = "changed"
 
 
 # -- conversation pairing --------------------------------------------------
@@ -404,3 +417,81 @@ def test_http_describe(monkeypatch):
     backend = HttpBackend("http://x/v1", "m", "DBGCHAT_TEST_KEY")
     info = backend.describe()
     assert info == {"backend": "http", "base_url": "http://x/v1", "model": "m"}
+
+
+# -- request body ----------------------------------------------------------
+
+def reference_body(model, messages, tools) -> bytes:
+    """The body as the dict-then-dumps encoder built it."""
+    body = {"model": model, "messages": [m.to_wire() for m in messages],
+            "stream": True}
+    if tools:
+        body["tools"] = [t.to_wire() for t in tools]
+    return json.dumps(body).encode("utf-8")
+
+
+def sent_body(model, messages, tools) -> bytes:
+    """The body complete() hands to the transport, which sends nothing
+    and answers with an empty stream."""
+    backend = HttpBackend("http://127.0.0.1:9", model, "DBGCHAT_TEST_KEY")
+    sent = []
+
+    def post(key, body):
+        sent.append(body)
+        return io.BytesIO()
+
+    backend._post_with_retry = post
+    with mock.patch.dict(os.environ, {"DBGCHAT_TEST_KEY": "sk-test"}):
+        list(backend.complete(messages, tools))
+    return sent[0]
+
+
+_SPECIAL = '"\\/\x00\x07\x1f\x7f\n\t\u2028\u00e9\U0001f600'
+_NAME = st.text(alphabet=st.sampled_from(_SPECIAL + "ab_"), max_size=6)
+_TEXT = st.text(alphabet=st.sampled_from(_SPECIAL) | st.characters())
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAME, inner, max_size=3),
+    max_leaves=4)
+_CALLS = st.lists(st.builds(ToolCallRequest, _NAME, _NAME,
+                            st.dictionaries(_NAME, _JSON, max_size=2)),
+                  max_size=2)
+_MESSAGES = st.lists(st.builds(
+    ChatMessage, st.sampled_from([SYSTEM, USER, ASSISTANT, TOOL]), _TEXT,
+    st.none() | _NAME, _CALLS), max_size=4)
+_TOOLS = st.lists(st.builds(
+    ToolDef, _NAME, _TEXT, st.lists(st.tuples(_NAME, _NAME), max_size=2)),
+    max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_TEXT, messages=_MESSAGES, tools=_TOOLS)
+@example(model="m", messages=[ChatMessage(USER, "hi")], tools=[])
+def test_body_matches_the_dict_encoding(model, messages, tools):
+    expected = reference_body(model, messages, tools)
+    assert sent_body(model, messages, tools) == expected
+    # The second request reads the cached encodings.
+    assert sent_body(model, messages, tools) == expected
+
+
+def test_followup_request_carries_each_message_once(stub_server,
+                                                    monkeypatch):
+    stub_server.responses = [
+        (200, sse({"choices": [{"delta": {"content": "first"}}]})),
+        (200, sse({"choices": [{"delta": {"content": "second"}}]})),
+    ]
+    backend = _backend(stub_server, monkeypatch)
+    messages = [ChatMessage(SYSTEM, "rules"), ChatMessage(USER, "why?")]
+    list(backend.complete(messages, TOOLS))
+    messages += [
+        ChatMessage(ASSISTANT, "let me look",
+                    tool_calls=[ToolCallRequest("c1", "debug",
+                                                {"command": "bt"})]),
+        ChatMessage(TOOL, "#0 main ()", tool_call_id="c1"),
+        ChatMessage(USER, "and now?"),
+    ]
+    list(backend.complete(messages, TOOLS))
+    first, second = stub_server.requests_seen
+    assert first["messages"] == [m.to_wire() for m in messages[:2]]
+    assert second["messages"] == [m.to_wire() for m in messages]

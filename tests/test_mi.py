@@ -358,7 +358,8 @@ def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
 def test_command_timeout_reports_the_records_so_far(fake_gdb):
     target, cfg = fake_gdb({"-slow": ['~"one"', '~"two"']})
     with spawn_debugger(target, config=cfg) as dbg:
-        with pytest.raises(CommandTimeout, match=r"\(2 records so far\)"):
+        with pytest.raises(CommandTimeout,
+                           match=r"no prompt within 0\.3s \(2 records so far\)"):
             dbg.send_command("-slow", timeout=0.3)
 
 
