@@ -48,7 +48,7 @@ def _session(root: Path) -> FakeSession:
     frames = [Frame(level=n, func="walk", file="walk.c",
                     fullname=str(root / "walk.c"), line=20 + n % 30)
               for n in range(FRAMES)]
-    variables = {n: [Binding("depth", str(n), "int", is_arg=True),
+    variables = {n: [Binding("depth", str(n), "int"),
                      Binding("total", str(7 * n), "int"),
                      Binding("seen", "{1, 2, 3, 4, 5, 6, 7, 8}", "int [8]"),
                      Binding("node", "0x55550000", "struct node *")]

@@ -33,7 +33,7 @@ from typing import Callable
 
 from .errors import NotStopped, SourceUnavailable
 from .session import Binding, Frame
-from .values import RenderedValue, render_value
+from .values import render_value
 
 DEFAULT_RADIUS = 5
 
@@ -78,8 +78,8 @@ def _head(frame: Frame) -> str:
 class EnrichedFrame:
     frame: Frame
     window: str | None
-    bindings: list[tuple[str, str, RenderedValue]]
-    globals: list[tuple[str, str, RenderedValue]] = field(default_factory=list)
+    bindings: list[tuple[str, str, str]]  # (name, type, rendered value)
+    globals: list[tuple[str, str, str]] = field(default_factory=list)
     marked: bool = False
 
     def render(self) -> str:
@@ -97,7 +97,7 @@ class EnrichedFrame:
             lines = [f"   {title}"]
             for name, type_, value in bindings:
                 decl = f"{name}: {type_}" if type_ else name
-                lines.append(f"     {decl} = {value.text}")
+                lines.append(f"     {decl} = {value}")
             body += "\n\n" + "\n".join(lines)
         return body
 
@@ -160,24 +160,19 @@ def user_frame_test(workspace_root: str) -> Callable[[Frame], bool]:
     return is_user_frame
 
 
-def _dedup(bindings: list[Binding]) -> list[Binding]:
+def _render_bindings(bindings: list[Binding],
+                     evaluator) -> list[tuple[str, str, str]]:
+    """(name, type, rendered value) per binding; a repeated name keeps
+    its first binding."""
     seen: set[str] = set()
     out = []
     for b in bindings:
         if b.name in seen:
             continue
         seen.add(b.name)
-        out.append(b)
-    return out
-
-
-def _render_bindings(bindings: list[Binding],
-                     evaluator) -> list[tuple[str, str, RenderedValue]]:
-    out = []
-    for b in _dedup(bindings):
-        rendered = render_value(b.name, b.value, is_pointer=b.is_pointer,
-                                evaluator=evaluator)
-        out.append((b.name, b.type, rendered))
+        out.append((b.name, b.type,
+                    render_value(b.name, b.value, is_pointer=b.is_pointer,
+                                 evaluator=evaluator)))
     return out
 
 

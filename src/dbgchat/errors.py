@@ -33,10 +33,6 @@ class CommandTimeout(DebuggerError):
     """A debugger command did not complete within its deadline."""
 
 
-class CommandInFlight(DebuggerError):
-    """A second command was issued while one was still outstanding."""
-
-
 # --- session-level preconditions ---
 
 class NotStopped(DebuggerError):

@@ -36,7 +36,6 @@ import re
 import select
 import shutil
 import subprocess
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ from enum import Enum
 from typing import Union
 
 from .errors import (
-    CommandInFlight,
     CommandTimeout,
     DebuggerExited,
     DebuggerNotFound,
@@ -371,7 +369,6 @@ class DebuggerHandle:
         self._target_text: list[str] = []
         self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self._transcript = transcript
-        self._in_flight = threading.Lock()
         self._closed = False
         self._handshake_owed = True
 
@@ -481,19 +478,13 @@ class DebuggerHandle:
             self._finish_handshake()
         if self._eof or self._proc.poll() is not None:
             raise DebuggerExited("debugger is not running")
-        if not self._in_flight.acquire(blocking=False):
-            raise CommandInFlight(f"command already outstanding: {command!r}")
         try:
-            data = command.encode() + b"\n"
-            try:
-                assert self._proc.stdin is not None
-                self._proc.stdin.write(data)
-                self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError) as exc:
-                raise DebuggerExited(str(exc)) from exc
-            return MIOutput(records=self.read_until_prompt(timeout))
-        finally:
-            self._in_flight.release()
+            assert self._proc.stdin is not None
+            self._proc.stdin.write(command.encode() + b"\n")
+            self._proc.stdin.flush()
+        except (BrokenPipeError, ValueError) as exc:
+            raise DebuggerExited(str(exc)) from exc
+        return MIOutput(records=self.read_until_prompt(timeout))
 
     def wait_for_stop(self, timeout: float,
                       stdin: str | None = None) -> MIRecord:

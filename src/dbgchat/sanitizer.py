@@ -36,6 +36,11 @@ RESUME_COMMANDS = frozenset({
     "kill", "detach", "attach",
 })
 
+#: Second words that make `frame` or `f` run a command of its own: gdb's
+#: `frame apply ... COMMAND`, by any unique prefix of "apply" ("a" alone
+#: is ambiguous with "address").
+_FRAME_APPLY = frozenset({"ap", "app", "appl", "apply"})
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -54,7 +59,6 @@ def _deny(reason: str) -> Verdict:
 class SanitizerPolicy:
     mode: Mode
     functions: frozenset[str] = frozenset()
-    prefixes: frozenset[str] = DEFAULT_PREFIXES
     unsafe_ack: bool = False
 
     def __post_init__(self):
@@ -110,10 +114,13 @@ def sanitize(command: str, policy: SanitizerPolicy) -> Verdict:
     parts = text.split(None, 1)
     expression = parts[1] if len(parts) > 1 else ""
     word = parts[0].split("/", 1)[0]
-    if word not in policy.prefixes:
+    if word not in DEFAULT_PREFIXES:
         if word in RESUME_COMMANDS:
             return _deny(f"'{word}' resumes or alters target execution")
         return _deny(f"'{word}' is not an allowed command")
+    if (word in ("frame", "f") and expression
+            and expression.split(None, 1)[0].lower() in _FRAME_APPLY):
+        return _deny(f"'{word} apply' runs a command of its own")
     for match in _SIDE_EFFECT.finditer(expression):
         if match.group() not in _COMPARISONS:
             return _deny(f"'{match.group()}' would modify the program")

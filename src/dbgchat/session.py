@@ -51,7 +51,6 @@ class Binding:
     name: str
     value: str
     type: str = ""
-    is_arg: bool = False
 
     @property
     def is_pointer(self) -> bool:
@@ -214,10 +213,7 @@ class DebugSession:
         for line in reversed(tail):
             m = ASSERT_PATTERN.search(line)
             if m:
-                for group in m.groups() or (m.group(0),):
-                    if group:
-                        return group.strip()
-                return m.group(0).strip()
+                return (m.group(1) or m.group(2)).strip()
         return ""
 
     # -- stack inspection --------------------------------------------------
@@ -273,7 +269,6 @@ class DebugSession:
                 name=name,
                 value=value,
                 type=var.get("type", ""),
-                is_arg=var.get("arg") == "1",
             ))
         return bindings
 

@@ -4,7 +4,8 @@ The debugger prints C values in a small grammar: scalars, quoted strings,
 `{...}` aggregates (positional for arrays, `name = value` for structs),
 run-length segments like `'R' <repeats 100 times>`, and pointers with an
 optional string or symbol annotation.  This module parses that text into a
-small tree and renders it back with depth and width limits:
+small tree and renders it back as plain text, under depth and width
+limits:
 
 - structure deeper than three levels collapses to "...";
 - aggregates with more than six elements show the first three and last
@@ -50,13 +51,6 @@ class ValueNode:
     @property
     def is_null_pointer(self) -> bool:
         return self.kind == "pointer" and int(self.text, 16) == 0
-
-
-@dataclass
-class RenderedValue:
-    text: str
-    truncated: bool
-    depth_reached: int
 
 
 # --------------------------------------------------------------------------
@@ -120,14 +114,11 @@ def _parse_char_segments(segments: list[str]) -> ValueNode:
     """Brace-free char array: quoted chunks and repeat runs, comma-joined."""
     items: list[tuple[ValueNode, int]] = []
     for seg in segments:
-        m = _REPEATS.match(seg)
-        if m:
-            items.append((_parse(m.group(1)), int(m.group(2))))
-        elif seg.startswith('"') and seg.endswith('"'):
-            for ch in seg[1:-1]:
-                items.append((ValueNode(kind="scalar", text=f"'{ch}'"), 1))
+        if seg.startswith('"') and seg.endswith('"'):
+            items.extend((ValueNode(kind="scalar", text=f"'{ch}'"), 1)
+                         for ch in seg[1:-1])
         else:
-            items.append((_parse(seg), 1))
+            items.append(_parse_element(seg))
     return ValueNode(kind="array", items=items)
 
 
@@ -167,72 +158,45 @@ def _split_top_level(text: str) -> list[str]:
 # Rendering
 # --------------------------------------------------------------------------
 
-class _Render:
-    def __init__(self) -> None:
-        self.truncated = False
-        self.depth_reached = 0
-
-    def node(self, node: ValueNode, depth: int) -> str:
-        self.depth_reached = max(self.depth_reached, min(depth, MAX_DEPTH))
-        if node.kind in ("scalar", "string"):
-            return node.text
-        if node.kind == "pointer":
-            return f"{node.text} {node.annot}" if node.annot else node.text
-        if depth >= MAX_DEPTH:
-            self.truncated = True
-            return "[...]" if node.kind == "array" else "{...}"
-        if node.kind == "array":
-            return self.array(node, depth)
-        return self.struct(node, depth)
-
-    def array(self, node: ValueNode, depth: int) -> str:
-        total = sum(count for _, count in node.items)
-        if total > MAX_WIDTH:
-            self.truncated = True
-            head = self._take(node.items, HEAD)
-            tail = self._take(list(reversed(node.items)), TAIL)[::-1]
-            parts = ([self.node(e, depth + 1) for e in head]
-                     + ["..."]
-                     + [self.node(e, depth + 1) for e in tail])
-        else:
-            parts = []
-            for element, count in node.items:
-                parts.extend(self.node(element, depth + 1)
-                             for _ in range(count))
-        return "[" + ", ".join(parts) + "]"
-
-    @staticmethod
-    def _take(runs: list[tuple[ValueNode, int]], k: int) -> list[ValueNode]:
-        out: list[ValueNode] = []
-        for element, count in runs:
-            for _ in range(min(count, k - len(out))):
-                out.append(element)
-            if len(out) == k:
-                break
-        return out
-
-    def struct(self, node: ValueNode, depth: int) -> str:
-        fields = node.fields
-        if len(fields) > MAX_WIDTH:
-            self.truncated = True
-            shown = ([*fields[:HEAD]], ["..."], [*fields[-TAIL:]])
-            parts = ([f"{n} = {self.node(v, depth + 1)}" for n, v in shown[0]]
-                     + shown[1]
-                     + [f"{n} = {self.node(v, depth + 1)}" for n, v in shown[2]])
-        else:
-            parts = [f"{n} = {self.node(v, depth + 1)}" for n, v in fields]
-        return "{" + ", ".join(parts) + "}"
+def _take(runs: list[tuple[object, int]], k: int) -> list:
+    """The first k elements of a run-length list, runs expanded."""
+    out: list = []
+    for element, count in runs:
+        out.extend([element] * min(count, k - len(out)))
+        if len(out) == k:
+            break
+    return out
 
 
-def render_node(node: ValueNode, depth: int = 1) -> RenderedValue:
-    r = _Render()
-    text = r.node(node, depth)
-    return RenderedValue(text=text, truncated=r.truncated,
-                         depth_reached=r.depth_reached)
+def render_node(node: ValueNode, depth: int = 1) -> str:
+    """Render a parsed value; depth is the nesting level node sits at."""
+    if node.kind in ("scalar", "string"):
+        return node.text
+    if node.kind == "pointer":
+        return f"{node.text} {node.annot}" if node.annot else node.text
+    array = node.kind == "array"
+    if depth >= MAX_DEPTH:
+        return "[...]" if array else "{...}"
+    # Runs of (label, child): array elements are unlabelled, and each
+    # struct field is a run of one.
+    runs = ([(("", child), count) for child, count in node.items] if array
+            else [((f"{name} = ", child), 1) for name, child in node.fields])
+
+    def show(entry: tuple[str, ValueNode]) -> str:
+        return entry[0] + render_node(entry[1], depth + 1)
+
+    if sum(count for _, count in runs) > MAX_WIDTH:
+        parts = [*map(show, _take(runs, HEAD)), "...",
+                 *map(show, _take(runs[::-1], TAIL)[::-1])]
+    else:
+        parts = [text for element, count in runs
+                 for text in [show(element)] * count]
+    body = ", ".join(parts)
+    return f"[{body}]" if array else f"{{{body}}}"
 
 
 def render_value(name: str, raw_value: str, is_pointer: bool = False,
-                 evaluator=None) -> RenderedValue:
+                 evaluator=None) -> str:
     """Render one binding's value under the depth and width limits.
 
     evaluator, when given, maps an expression string to value text and is
@@ -240,25 +204,16 @@ def render_value(name: str, raw_value: str, is_pointer: bool = False,
     total: evaluator failures degrade to the bare address.
     """
     node = parse_value(raw_value)
-    if node.kind == "pointer":
-        if node.is_null_pointer:
-            return RenderedValue(text=node.text, truncated=False,
-                                 depth_reached=1)
-        if node.annot.startswith('"'):
-            return RenderedValue(text=f"{node.text} → {node.annot}",
-                                 truncated=False, depth_reached=2)
-        if node.annot:
-            return RenderedValue(text=f"{node.text} {node.annot}",
-                                 truncated=False, depth_reached=1)
-        if is_pointer and evaluator is not None:
-            try:
-                pointee = parse_value(evaluator(f"*{name}"))
-            except Exception:
-                return RenderedValue(text=node.text, truncated=False,
-                                     depth_reached=1)
-            inner = render_node(pointee, depth=2)
-            return RenderedValue(text=f"{node.text} → {inner.text}",
-                                 truncated=inner.truncated,
-                                 depth_reached=inner.depth_reached)
-        return RenderedValue(text=node.text, truncated=False, depth_reached=1)
-    return render_node(node)
+    if node.kind != "pointer":
+        return render_node(node)
+    if node.is_null_pointer:
+        return node.text
+    if node.annot.startswith('"'):
+        return f"{node.text} → {node.annot}"
+    if node.annot or not is_pointer or evaluator is None:
+        return render_node(node)
+    try:
+        pointee = parse_value(evaluator(f"*{name}"))
+    except Exception:
+        return node.text
+    return f"{node.text} → {render_node(pointee, depth=2)}"

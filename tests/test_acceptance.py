@@ -90,14 +90,12 @@ def test_criterion_2_enriched_stack_goldens(fixture_bins, fixtures_dir):
         assert stack.shown_count + stack.hidden_count == stack.total_frames
         assert stack.shown_count == pattern.count("u")
 
-        rendered = render_node(_random_tree(rng, 5))
-        assert rendered.depth_reached <= MAX_DEPTH
-        assert _bracket_depth(rendered.text) <= MAX_DEPTH
+        assert _bracket_depth(render_node(_random_tree(rng, 5))) <= MAX_DEPTH
 
         values = [rng.randint(-999, 999) for _ in range(rng.randint(7, 40))]
         wide = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
                                          for v in values])
-        parts = render_node(wide).text[1:-1].split(", ")
+        parts = render_node(wide)[1:-1].split(", ")
         assert len(parts) == HEAD + TAIL + 1
         assert parts[HEAD] == "..."
         assert parts[:HEAD] == [str(v) for v in values[:HEAD]]
@@ -164,7 +162,7 @@ def test_criterion_4_sanitizer_table_and_monotonicity():
     from test_sanitizer import _policy, _random_command
 
     cases = json.loads((DATA / "sanitizer_cases.json").read_text())
-    assert len(cases) == 57
+    assert len(cases) == 63
     mismatches = [c["command"] for c in cases
                   if sanitize(c["command"], _policy(c)).allowed
                   is not (c["verdict"] == "allow")]
@@ -185,7 +183,7 @@ def test_criterion_4_sanitizer_table_and_monotonicity():
         if in_native:
             assert in_small and in_big
         assert sanitize(command, unsafe).allowed
-    print("PASS criterion 4: 57-case verdict table exact; monotonicity "
+    print("PASS criterion 4: 63-case verdict table exact; monotonicity "
           "and unsafe-superset held over 10000 randomized trials")
 
 

@@ -25,7 +25,6 @@ from dbgchat.prompts import (
     truncate_bundle,
 )
 from dbgchat.session import Frame, StopInfo
-from dbgchat.values import RenderedValue
 
 # -- instructions ----------------------------------------------------------
 
@@ -123,7 +122,7 @@ def _stack(n: int, markers: tuple[int, ...] = (),
                       fullname=f"/ws/f{i}.c", line=10 + i)
         entries.append(EnrichedFrame(
             frame=frame, window=f"     {10 + i} source line {i}",
-            bindings=[("x", "int", RenderedValue(str(i), False, 0))],
+            bindings=[("x", "int", str(i))],
             marked=i == n - 1))
         if i in markers:
             entries.append(ElisionMarker(i + 1))

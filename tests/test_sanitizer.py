@@ -1,4 +1,4 @@
-"""Command vetting: the 57-case verdict table plus policy properties."""
+"""Command vetting: the 63-case verdict table plus policy properties."""
 
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ def _policy(case) -> SanitizerPolicy:
     return unsafe_policy(True)
 
 
-def test_table_has_fifty_seven_cases():
-    assert len(CASES) == 57
+def test_table_has_sixty_three_cases():
+    assert len(CASES) == 63
 
 
 @pytest.mark.parametrize("case", CASES,
@@ -70,8 +70,6 @@ def test_allowed_prefixes_native():
         assert word in DEFAULT_PREFIXES
     for word in ("run", "continue", "shell", "set", "call"):
         assert word not in DEFAULT_PREFIXES
-    assert native_strict().prefixes == DEFAULT_PREFIXES
-    assert whitelist({"strlen"}).prefixes == DEFAULT_PREFIXES
 
 
 def test_load_whitelist(tmp_path):

@@ -52,10 +52,9 @@ def test_stack_depth(segv):
 
 def test_frame_variables_fill_aggregates(segv):
     by_name = {b.name: b for b in segv.frame_variables(0)}
-    assert by_name["len"].is_arg and by_name["len"].value == "150"
+    assert by_name["len"].value == "150"
     assert by_name["counts"].value == "{1, 2, 3, 4, 5, 6, 7, 8}"
     assert by_name["cursor"].value == "0x0"
-    assert not by_name["seen"].is_arg
 
 
 def test_frame_variables_struct(segv):
@@ -303,6 +302,23 @@ def test_run_to_stop_waits_out_a_slow_boot(fake_gdb):
         assert time.monotonic() - started < 0.15
         assert s.run_to_stop().signal_name == "SIGSEGV"
         assert time.monotonic() - started >= 0.3
+
+
+@pytest.mark.parametrize("report, kind, expression", [
+    ("x: x.c:5: main: Assertion `len == n' failed.\n", "assertion",
+     "len == n"),
+    ("Assertion failed: len == n (x.c: main: 5)\n", "assertion", "len == n"),
+    (None, "signal", ""),
+], ids=["glibc", "musl", "no-report"])
+def test_sigabrt_reads_the_assertion_report(fake_gdb, report, kind,
+                                            expression):
+    abort = ('*stopped,reason="signal-received",signal-name="SIGABRT",'
+             'frame={level="0",func="raise"}')
+    tty = [{"tty": report}] if report else []
+    target, cfg = fake_gdb({"-exec-run": [*_RUN, *tty, abort, "(gdb) "]})
+    with DebugSession(target, driver=cfg) as s:
+        stop = s.run_to_stop()
+    assert (stop.kind, stop.assertion_text) == (kind, expression)
 
 
 # -- the target's standard input, through a scripted MI child ---------------

@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgchat.values import (
+    _POINTER,
+    _POINTER_STRING,
+    _POINTER_SYMBOL,
+    _REPEATS,
+    _STRUCT_FIELD,
     HEAD,
     MAX_DEPTH,
     MAX_WIDTH,
     TAIL,
     ValueNode,
+    _split_top_level,
     parse_value,
     render_node,
     render_value,
@@ -20,29 +26,24 @@ from dbgchat.values import (
 
 
 def render_text(raw, **kw):
-    return render_value("v", raw, **kw).text
+    return render_value("v", raw, **kw)
 
 
 # -- fixed oracles ---------------------------------------------------------
 
 def test_scalar_int():
-    out = render_value("x", "5")
-    assert out.text == "5"
-    assert not out.truncated
-    assert out.depth_reached == 1
+    assert render_value("x", "5") == "5"
 
 
 def test_char_array_run_form_matches_reference_shape():
     raw = "'R' <repeats 100 times>, 'B' <repeats 50 times>"
     out = render_value("marbles", raw)
-    assert out.text == "['R', 'R', 'R', ..., 'B', 'B', 'B']"
-    assert out.truncated
+    assert out == "['R', 'R', 'R', ..., 'B', 'B', 'B']"
 
 
 def test_small_array_fully_shown():
     assert render_text("{1, 2, 3}") == "[1, 2, 3]"
     assert render_text("{1, 2, 3, 4, 5, 6}") == "[1, 2, 3, 4, 5, 6]"
-    assert not render_value("v", "{1, 2, 3, 4, 5, 6}").truncated
 
 
 def test_seven_element_array_truncates():
@@ -61,16 +62,13 @@ def test_nested_struct_depth_limit():
     raw = ("{part = {nested = {depth3_a = 41, depth3_b = 42}, "
            "depth2_x = 7}, depth1_id = 99}")
     out = render_value("snap", raw)
-    assert out.text == "{part = {nested = {...}, depth2_x = 7}, depth1_id = 99}"
-    assert out.truncated
-    assert out.depth_reached == MAX_DEPTH
+    assert out == "{part = {nested = {...}, depth2_x = 7}, depth1_id = 99}"
+    assert max_open_depth(out) == MAX_DEPTH
 
 
 def test_two_deep_struct_untouched():
     raw = "{nested = {depth3_a = 41}, depth2_x = 7}"
-    out = render_value("v", raw)
-    assert out.text == raw
-    assert not out.truncated
+    assert render_value("v", raw) == raw
 
 
 def test_nested_array_of_arrays():
@@ -85,7 +83,6 @@ def test_struct_field_width_rule():
 
 def test_string_value_passes_through():
     assert render_text('"demo"') == '"demo"'
-    assert not render_value("v", '"demo"').truncated
 
 
 def test_mixed_string_and_run_segments():
@@ -96,20 +93,20 @@ def test_mixed_string_and_run_segments():
 def test_null_pointer_stays_bare():
     out = render_value("cursor", "0x0", is_pointer=True,
                        evaluator=lambda e: "should not be called")
-    assert out.text == "0x0"
+    assert out == "0x0"
 
 
 def test_pointer_dereferences_one_level():
     out = render_value("p", "0x7ffc000011a4", is_pointer=True,
                        evaluator=lambda e: "42" if e == "*p" else "?")
-    assert out.text == "0x7ffc000011a4 → 42"
+    assert out == "0x7ffc000011a4 → 42"
 
 
 def test_pointer_failed_deref_stays_bare():
     def boom(expr):
         raise RuntimeError("Cannot access memory")
     out = render_value("p", "0x7ffc000011a4", is_pointer=True, evaluator=boom)
-    assert out.text == "0x7ffc000011a4"
+    assert out == "0x7ffc000011a4"
 
 
 def test_pointer_without_evaluator_stays_bare():
@@ -118,12 +115,12 @@ def test_pointer_without_evaluator_stays_bare():
 
 def test_char_pointer_string_annotation():
     out = render_value("s", '0x55555555600a "hello"', is_pointer=True)
-    assert out.text == '0x55555555600a → "hello"'
+    assert out == '0x55555555600a → "hello"'
 
 
 def test_function_pointer_keeps_symbol():
     out = render_value("fp", "0x555555555229 <main>", is_pointer=True)
-    assert out.text == "0x555555555229 <main>"
+    assert out == "0x555555555229 <main>"
 
 
 def test_deref_counts_against_depth():
@@ -131,7 +128,7 @@ def test_deref_counts_against_depth():
     # depth 3 and render opaque.
     out = render_value("p", "0x1000", is_pointer=True,
                        evaluator=lambda e: "{inner = {x = 1}, y = 2}")
-    assert out.text == "0x1000 → {inner = {...}, y = 2}"
+    assert out == "0x1000 → {inner = {...}, y = 2}"
 
 
 def test_optimized_out_passthrough():
@@ -150,9 +147,7 @@ def test_gdb_own_ellipsis_survives():
 
 @given(st.text(max_size=80))
 def test_parse_and_render_total(raw):
-    out = render_value("v", raw)
-    assert isinstance(out.text, str)
-    assert 0 <= out.depth_reached <= MAX_DEPTH
+    assert isinstance(render_value("v", raw), str)
 
 
 _scalars = st.integers(-999, 999).map(lambda i: ValueNode("scalar", str(i)))
@@ -177,11 +172,8 @@ def _nodes(depth):
 @settings(max_examples=300)
 @given(_nodes(4))
 def test_depth_bound_holds_for_any_tree(node):
-    out = render_node(node)
-    assert out.depth_reached <= MAX_DEPTH
     # No more than MAX_DEPTH nesting levels appear in the text.
-    depth = max_open_depth(out.text)
-    assert depth <= MAX_DEPTH
+    assert max_open_depth(render_node(node)) <= MAX_DEPTH
 
 
 def max_open_depth(text: str) -> int:
@@ -200,13 +192,11 @@ def max_open_depth(text: str) -> int:
 def test_width_rule_exact_for_flat_arrays(values):
     node = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
                                      for v in values])
-    out = render_node(node)
-    inner = out.text[1:-1].split(", ")
+    inner = render_node(node)[1:-1].split(", ")
     assert len(inner) == HEAD + TAIL + 1
     assert inner[HEAD] == "..."
     assert inner[:HEAD] == [str(v) for v in values[:HEAD]]
     assert inner[-TAIL:] == [str(v) for v in values[-TAIL:]]
-    assert out.truncated
 
 
 @settings(max_examples=300)
@@ -214,9 +204,7 @@ def test_width_rule_exact_for_flat_arrays(values):
 def test_small_arrays_conserved(values):
     node = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
                                      for v in values])
-    out = render_node(node)
-    assert out.text == "[" + ", ".join(str(v) for v in values) + "]"
-    assert not out.truncated
+    assert render_node(node) == "[" + ", ".join(str(v) for v in values) + "]"
 
 
 @settings(max_examples=200)
@@ -228,15 +216,7 @@ def test_run_length_arrays_match_expanded_equivalent(runs):
                                          for c, n in runs])
     flat_node = ValueNode("array", items=[(ValueNode("scalar", f"'{c}'"), 1)
                                           for c in expanded])
-    assert render_node(run_node).text == render_node(flat_node).text
-
-
-@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
-               max_size=30))
-def test_truncation_marker_iff_flag(raw):
-    out = render_value("v", raw)
-    if out.truncated:
-        assert "..." in out.text
+    assert render_node(run_node) == render_node(flat_node)
 
 
 def test_parse_value_classifies():
@@ -247,3 +227,217 @@ def test_parse_value_classifies():
     assert parse_value("3.25").kind == "scalar"
     assert re.match(r"\['R'(, 'R'){5}\]",
                     render_text("'R' <repeats 6 times>"))
+
+
+# -- differential: the renderer that kept a flag record, as reference ------
+#
+# The value path as it was while rendering also returned whether anything
+# was elided and how deep it went.  The text is all any caller prints, and
+# it must not change; the flags are dropped here too.
+
+def _ref_parse_value(text: str) -> ValueNode:
+    try:
+        return _ref_parse(text.strip())
+    except Exception:
+        return ValueNode(kind="scalar", text=text.strip())
+
+
+def _ref_parse(text: str) -> ValueNode:
+    if text.startswith("{") and text.endswith("}"):
+        return _ref_parse_braced(text[1:-1])
+    segments = _split_top_level(text)
+    if len(segments) > 1 or (segments and _REPEATS.match(segments[0])):
+        return _ref_parse_char_segments(segments)
+    m = _POINTER_STRING.match(text)
+    if m:
+        return ValueNode(kind="pointer", text=m.group(1), annot=m.group(2))
+    m = _POINTER_SYMBOL.match(text)
+    if m:
+        return ValueNode(kind="pointer", text=m.group(1), annot=m.group(2))
+    if _POINTER.match(text):
+        return ValueNode(kind="pointer", text=text)
+    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+        return ValueNode(kind="string", text=text)
+    return ValueNode(kind="scalar", text=text)
+
+
+def _ref_parse_braced(inner: str) -> ValueNode:
+    inner = inner.strip()
+    if not inner:
+        return ValueNode(kind="struct")
+    elements = _split_top_level(inner)
+    if all(_STRUCT_FIELD.match(e) for e in elements):
+        fields = []
+        for e in elements:
+            m = _STRUCT_FIELD.match(e)
+            fields.append((m.group(1), _ref_parse_element(m.group(2))[0]))
+        return ValueNode(kind="struct", fields=fields)
+    return ValueNode(kind="array",
+                     items=[_ref_parse_element(e) for e in elements])
+
+
+def _ref_parse_element(text: str) -> tuple[ValueNode, int]:
+    m = _REPEATS.match(text)
+    if m:
+        return _ref_parse(m.group(1)), int(m.group(2))
+    return _ref_parse(text), 1
+
+
+def _ref_parse_char_segments(segments: list[str]) -> ValueNode:
+    items: list[tuple[ValueNode, int]] = []
+    for seg in segments:
+        m = _REPEATS.match(seg)
+        if m:
+            items.append((_ref_parse(m.group(1)), int(m.group(2))))
+        elif seg.startswith('"') and seg.endswith('"'):
+            for ch in seg[1:-1]:
+                items.append((ValueNode(kind="scalar", text=f"'{ch}'"), 1))
+        else:
+            items.append((_ref_parse(seg), 1))
+    return ValueNode(kind="array", items=items)
+
+
+class _RefRender:
+    def __init__(self) -> None:
+        self.truncated = False
+        self.depth_reached = 0
+
+    def node(self, node: ValueNode, depth: int) -> str:
+        self.depth_reached = max(self.depth_reached, min(depth, MAX_DEPTH))
+        if node.kind in ("scalar", "string"):
+            return node.text
+        if node.kind == "pointer":
+            return f"{node.text} {node.annot}" if node.annot else node.text
+        if depth >= MAX_DEPTH:
+            self.truncated = True
+            return "[...]" if node.kind == "array" else "{...}"
+        if node.kind == "array":
+            return self.array(node, depth)
+        return self.struct(node, depth)
+
+    def array(self, node: ValueNode, depth: int) -> str:
+        total = sum(count for _, count in node.items)
+        if total > MAX_WIDTH:
+            self.truncated = True
+            head = self._take(node.items, HEAD)
+            tail = self._take(list(reversed(node.items)), TAIL)[::-1]
+            parts = ([self.node(e, depth + 1) for e in head]
+                     + ["..."]
+                     + [self.node(e, depth + 1) for e in tail])
+        else:
+            parts = []
+            for element, count in node.items:
+                parts.extend(self.node(element, depth + 1)
+                             for _ in range(count))
+        return "[" + ", ".join(parts) + "]"
+
+    @staticmethod
+    def _take(runs, k):
+        out = []
+        for element, count in runs:
+            for _ in range(min(count, k - len(out))):
+                out.append(element)
+            if len(out) == k:
+                break
+        return out
+
+    def struct(self, node: ValueNode, depth: int) -> str:
+        fields = node.fields
+        if len(fields) > MAX_WIDTH:
+            self.truncated = True
+            shown = ([*fields[:HEAD]], ["..."], [*fields[-TAIL:]])
+            parts = ([f"{n} = {self.node(v, depth + 1)}" for n, v in shown[0]]
+                     + shown[1]
+                     + [f"{n} = {self.node(v, depth + 1)}"
+                        for n, v in shown[2]])
+        else:
+            parts = [f"{n} = {self.node(v, depth + 1)}" for n, v in fields]
+        return "{" + ", ".join(parts) + "}"
+
+
+def _ref_render_node(node: ValueNode, depth: int = 1) -> str:
+    return _RefRender().node(node, depth)
+
+
+def _ref_render_value(name, raw_value, is_pointer=False,
+                      evaluator=None) -> str:
+    node = _ref_parse_value(raw_value)
+    if node.kind == "pointer":
+        if node.is_null_pointer:
+            return node.text
+        if node.annot.startswith('"'):
+            return f"{node.text} → {node.annot}"
+        if node.annot:
+            return f"{node.text} {node.annot}"
+        if is_pointer and evaluator is not None:
+            try:
+                pointee = _ref_parse_value(evaluator(f"*{name}"))
+            except Exception:
+                return node.text
+            return f"{node.text} → {_ref_render_node(pointee, depth=2)}"
+        return node.text
+    return _ref_render_node(node)
+
+
+_idents = st.sampled_from(["a", "len", "depth2_x", "_p", "$1", "next"])
+_strings = st.text(alphabet="abR x,={}<>'\"\\", max_size=8).map(
+    lambda t: '"' + t.replace("\\", "\\\\").replace('"', '\\"') + '"')
+# Null addresses come with and without annotations: either way they
+# render bare.
+_pointers = st.builds(
+    str.__add__,
+    st.sampled_from(["0x0", "0x00", "0x1000", "0x7ffc000011a4", "0xBEEF"]),
+    st.sampled_from(["", ' "s"', ' "a, b"', ' "{x}"', " <main>",
+                     " <buf+16>"]))
+_leaves = st.one_of(
+    st.sampled_from(["5", "-12", "<optimized out>", "82 'R'", "0 '\\000'",
+                     "3.25", "true", "<unreadable>", "{1, 2, 3...}", "{}",
+                     "", "<repeats 3 times>"]),
+    _strings, _pointers)
+
+
+def _with_repeats(values):
+    return st.one_of(values, st.builds(
+        lambda v, n: f"{v} <repeats {n} times>", values,
+        st.integers(0, 300)))
+
+
+_aggregates = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(_with_repeats(inner), max_size=8).map(
+        lambda xs: "{" + ", ".join(xs) + "}"),
+    st.lists(st.tuples(_idents, inner), max_size=8).map(
+        lambda fs: "{" + ", ".join(f"{n} = {v}" for n, v in fs) + "}"),
+), max_leaves=12)
+_char_segments = st.lists(
+    st.one_of(_strings, st.builds(
+        lambda ch, n: f"{ch} <repeats {n} times>",
+        st.sampled_from(["'R'", "'x'", "0 '\\000'", "66 'B'"]),
+        st.integers(0, 300))),
+    min_size=1, max_size=5).map(", ".join)
+_raw_values = st.one_of(_pointers, _aggregates, _char_segments,
+                        st.text(max_size=40))
+
+
+def _boom(expression):
+    raise RuntimeError("Cannot access memory")
+
+
+_evaluators = st.one_of(
+    st.none(), st.just(_boom),
+    _raw_values.map(lambda text: lambda expression: text))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_raw_values, st.booleans(), _evaluators)
+def test_render_value_matches_the_reference(raw, is_pointer, evaluator):
+    assert parse_value(raw) == _ref_parse_value(raw)
+    assert (render_value("p", raw, is_pointer=is_pointer,
+                         evaluator=evaluator)
+            == _ref_render_value("p", raw, is_pointer=is_pointer,
+                                 evaluator=evaluator))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nodes(2), st.integers(1, MAX_DEPTH))
+def test_render_node_matches_the_reference(node, depth):
+    assert render_node(node, depth) == _ref_render_node(node, depth)
