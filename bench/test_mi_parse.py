@@ -1,4 +1,5 @@
-"""MI parse throughput: the recorded corpus and one large symbol table.
+"""MI parse throughput: the recorded corpus and one large symbol table,
+parsed whole, and one file's entries read out of that table.
 
 Run with ``PYTHONPATH=src python -m pytest bench -q``.  Each case stores
 its input size and MB/s (bytes over the median time) in ``extra_info``,
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.mi import parse_mi_line
+from dbgchat.mi import MIOutput, file_symbols, parse_mi_line
 
 CORPUS = Path(__file__).parent.parent / "tests" / "data" / "mi_corpus.txt"
 
@@ -38,6 +39,11 @@ def symbol_table_line(count: int, per_file: int = 50) -> str:
     return f'^done,symbols={{debug=[{",".join(files)}]}}'
 
 
+def _store_rate(benchmark, size):
+    benchmark.extra_info["bytes"] = size
+    benchmark.extra_info["mb_s"] = size / benchmark.stats.stats.median / 1e6
+
+
 CASES = {
     "corpus": lambda: CORPUS.read_text(encoding="utf-8").rstrip("\n").split("\n"),
     "symbols-20k": lambda: [symbol_table_line(20000)],
@@ -54,5 +60,14 @@ def test_parse_mi_lines(benchmark, case):
             parse_mi_line(line)
 
     benchmark(parse_all)
-    benchmark.extra_info["bytes"] = size
-    benchmark.extra_info["mb_s"] = size / benchmark.stats.stats.median / 1e6
+    _store_rate(benchmark, size)
+
+
+def test_file_symbols_20k(benchmark):
+    """The 50 symbols of the table's middle file, as the session reads a
+    file's globals; compare with ``test_parse_mi_lines[symbols-20k]``."""
+    out = MIOutput([symbol_table_line(20000), "(gdb) "])
+    symbols = benchmark(file_symbols, out,
+                        "./misc/../sysdeps/unix/unit_10000.c")
+    assert len(symbols) == 50
+    _store_rate(benchmark, len(out.lines[0].encode()) + 1)

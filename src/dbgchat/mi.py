@@ -1,9 +1,11 @@
 r"""GDB machine-interface (MI) driver.
 
-Spawns GDB with ``--interpreter=mi``, parses its line-oriented output into
-structured records, and serializes commands one at a time.  The inferior's
-own stdin/stdout/stderr are routed through a pty so that target output
-never interleaves with protocol traffic.
+Spawns GDB with ``--interpreter=mi`` and serializes commands one at a
+time.  Each answer's lines are kept as text and parsed into structured
+records when first read; ``file_symbols`` reads one file's entries of a
+symbol table without parsing the rest.  The inferior's own
+stdin/stdout/stderr are routed through a pty so that target output never
+interleaves with protocol traffic.
 
 Record grammar (one line each, mirroring the MI output syntax):
 
@@ -68,6 +70,8 @@ class RecordKind(Enum):
     PROMPT = "prompt"
 
 
+_PROMPTS = ("(gdb) ", "(gdb)")
+
 _STREAM_KINDS = {
     "~": RecordKind.CONSOLE_STREAM,
     "@": RecordKind.TARGET_STREAM,
@@ -91,9 +95,18 @@ class MIRecord:
 
 @dataclass
 class MIOutput:
-    """All records produced by one command, ending with the prompt."""
+    """All lines produced by one command, ending with the prompt."""
 
-    records: list[MIRecord]
+    lines: list[str]
+    _records: list[MIRecord] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def records(self) -> list[MIRecord]:
+        """The lines parsed, the first time they are asked for."""
+        if self._records is None:
+            self._records = [parse_mi_line(line) for line in self.lines]
+        return self._records
 
     @property
     def result(self) -> MIRecord | None:
@@ -146,15 +159,19 @@ def _unescape(m: re.Match) -> str:
     return _C_UNESCAPE.get(char, char)
 
 
+def _decode(body: str) -> str:
+    """The text a c-string body, quotes stripped, stands for."""
+    if "\\" in body:
+        body = _ESCAPE.sub(_unescape, body)
+    return body
+
+
 def _parse_cstring(line: str, pos: int) -> tuple[str, int]:
     """Decode the c-string starting at line[pos] (must be '\"')."""
     m = _CSTRING.match(line, pos)
     if m is None:
         raise ValueError("unterminated c-string")
-    body = m.group(1)
-    if "\\" in body:
-        body = _ESCAPE.sub(_unescape, body)
-    return body, m.end()
+    return _decode(m.group(1)), m.end()
 
 
 def _parse_value(line: str, pos: int) -> tuple[MIValue, int]:
@@ -260,7 +277,7 @@ def parse_mi_line(line: str) -> MIRecord:
 
 
 def _parse_mi_line_strict(line: str) -> MIRecord:
-    if line == "(gdb)" or line == "(gdb) ":
+    if line in _PROMPTS:
         return MIRecord(kind=RecordKind.PROMPT)
     if not line:
         raise ValueError("empty line")
@@ -316,6 +333,71 @@ def _parse_whole_cstring(line: str, pos: int) -> str:
     if end != len(line):
         raise ValueError("trailing bytes after c-string")
     return text
+
+
+# --------------------------------------------------------------------------
+# Symbol tables
+# --------------------------------------------------------------------------
+
+# A c-string body whose escapes _unescape decodes: a backslash before any
+# digit but 0-7 leaves a line unparsed.
+_CSTRING_BODY = r'[^"\\]*(?:\\[0-7\D][^"\\]*)*'
+_STRING_MEMBER = rf'[\w-]+="{_CSTRING_BODY}"'
+_STRINGS_TUPLE = rf'\{{(?:{_STRING_MEMBER}(?:,{_STRING_MEMBER})*)?\}}'
+# One debug entry of a -symbol-info-* answer whose members hold strings or
+# lists of tuples of strings, such as
+# {filename="a.c",fullname="/src/a.c",symbols=[{line="3",name="g"}]}.
+# Group 1 is the body of its last fullname, the one a parsed tuple keeps.
+_SYMBOL_ENTRY = re.compile(
+    rf'\{{(?:(?:fullname="({_CSTRING_BODY})"|(?!fullname=)[\w-]+='
+    rf'(?:"{_CSTRING_BODY}"|\[(?:{_STRINGS_TUPLE}(?:,{_STRINGS_TUPLE})*)?\]))'
+    rf'(?:,(?!\}})|(?=\}})))*\}}')
+_RESULT_HEAD = re.compile(r"\d*\^")
+# A ^done answer up to its first debug entry.
+_SYMBOLS_HEAD = re.compile(r"\d*\^done,symbols=\{debug=\[(?!\])")
+
+
+def file_symbols(out: MIOutput, fullname: str) -> list:
+    """The symbols of each debug entry of a ``-symbol-info-*`` answer whose
+    decoded fullname is fullname, in the answer's order.
+
+    Only those entries are parsed: _SYMBOL_ENTRY steps over the others
+    without decoding them, and a line holding an entry of another shape
+    is parsed whole.  The answer's result line is the first that starts
+    like one.  [] unless it is ``^done`` whose ``symbols`` begin with a
+    non-empty debug list, and [] when the list's separators or the entries
+    parsed are outside the grammar.  What follows the list is not read.
+    """
+    line = next((text for text in out.lines if _RESULT_HEAD.match(text)), "")
+    m = _SYMBOLS_HEAD.match(line)
+    if m is None:
+        return []
+    symbols: list = []
+    pos = m.end()
+    try:
+        while True:
+            m = _SYMBOL_ENTRY.match(line, pos)
+            if m is None:
+                return _parsed_file_symbols(line, fullname)
+            if m.group(1) is not None and _decode(m.group(1)) == fullname:
+                symbols.extend(_parse_tuple(line, pos)[0].get("symbols", []))
+            pos = m.end()
+            sep = line[pos:pos + 1]
+            if sep == "]":
+                return symbols
+            if sep != ",":
+                return []
+            pos += 1
+    except ValueError:
+        return []
+
+
+def _parsed_file_symbols(line: str, fullname: str) -> list:
+    """file_symbols of a result line parsed whole."""
+    debug = parse_mi_line(line).payload.get("symbols", {}).get("debug", [])
+    return [sym for entry in debug
+            if isinstance(entry, dict) and entry.get("fullname") == fullname
+            for sym in entry.get("symbols", [])]
 
 
 # --------------------------------------------------------------------------
@@ -453,27 +535,27 @@ class DebuggerHandle:
             raise
 
     def read_until_prompt(self, timeout: float,
-                          feed: bytearray | None = None) -> list[MIRecord]:
-        """Collect records up to and including the next prompt, writing
+                          feed: bytearray | None = None) -> list[str]:
+        """Collect lines up to and including the next prompt, writing
         feed to the inferior's pty meanwhile; written bytes leave feed."""
         deadline = time.monotonic() + timeout
-        records: list[MIRecord] = []
+        lines: list[str] = []
         while True:
             while self._lines:
-                rec = parse_mi_line(self._lines.popleft())
-                records.append(rec)
-                if rec.kind is RecordKind.PROMPT:
-                    return records
+                line = self._lines.popleft()
+                lines.append(line)
+                if line in _PROMPTS:
+                    return lines
             if self._eof:
                 raise DebuggerExited("debugger closed its output stream")
             if not self._pump(deadline, feed):
                 raise CommandTimeout(
-                    f"no prompt within {timeout:g}s ({len(records)} records so far)"
+                    f"no prompt within {timeout:g}s ({len(lines)} records so far)"
                 )
 
     def send_command(self, command: str,
                      timeout: float = DEFAULT_COMMAND_TIMEOUT) -> MIOutput:
-        """Send one MI command and return all records up to the prompt."""
+        """Send one MI command and return all lines up to the prompt."""
         if self._handshake_owed:
             self._finish_handshake()
         if self._eof or self._proc.poll() is not None:
@@ -484,7 +566,7 @@ class DebuggerHandle:
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise DebuggerExited(str(exc)) from exc
-        return MIOutput(records=self.read_until_prompt(timeout))
+        return MIOutput(self.read_until_prompt(timeout))
 
     def wait_for_stop(self, timeout: float,
                       stdin: str | None = None) -> MIRecord:
@@ -502,8 +584,9 @@ class DebuggerHandle:
             feed += b"\x04"  # pty EOF
         deadline = time.monotonic() + timeout
         while True:
-            for rec in self.read_until_prompt(deadline - time.monotonic(),
-                                              feed):
+            for line in self.read_until_prompt(deadline - time.monotonic(),
+                                               feed):
+                rec = parse_mi_line(line)
                 if rec.kind is RecordKind.ASYNC_EXEC and rec.klass == "stopped":
                     return rec
 

@@ -20,6 +20,7 @@ from .mi import (
     DriverConfig,
     MIRecord,
     DebuggerHandle,
+    file_symbols,
     spawn_debugger,
 )
 from .sanitizer import native_strict, sanitize
@@ -288,17 +289,9 @@ class DebugSession:
         """
         self._require_stack()
         out = self.handle.send_command("-symbol-info-variables")
-        if out.result_class != "done":
-            return []
-        symbols: list[tuple[int, str, str]] = []
-        debug = out.result.payload.get("symbols", {}).get("debug", [])
-        for entry in debug:
-            if entry.get("fullname") != fullname:
-                continue
-            for sym in entry.get("symbols", []):
-                symbols.append((int(sym.get("line", "0")), sym["name"],
-                                sym.get("type", "")))
-        symbols.sort()
+        symbols = sorted((int(sym.get("line", "0")), sym["name"],
+                          sym.get("type", ""))
+                         for sym in file_symbols(out, fullname))
         bindings = []
         for _, name, type_ in symbols[:DEFAULT_GLOBALS_CAP]:
             try:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbgchat import mi
 from dbgchat.errors import (
     CommandTimeout,
     DebuggerExited,
@@ -28,8 +29,10 @@ from dbgchat.errors import (
 from dbgchat.mi import (
     DebuggerHandle,
     DriverConfig,
+    MIOutput,
     MIRecord,
     RecordKind,
+    file_symbols,
     parse_mi_line,
     spawn_debugger,
 )
@@ -200,6 +203,185 @@ def test_large_symbol_table_record():
     rec = parse_mi_line(line)
     assert not rec.unparsed
     assert rec.payload == payload
+
+
+# -- one file's entries of a symbol table ----------------------------------
+
+def _result(lines):
+    return next((r for r in map(parse_mi_line, lines)
+                 if r.kind is RecordKind.RESULT), None)
+
+
+def _debug(lines):
+    """The debug entries of the answer parsed whole, [] unless ^done."""
+    result = _result(lines)
+    if result is None or result.klass != "done":
+        return []
+    return result.payload.get("symbols", {}).get("debug", [])
+
+
+def _symbols_by_parse(debug, fullname):
+    """What file_symbols must return: the debug entries filtered on their
+    decoded fullname."""
+    return [sym for entry in debug if isinstance(entry, dict)
+            and entry.get("fullname") == fullname
+            for sym in entry.get("symbols", [])]
+
+
+def _fullnames(debug):
+    """The fullname of each debug entry that has one, decoded."""
+    return {entry["fullname"] for entry in debug if "fullname" in entry}
+
+
+_SIMPLE_ESCAPES = {"\n": ["\\n"], "\t": ["\\t"], '"': ['\\"'],
+                   "\\": ["\\\\"]}
+
+
+def _cstring(text, rnd):
+    """text as a c-string, each character written plainly or, chosen by
+    rnd, in one of the escape forms that stand for it: octal, as gdb
+    writes a non-ASCII byte, hex, a named escape, or an unknown escape of
+    a punctuation mark."""
+    out = ['"']
+    for ch in text:
+        forms = _SIMPLE_ESCAPES.get(ch, [ch])
+        if ord(ch) < 0o400:
+            forms = [*forms, f"\\{ord(ch):03o}", f"\\x{ord(ch):02x}"]
+        if ch in "{}[],=/. ":
+            forms = [*forms, "\\" + ch]
+        out.append(rnd.choice(forms))
+    return "".join(out) + '"'
+
+
+_TEXT = st.lists(st.sampled_from([
+    "{filename=", ',fullname="', '"', "\\", "struct {...}", "\n", "\u00e9",
+    "\u00fc", "[", "]", "}", "a", "b", "/", ".c", " ", "int"]),
+    max_size=6).map("".join)
+_FULLNAMES = st.one_of(
+    st.sampled_from(["/src/a.c", "/src/caf\u00e9.c", '/src/"q".c',
+                     "C:\\src\\b.c", "/src/{filename=x}.c",
+                     '/s,fullname="a.c"']),
+    _TEXT)
+
+
+@st.composite
+def _entry(draw):
+    """One debug entry; its fullname may be missing or shared with others."""
+    rnd = draw(st.randoms(use_true_random=False))
+    members = []
+    if draw(st.booleans()):
+        members.append(f"filename={_cstring(draw(_TEXT), rnd)}")
+    fullname = draw(st.one_of(st.none(), _FULLNAMES))
+    if fullname is not None:
+        members.append(f"fullname={_cstring(fullname, rnd)}")
+    symbols = []
+    for _ in range(draw(st.integers(0, 3))):
+        fields = [("line", str(draw(st.integers(1, 999)))),
+                  ("name", draw(_TEXT)), ("type", draw(_TEXT)),
+                  ("description", draw(_TEXT))]
+        symbols.append("{" + ",".join(f"{key}={_cstring(text, rnd)}"
+                                      for key, text in fields) + "}")
+    members.append(f"symbols=[{','.join(symbols)}]")
+    return "{" + ",".join(members) + "}"
+
+
+_DEBUG_HEAD = "^done,symbols={debug=["
+_debug_lists = st.lists(_entry(), max_size=6).map(",".join)
+
+
+@st.composite
+def _symbol_answer(draw):
+    """The lines of a -symbol-info-* answer: stream records, a result
+    (now and then not ^done) and the prompt."""
+    rnd = draw(st.randoms(use_true_random=False))
+    token = draw(st.sampled_from(["", "7"]))
+    result = f"{token}{_DEBUG_HEAD}{draw(_debug_lists)}]"
+    if draw(st.booleans()):
+        name = _cstring(draw(_TEXT), rnd)
+        result += f',nondebug=[{{address="0x4010",name={name}}}]'
+    result += "}"
+    if draw(st.integers(0, 4)) == 0:
+        result = draw(st.sampled_from([
+            f"{token}^done", "^running",
+            f"{token}^error,msg={_cstring(draw(_TEXT), rnd)}"]))
+    streams = draw(st.lists(st.sampled_from(['&"warning: x\\n"', '~"ok"']),
+                            max_size=2))
+    return [*streams, result, "(gdb) "]
+
+
+@settings(max_examples=400)
+@given(_symbol_answer())
+def test_file_symbols_matches_the_full_parse(lines):
+    assert not any(parse_mi_line(line).unparsed for line in lines)
+    out = MIOutput(lines)
+    debug = _debug(lines)
+    fullnames = _fullnames(debug) | {"/no/such/file.c", ""}
+    parsed = []
+    mi.parse_mi_line = lambda line: parsed.append(line) or parse_mi_line(line)
+    try:
+        found = {name: file_symbols(out, name) for name in fullnames}
+    finally:
+        mi.parse_mi_line = parse_mi_line
+    assert parsed == []  # no line was parsed whole
+    for fullname in fullnames:
+        assert found[fullname] == _symbols_by_parse(debug, fullname)
+
+
+@settings(max_examples=100)
+@given(_debug_lists, st.data())
+def test_file_symbols_of_an_answer_cut_in_its_debug_list_is_empty(debug,
+                                                                  data):
+    whole = f"{_DEBUG_HEAD}{debug}]}}"
+    cut = whole[:data.draw(st.integers(0, len(_DEBUG_HEAD) + len(debug)))]
+    assert _debug([cut]) == []
+    for fullname in _fullnames(_debug([whole])):
+        assert file_symbols(MIOutput([cut, "(gdb) "]), fullname) == []
+
+
+SYMBOL_ANSWERS = [line for line in CORPUS.read_text(encoding="utf-8")
+                  .split("\n") if line.startswith("^done,symbols=")]
+
+
+@pytest.mark.parametrize("line", SYMBOL_ANSWERS,
+                         ids=lambda line: f"{len(line)}-bytes")
+def test_file_symbols_matches_the_full_parse_on_the_corpus(line):
+    debug = _debug([line])
+    assert debug
+    for fullname in _fullnames(debug):
+        assert file_symbols(MIOutput([line, "(gdb) "]), fullname) \
+            == _symbols_by_parse(debug, fullname) != []
+
+
+def test_corpus_holds_six_symbol_answers():
+    assert len(SYMBOL_ANSWERS) == 6
+
+
+@pytest.mark.parametrize("line, expected", [
+    # A bad escape in an entry that is not read still rejects the line.
+    pytest.param('^done,symbols={debug=[{fullname="b\\8"},'
+                 '{fullname="a",symbols=[{name="g"}]}]}', [],
+                 id="bad-escape-elsewhere"),
+    # A line holding an entry of another shape is parsed whole.
+    pytest.param('^done,symbols={debug=[{x={y={z=[{}]}}},'
+                 '{fullname="a",symbols=[{name="g"}]}]}', [{"name": "g"}],
+                 id="deep-entry"),
+    pytest.param('^done,symbols={debug=["a",{fullname="a",symbols=["s"]}]}',
+                 ["s"], id="bare-string-entry"),
+    # A repeated name keeps its last value.
+    pytest.param('^done,symbols={debug=[{fullname="a",fullname="b",'
+                 'symbols=["s"]},{fullname="b",fullname="a",'
+                 'symbols=[{name="g"}]}]}', [{"name": "g"}],
+                 id="repeated-fullname"),
+    pytest.param('^done,symbols={debug=[{fullname="a",symbols=[]}', [],
+                 id="unclosed-list"),
+    pytest.param('^done,symbols={debug=[{fullname="a",symbols=[]},]}', [],
+                 id="trailing-comma"),
+    pytest.param('^done,symbols={debug=[{fullname="a",symbols=["s"]}{}]}',
+                 [], id="missing-comma"),
+])
+def test_file_symbols_edge_cases(line, expected):
+    assert file_symbols(MIOutput([line, "(gdb) "]), "a") == expected
+    assert _symbols_by_parse(_debug([line]), "a") == expected
 
 
 # -- round-trip invariants -------------------------------------------------

@@ -294,6 +294,66 @@ def test_console_command_that_may_change_the_stack_drops_the_snapshot(
     assert count("^done,stack=") == 2
 
 
+# The stopped file, /ws/app.c, in two entries (the second writes its
+# fullname with an octal escape), with twelve symbols out of line order;
+# other files' texts hold escapes, braces and a decoy fullname.
+_SYMBOL_TABLE = (
+    r'^done,symbols={debug=['
+    r'{filename="app.c",fullname="/ws/app.c",symbols=['
+    r'{line="40",name="g_limit",type="int",description="int g_limit;"},'
+    r'{line="12",name="g_count",type="int",description="int g_count;"},'
+    r'{line="33",name="g_name",type="const char *",'
+    r'description="static const char *g_name;"},'
+    r'{line="7",name="g_flag",type="int",description="int g_flag;"},'
+    r'{line="58",name="g_last",type="int",description="int g_last;"},'
+    r'{line="21",name="g_buf",type="char [8]",description="char g_buf[8];"},'
+    r'{line="3",name="g_first",type="int",description="int g_first;"}]},'
+    r'{filename="lib/caf\303\251.c",fullname="/ws/lib/caf\303\251.c",symbols=['
+    r'{line="1",name="quoted",type="char [4] /* \"q\\\" */",'
+    r'description="x ,fullname=\"/ws/app.c\",symbols=[{name=\"trap\"}]"}]},'
+    r'{filename="../{filename=z}.c",fullname="/ws/{filename=z}.c",symbols=['
+    r'{line="5",name="anon",type="struct {...}",'
+    r'description="static struct {\n    int a;\n} anon;"}]},'
+    r'{filename="app.c",fullname="/ws/app\056c",symbols=['
+    r'{line="15",name="g_mode",type="int",description="int g_mode;"},'
+    r'{line="2",name="g_zero",type="int",description="int g_zero;"},'
+    r'{line="44",name="g_tail",type="int",description="int g_tail;"},'
+    r'{line="9",name="g_b",type="int",description="int g_b;"},'
+    r'{line="9",name="g_a",type="int",description="int g_a;"}]}]}'
+)
+# The first DEFAULT_GLOBALS_CAP of them by line, then name.
+_GLOBALS = [("g_zero", "int"), ("g_first", "int"), ("g_flag", "int"),
+            ("g_a", "int"), ("g_b", "int"), ("g_count", "int"),
+            ("g_mode", "int"), ("g_buf", "char [8]"),
+            ("g_name", "const char *"), ("g_limit", "int")]
+
+
+def test_global_variables_reads_one_file_capped_and_in_line_order(fake_gdb):
+    evaluate = "-data-evaluate-expression --thread 1 --frame 2 "
+    values = {name: [f'^done,value="{i}"', "(gdb) "]
+              for i, (name, _) in enumerate(_GLOBALS)}
+    values["g_name"] = [r'^done,value="0x4006f4 \"run\""', "(gdb) "]
+    values["g_buf"] = ['^error,msg="Cannot access memory"', "(gdb) "]
+    target, cfg = fake_gdb({
+        "-exec-run": [*_RUN, _STOPPED, "(gdb) "],
+        "-symbol-info-variables": [_SYMBOL_TABLE, "(gdb) "],
+        **{f'{evaluate}"{name}"': steps for name, steps in values.items()}})
+    with DebugSession(target, driver=cfg) as s:
+        s.run_to_stop()
+        sent = []
+        send = s.handle.send_command
+        s.handle.send_command = lambda command, **kw: (
+            sent.append(command), send(command, **kw))[1]
+        bindings = s.global_variables("/ws/app.c", frame=2)
+    assert len(_GLOBALS) == session_module.DEFAULT_GLOBALS_CAP
+    assert [(b.name, b.type) for b in bindings] == _GLOBALS
+    assert [b.value for b in bindings] == [
+        "0", "1", "2", "3", "4", "5", "6", "<unreadable>",
+        '0x4006f4 "run"', "9"]
+    assert sent == ["-symbol-info-variables",
+                    *(f'{evaluate}"{name}"' for name, _ in _GLOBALS)]
+
+
 def test_run_to_stop_waits_out_a_slow_boot(fake_gdb):
     target, cfg = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]},
                            boot=[{"sleep": 0.3}])

@@ -170,10 +170,13 @@ def _nodes(depth):
 
 
 @settings(max_examples=300)
-@given(_nodes(4))
+@given(_nodes(3))
 def test_depth_bound_holds_for_any_tree(node):
-    # No more than MAX_DEPTH nesting levels appear in the text.
-    assert max_open_depth(render_node(node)) <= MAX_DEPTH
+    # No more than MAX_DEPTH nesting levels appear in the text, and an
+    # aggregate at level MAX_DEPTH shows nothing but its elision.
+    text = render_node(node)
+    assert max_open_depth(text) <= MAX_DEPTH
+    assert set(bodies_at(text, MAX_DEPTH)) <= {"..."}
 
 
 def max_open_depth(text: str) -> int:
@@ -185,6 +188,22 @@ def max_open_depth(text: str) -> int:
         elif ch in "]}":
             depth -= 1
     return best
+
+
+def bodies_at(text: str, level: int) -> list[str]:
+    """The text inside each bracket pair opened at nesting level."""
+    bodies: list[str] = []
+    depth = 0
+    for ch in text:
+        if ch in "]}":
+            depth -= 1
+        if depth >= level:
+            bodies[-1] += ch
+        if ch in "[{":
+            depth += 1
+            if depth == level:
+                bodies.append("")
+    return bodies
 
 
 @settings(max_examples=300)
