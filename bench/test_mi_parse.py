@@ -1,5 +1,7 @@
 """MI parse throughput: the recorded corpus and one large symbol table,
-parsed whole, and one file's entries read out of that table.
+parsed whole, and one file's entries read out of that table; and the
+driver reading that table's line from a child that writes it in 4 kB
+pieces.
 
 Run with ``PYTHONPATH=src python -m pytest bench -q``.  Each case stores
 its input size and MB/s (bytes over the median time) in ``extra_info``,
@@ -8,11 +10,14 @@ which ``--benchmark-json`` writes out.  Nothing here asserts on timing.
 
 from __future__ import annotations
 
+import pty
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dbgchat.mi import MIOutput, file_symbols, parse_mi_line
+from dbgchat.mi import DebuggerHandle, MIOutput, file_symbols, parse_mi_line
 
 CORPUS = Path(__file__).parent.parent / "tests" / "data" / "mi_corpus.txt"
 
@@ -71,3 +76,52 @@ def test_file_symbols_20k(benchmark):
                         "./misc/../sysdeps/unix/unit_10000.c")
     assert len(symbols) == 50
     _store_rate(benchmark, len(out.lines[0].encode()) + 1)
+
+
+# Prints a prompt, waits for a line, writes the file named by argv[1] in
+# 4 kB pieces and a prompt, then quits at its next input line.
+PIECES = """
+import sys
+data = open(sys.argv[1], "rb").read()
+out = sys.stdout.buffer
+out.write(b"(gdb) \\n"); out.flush()
+sys.stdin.readline()
+for start in range(0, len(data), 4096):
+    out.write(data[start:start + 4096]); out.flush()
+out.write(b"(gdb) \\n"); out.flush()
+sys.stdin.readline()
+"""
+
+
+def test_read_symbols_20k_in_pieces(benchmark, tmp_path):
+    """``read_until_prompt`` over the ``[symbols-20k]`` line, which a child
+    writes in 4 kB pieces, as a pipe may hand it over; the child is started
+    and waiting before each round."""
+    line = symbol_table_line(20000)
+    data = tmp_path / "answer.txt"
+    data.write_text(line + "\n")
+    handles = []
+
+    def start():
+        while handles:
+            handles.pop().close()
+        master, slave = pty.openpty()
+        child = subprocess.Popen([sys.executable, "-c", PIECES, str(data)],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        handle = DebuggerHandle(child, tty_master=master, tty_slave=slave)
+        handles.append(handle)
+        handle.read_until_prompt(30)
+        return (handle, child), {}
+
+    def read(handle, child):
+        child.stdin.write(b"go\n")
+        child.stdin.flush()
+        return handle.read_until_prompt(30)
+
+    lines = benchmark.pedantic(read, setup=start, rounds=10)
+    while handles:
+        handles.pop().close()
+    assert lines == [line, "(gdb) "]
+    benchmark.extra_info["bytes"] = len(line) + 1
+    benchmark.extra_info["mb_s"] = ((len(line) + 1)
+                                    / benchmark.stats.stats.median / 1e6)

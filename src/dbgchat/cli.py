@@ -5,15 +5,16 @@ Startup runs in this order:
 1. Checks that need no child: the --stdin-file contents, the sanitizer
    policy, the --script file or the API key's presence, the --log file.
 2. The debugger is spawned on the target and left to boot.
-3. Meanwhile the HTTP backend is built, which loads the HTTP stack
-   (``urllib.request``, ``http.client``, ``ssl``, ``email``); importing
-   this module does not.  --script sessions skip this step.
+3. Meanwhile the HTTP backend is built.  It loads ``socket``, and for an
+   ``https:`` URL also ``ssl`` and the TLS context that all its requests
+   share, which reads the system CA store.  Importing this module loads
+   neither, and --script sessions skip this step.
 4. The debugger's first prompt and its tty setup are read, and the target
    runs to its first stop.
 5. A short stop report is printed and the read-eval loop starts.
 
 Lines are routed to the debugger or to the model by the agent; EOF or
-"quit" ends the session and the debugger child with it.
+"quit" ends the session, the debugger child and the provider connection.
 """
 
 from __future__ import annotations
@@ -230,9 +231,9 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
 
     session = None
     try:
-        # The debugger boots while the HTTP stack loads; its first prompt
-        # is read in run_to_stop, so the two take the longer one's time,
-        # not their sum.
+        # The debugger boots while the HTTP backend loads its modules and
+        # builds its TLS context; its first prompt is read in run_to_stop,
+        # so the two take the longer one's time, not their sum.
         session = DebugSession(ns.target, ns.target_args)
         if backend is None:
             backend = HttpBackend(ns.base_url, ns.model, ns.key_env)
@@ -248,6 +249,8 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
             TerminalUi(out), transcript=transcript)
         run_repl(agent, in_stream, out)
     finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
         if transcript is not None:
             transcript.close()
         if session is not None:

@@ -2,10 +2,12 @@
 
 Speaks the de-facto chat-completions wire shape over HTTPS with streamed
 chunks.  The provider base URL and model name are configuration; nothing
-provider-specific is hard-coded.  The HTTP stack (``urllib.request``,
-``http.client``, ``ssl``, ``email``) loads when an ``HttpBackend`` is
-built, not at import.  The scripted backend replays pre-authored
-turns from a JSON file for deterministic, network-free runs.
+provider-specific is hard-coded.  The HTTP client is a small HTTP/1.1
+client on ``socket``, with ``ssl`` for ``https:`` URLs only; both load
+when an ``HttpBackend`` is built, not at import, and the standard
+library's HTTP and mail modules never load.  The scripted backend
+replays pre-authored turns from a JSON file for deterministic,
+network-free runs.
 
 Every request re-sends the whole conversation, and a message never
 changes once the agent has appended it.  So messages are immutable, each
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -161,34 +164,178 @@ def validate_conversation(messages: list[ChatMessage]) -> None:
 # HTTP backend
 # --------------------------------------------------------------------------
 
-TIMEOUT_S = 120.0  # per connection attempt and per stream read
+TIMEOUT_S = 120.0  # for the connect and for each read
 RETRY_CAP = 3      # retries after a throttle or a failed connection
+_MAX_LINE = 65536  # longest status, header or chunk-size line accepted
+_BLOCK = 65536     # most bytes of a body taken in one read
 
 
-def _lines(response) -> Iterator[str]:
-    """The response body line by line, decoded as UTF-8.  A read that fails
-    part-way becomes a TransportError, which ends the chat turn only."""
-    import http.client
+def _env(name: str) -> str:
+    """An environment variable as urllib read it: lower case first."""
+    return os.environ.get(name, os.environ.get(name.upper(), ""))
+
+
+def _bypasses_proxy(authority: str, no_proxy: str) -> bool:
+    """Whether ``no_proxy`` names the host, as urllib matched it: ``*``, or
+    an entry equal to the host, with or without its port, or a domain
+    suffix of it."""
+    if no_proxy == "*":
+        return True
+    host = authority.lower()
+    name, sep, port = host.rpartition(":")
+    bare = name if sep and port.isdigit() else host
+    for entry in no_proxy.split(","):
+        entry = entry.strip().lstrip(".").lower()
+        if entry and (entry in (host, bare) or host.endswith("." + entry)
+                      or bare.endswith("." + entry)):
+            return True
+    return False
+
+
+def _proxy(scheme: str, authority: str):
+    """``(address, Proxy-Authorization header line)`` of the proxy that
+    ``<scheme>_proxy`` names for the host, or None."""
+    from urllib.parse import unquote, urlsplit
+    proxy = _env(f"{scheme}_proxy")
+    if not proxy or _bypasses_proxy(authority, _env("no_proxy")):
+        return None
+    url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    port = url.port or (443 if url.scheme == "https" else 80)
+    auth = ""
+    if url.username and url.password:
+        import binascii
+        pair = f"{unquote(url.username)}:{unquote(url.password)}".encode()
+        auth = ("Proxy-Authorization: Basic "
+                + binascii.b2a_base64(pair, newline=False).decode() + "\r\n")
+    return (url.hostname, port), auth
+
+
+def _checked(line: bytes) -> bytes:
+    if len(line) > _MAX_LINE:
+        raise ValueError("response line too long")
+    if not line.endswith(b"\n"):
+        raise ConnectionError("response cut off" if line else "no response")
+    return line
+
+
+def _readline(file) -> bytes:
+    return _checked(file.readline(_MAX_LINE + 1))
+
+
+def _read_head(file, line: bytes) -> tuple[bytes, int, dict[str, str]]:
+    """Version, status and headers of the final response whose status line
+    is ``line``; 1xx responses are skipped.  Header names are lower case,
+    and repeated headers are joined with commas."""
+    while True:
+        version, _, rest = _checked(line).partition(b" ")
+        if not version.startswith(b"HTTP/") or not rest[:3].isdigit():
+            raise ValueError(f"not an HTTP response: {line[:80]!r}")
+        code = int(rest[:3])
+        headers: dict[str, str] = {}
+        while (line := _readline(file)) not in (b"\r\n", b"\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = (f"{headers[name]}, {value}" if name in headers
+                             else value)
+        if code >= 200:
+            return version, code, headers
+        line = file.readline(_MAX_LINE + 1)
+
+
+def _exactly(file, size: int) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``file``, in blocks as they arrive."""
+    while size > 0:
+        block = file.read1(min(size, _BLOCK))
+        if not block:
+            raise ConnectionError(f"stream cut with {size} bytes to come")
+        size -= len(block)
+        yield block
+
+
+def _lines(blocks: Iterator[bytes]) -> Iterator[str]:
+    """The body's lines, without their newlines, decoded as UTF-8; a line
+    may span blocks.  A read that fails part-way becomes a TransportError,
+    which ends the chat turn only."""
+    pieces: list[bytes] = []
     try:
-        for raw in response:
-            yield raw.decode("utf-8")
-    except (OSError, http.client.HTTPException, UnicodeDecodeError) as exc:
+        for block in blocks:
+            *lines, rest = block.split(b"\n")
+            if lines and pieces:
+                pieces.append(lines[0])
+                lines[0] = b"".join(pieces)
+                pieces.clear()
+            if rest:
+                pieces.append(rest)
+            for raw in lines:
+                yield raw.decode("utf-8")
+        if pieces:
+            yield b"".join(pieces).decode("utf-8")
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise TransportError(f"stream read failed: {exc!r}") from exc
 
 
 class HttpBackend:
-    """Streams chat completions from an HTTP provider."""
+    """Streams chat completions from an HTTP provider over HTTP/1.1.
+
+    One connection is kept and reused while the provider allows it: after
+    a response read to its end that did not say ``Connection: close``.  A
+    kept connection that turns out closed before the first byte of the
+    answer is reopened once, which is not counted as a retry.  Any error,
+    a stream cut part-way or a stream left unfinished drops it.  For
+    ``https:`` URLs one TLS context, verifying against the system CA store,
+    is built here, so the debugger's boot hides its cost.  ``https_proxy``,
+    ``http_proxy`` and ``no_proxy`` are honoured as urllib honoured them;
+    redirects are not followed.
+    """
 
     def __init__(self, base_url: str, model: str, key_env: str):
-        # Load the HTTP stack now rather than in the first chat turn.
-        import urllib.request
+        # Load the socket module now rather than in the first chat turn.
+        import socket  # noqa: F401
+        from urllib.parse import urlsplit
         self.base_url = base_url
         self.model = model
         self.key_env = key_env
+        url = urlsplit(base_url.rstrip("/") + "/chat/completions")
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http: or https: URL: {base_url!r}")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+            self._tls = ssl.create_default_context()
+        self._host = url.hostname
+        default_port = 443 if self._tls else 80
+        port = url.port or default_port
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        authority = host if port == default_port else f"{host}:{port}"
+        target = url.path + (f"?{url.query}" if url.query else "")
+        proxy = _proxy(url.scheme, authority)
+        self._address = (url.hostname, port)
+        self._tunnel = b""
+        auth = ""
+        if proxy is not None and self._tls:
+            self._address, tunnel_auth = proxy
+            self._tunnel = (f"CONNECT {host}:{port} HTTP/1.1\r\n"
+                            f"Host: {host}:{port}\r\n{tunnel_auth}\r\n"
+                            ).encode("latin-1")
+        elif proxy is not None:
+            self._address, auth = proxy
+            target = f"http://{authority}{target}"
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
+                      f"{auth}Content-Type: application/json\r\n"
+                      "Accept-Encoding: identity\r\n")
+        self._sock = None
+        self._file = None
 
     def describe(self) -> dict:
         return {"backend": "http", "base_url": self.base_url,
                 "model": self.model}
+
+    def close(self) -> None:
+        """Close the kept connection, if there is one."""
+        if self._sock is not None:
+            self._file.close()
+            self._sock.close()
+            self._sock = self._file = None
 
     def complete(self, messages: list[ChatMessage],
                  tools: list[ToolDef]) -> Iterator[CompletionEvent]:
@@ -206,57 +353,134 @@ class HttpBackend:
             body += ', "tools": [' + ", ".join(t.wire_json for t in tools) + "]"
         body += "}"
 
-        response = self._post_with_retry(key, body.encode("utf-8"))
+        blocks = self._post_with_retry(key, body.encode("utf-8"))
+        lines = _lines(blocks)
         try:
-            yield from self._stream_events(response, tools)
+            yield from self._stream_events(lines, tools)
+            # What follows [DONE] ends the body; reading it frees the
+            # connection for the next request, and a cut there loses nothing.
+            with suppress(TransportError):
+                for _ in lines:
+                    pass
         finally:
-            response.close()
+            blocks.close()
 
-    def _post_with_retry(self, key: str, body: bytes):
-        import http.client
-        import urllib.request
-        from urllib.error import HTTPError
-        request = urllib.request.Request(
-            self.base_url.rstrip("/") + "/chat/completions",
-            data=body,
-            headers={"Authorization": f"Bearer {key}",
-                     "Content-Type": "application/json"},
-            method="POST")
+    def _connect(self) -> None:
+        import socket
+        sock = socket.create_connection(self._address, timeout=TIMEOUT_S)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as reply:
+                    _, code, _ = _read_head(reply, _readline(reply))
+                if code != 200:
+                    raise ConnectionError(
+                        f"proxy refused the tunnel: HTTP {code}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._file = sock, sock.makefile("rb")
+
+    def _send(self, request: bytes) -> tuple[bytes, int, dict[str, str]]:
+        """Send the request and read the head of its answer, on the kept
+        connection if there is one, else on a new one."""
+        if self._sock is not None:
+            try:
+                self._sock.sendall(request)
+                line = self._file.readline(_MAX_LINE + 1)
+            except (BrokenPipeError, ConnectionResetError):
+                line = b""
+            if line:
+                return _read_head(self._file, line)
+            self.close()  # the provider closed it while it sat idle
+        self._connect()
+        self._sock.sendall(request)
+        return _read_head(self._file, self._file.readline(_MAX_LINE + 1))
+
+    def _body(self, version: bytes, status: int,
+              headers: dict[str, str]) -> Iterator[bytes]:
+        """The response body in blocks as they arrive: chunked, by
+        Content-Length, or up to the close.  The connection is kept only
+        once the body is read to its end and neither side asked to close."""
+        chunked = "chunked" in headers.get("transfer-encoding", "").lower()
+        length = headers.get("content-length")
+        keep = (version == b"HTTP/1.1" and (chunked or length is not None)
+                and "close" not in headers.get("connection", "").lower())
+        file = self._file
+        done = False
+        try:
+            if status in (204, 304):
+                pass
+            elif chunked:
+                while size := int(_readline(file).split(b";", 1)[0], 16):
+                    yield from _exactly(file, size)
+                    _readline(file)
+                while _readline(file) not in (b"\r\n", b"\n"):  # trailers
+                    pass
+            elif length is not None:
+                yield from _exactly(file, int(length))
+            else:
+                while block := file.read1(_BLOCK):
+                    yield block
+            done = True
+        finally:
+            if not (done and keep):
+                self.close()
+
+    def _post_with_retry(self, key: str, body: bytes) -> Iterator[bytes]:
+        """Post the body and yield the answer's body.  A 429 is retried
+        after its Retry-After and a failed connection after a back-off, up
+        to RETRY_CAP times in all; any other status of 300 or above fails."""
+        request = (self._head + f"Authorization: Bearer {key}\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n"
+                   ).encode("latin-1") + body
         attempt = 0
         while True:
             try:
-                return urllib.request.urlopen(request, timeout=TIMEOUT_S)
-            except HTTPError as exc:
-                with exc:
-                    if exc.code == 401:
-                        raise AuthError("provider rejected the API key")
-                    if exc.code != 429:
-                        try:
-                            detail = exc.read().decode("utf-8", "replace")
-                        except (OSError, http.client.HTTPException):
-                            detail = ""
-                        raise TransportError(
-                            f"HTTP {exc.code}: {detail[:400]}") from None
-                    header = exc.headers.get("Retry-After")
-                try:
-                    retry_after = float(header) if header else None
-                except ValueError:
-                    retry_after = None
-                attempt += 1
-                if attempt > RETRY_CAP:
-                    raise RateLimited("provider throttled the request",
-                                      retry_after=retry_after) from None
-                time.sleep(retry_after if retry_after is not None else 1.0)
-            except (OSError, http.client.HTTPException) as exc:
+                version, status, headers = self._send(request)
+            except (OSError, ValueError) as exc:
+                self.close()
                 attempt += 1
                 if attempt > RETRY_CAP:
                     raise TransportError(str(exc)) from exc
                 time.sleep(min(2.0, 0.2 * attempt))
+                continue
+            except BaseException:  # Ctrl-C while the answer is awaited
+                self.close()
+                raise
+            if status < 300:
+                break
+            try:
+                detail = b"".join(self._body(version, status, headers)
+                                  ).decode("utf-8", "replace")
+            except (OSError, ValueError):
+                detail = ""
+            header = headers.get("retry-after")
+            try:
+                retry_after = float(header) if header else None
+            except ValueError:
+                retry_after = None
+            if status == 429 and attempt < RETRY_CAP:
+                attempt += 1
+                time.sleep(retry_after if retry_after is not None else 1.0)
+                continue
+            self.close()
+            if status == 401:
+                raise AuthError("provider rejected the API key")
+            if status != 429:
+                raise TransportError(f"HTTP {status}: {detail[:400]}")
+            raise RateLimited("provider throttled the request",
+                              retry_after=retry_after)
+        yield from self._body(version, status, headers)
 
-    def _stream_events(self, response, tools) -> Iterator[CompletionEvent]:
+    def _stream_events(self, lines: Iterator[str],
+                       tools: list[ToolDef]) -> Iterator[CompletionEvent]:
         partial: dict[int, dict] = {}
         finish = ""
-        for line in _lines(response):
+        for line in lines:
             if not line.startswith("data:"):
                 continue
             data = line[len("data:"):].strip()

@@ -440,7 +440,7 @@ class DebuggerHandle:
         self._proc = proc
         assert proc.stdout is not None
         self._stdout = proc.stdout.fileno()
-        self._partial = b""           # bytes of a line still being written
+        self._partial: list[bytes] = []  # pieces of a line still being written
         self._lines: deque[str] = deque()
         self._eof = False
         self._tty_master = tty_master
@@ -480,7 +480,15 @@ class DebuggerHandle:
                 break
         chunk = os.read(self._stdout, 65536)
         self._eof = not chunk
-        *lines, self._partial = (self._partial + chunk).split(b"\n")
+        # Only the new chunk is split; a line written in many pieces is
+        # joined once, when its newline arrives.
+        *lines, rest = chunk.split(b"\n")
+        if lines and self._partial:
+            self._partial.append(lines[0])
+            lines[0] = b"".join(self._partial)
+            self._partial.clear()
+        if rest:
+            self._partial.append(rest)
         for raw in lines:
             if self._transcript is not None:
                 self._transcript.write(raw + b"\n")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import select
 import shutil
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -170,40 +173,177 @@ CUT_STREAM = (b"HTTP/1.1 200 OK\r\n"
 
 class _ProviderHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next ``(status, body)`` of the server's
-    ``responses``; a status of None sends ``body`` as the raw response
-    and closes the connection."""
+    ``responses``, over HTTP/1.1 with a Content-Length.  A status of None
+    sends ``body`` as the raw response and closes the connection; ``"raw"``
+    sends it and keeps the connection open.  The server's ``closing`` is
+    ``""`` to keep connections open, ``"announced"`` to send
+    ``Connection: close`` and close, and ``"silent"`` to close without
+    saying so.  Each request's client port goes to ``ports_seen``, so
+    requests that share a connection share a port."""
+
+    protocol_version = "HTTP/1.1"
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.server.requests_seen.append(json.loads(self.rfile.read(length)))
         self.server.auth_seen.append(self.headers.get("Authorization"))
+        self.server.ports_seen.append(self.client_address[1])
         status, body = self.server.responses.pop(0)
         payload = body if isinstance(body, bytes) else body.encode()
-        if status is None:
+        if status in (None, "raw"):
             self.wfile.write(payload)
-            self.close_connection = True
+            self.close_connection = status is None
             return
         self.send_response(status)
         for name, value in self.server.extra_headers.items():
             self.send_header(name, value)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Content-Length", str(len(payload)))
+        if self.server.closing == "announced":
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
+        if self.server.closing:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture()
-def stub_server():
+def start_provider(tls=None) -> ThreadingHTTPServer:
+    """A stub provider on a loopback port, served from a thread; ``tls``,
+    a server-side SSLContext, makes it speak HTTPS."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ProviderHandler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     server.responses = []
     server.extra_headers = {}
+    server.closing = ""
     server.requests_seen = []
     server.auth_seen = []
+    server.ports_seen = []
     threading.Thread(target=server.serve_forever,
                      kwargs={"poll_interval": 0.05}, daemon=True).start()
-    yield server
+    return server
+
+
+def stop_provider(server: ThreadingHTTPServer) -> None:
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def stub_server():
+    server = start_provider()
+    yield server
+    stop_provider(server)
+
+
+def make_certificate(directory: Path) -> tuple[Path, Path] | None:
+    """A throwaway self-signed certificate for localhost and 127.0.0.1,
+    made by the installed ``openssl``: (certificate, key), or None if there
+    is no ``openssl``."""
+    if shutil.which("openssl") is None:
+        return None
+    cert, key = directory / "cert.pem", directory / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec",
+         "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+         "-subj", "/CN=localhost",
+         "-addext", "subjectAltName=DNS:localhost,IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True)
+    return cert, key
+
+
+@pytest.fixture(scope="session")
+def certificate(tmp_path_factory) -> tuple[Path, Path]:
+    made = make_certificate(tmp_path_factory.mktemp("tls"))
+    if made is None:
+        pytest.skip("openssl is required to make a test certificate")
+    return made
+
+
+@pytest.fixture()
+def tls_stub_server(certificate, monkeypatch):
+    """``stub_server`` over TLS, with ``SSL_CERT_FILE`` naming its
+    certificate, so that a client's default context trusts it alone."""
+    cert, key = certificate
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    server = start_provider(context)
+    yield server
+    stop_provider(server)
+
+
+class _Proxy:
+    """A forwarding proxy on a loopback port.  ``CONNECT host:port`` opens
+    a tunnel; a request with an absolute URL is passed on as it came.  The
+    request line and headers of each first request go to ``heads``."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.heads: list[tuple[str, dict[str, str]]] = []
+        self.threads: list[threading.Thread] = []
+        accept = threading.Thread(target=self._accept, daemon=True)
+        accept.start()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _ = self.listener.accept()
+            except OSError:  # closed
+                return
+            thread = threading.Thread(target=self._serve, args=(client,),
+                                      daemon=True)
+            self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, client):
+        with client:
+            head = b""
+            while b"\r\n\r\n" not in head:
+                data = client.recv(65536)
+                if not data:
+                    return
+                head += data
+            text = head.partition(b"\r\n\r\n")[0]
+            first, *lines = text.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            self.heads.append((first, headers))
+            method, target, _ = first.split(" ")
+            if method == "CONNECT":
+                host, port = target.rsplit(":", 1)
+                client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                forward = b""
+            else:
+                host, port = target.split("/")[2].rsplit(":", 1)
+                forward = head
+            with socket.create_connection((host, int(port))) as upstream:
+                upstream.sendall(forward)
+                self._relay(client, upstream)
+
+    @staticmethod
+    def _relay(a, b):
+        peers = {a: b, b: a}
+        while True:
+            readable, _, _ = select.select(list(peers), [], [], 5)
+            for sock in readable:
+                data = sock.recv(65536)
+                if not data:
+                    return
+                peers[sock].sendall(data)
+
+    def close(self):
+        self.listener.close()
+        for thread in self.threads:
+            thread.join(5)
+
+
+@pytest.fixture()
+def proxy():
+    server = _Proxy()
+    yield server
+    server.close()

@@ -15,6 +15,8 @@ with.  A step is a line for stdout (scripts write their own ``(gdb) ``
 prompts) or one of:
 
     {"tty": TEXT}       the target writes TEXT to its terminal
+    {"pieces": TEXT, "size": N}
+                        TEXT goes to stdout in writes of N bytes each
     {"read_tty": true}  the target reads its terminal up to EOF, then
                         writes "read N bytes" there
     {"sleep": SECONDS}
@@ -67,6 +69,11 @@ def main(argv: list[str]) -> int:
             flush()
             if "tty" in step:
                 to_tty(step["tty"].encode())
+            elif "pieces" in step:
+                data, size = step["pieces"].encode(), step["size"]
+                for start in range(0, len(data), size):
+                    pending.append(data[start:start + size])
+                    flush()
             elif "read_tty" in step:
                 count = 0
                 while chunk := os.read(tty, 4096):

@@ -294,6 +294,7 @@ def test_criterion_8_live_smoke(fixture_bins, fixtures_dir):
         agent.handle_input("Why did this program crash? Take the wheel "
                            "and investigate.")
         elapsed = time.monotonic() - start
+        backend.close()
     assert elapsed < 120.0
     assert "Recommendation" in ui.prose_text()
     print(f"PASS criterion 8: live session produced a Recommendation "

@@ -424,6 +424,7 @@ def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
     assert ui.prose_text() == "Helstill here"
     assert len(ui.kind("notice")) == 1
     assert len(stub_server.requests_seen) == 2
+    backend.close()
 
 
 def test_malformed_scripted_call_ends_turn(tmp_path):

@@ -168,8 +168,12 @@ def test_import_does_not_load_the_http_stack():
 
 @pytest.mark.parametrize("flags, loaded", [
     (["--script", str(REPLAY_SCRIPT)], []),
-    # Built while the debugger boots, so no chat turn pays for it.
-    (["--key-env", "DBGCHAT_TEST_KEY"], list(HTTP_STACK)),
+    (["--key-env", "DBGCHAT_TEST_KEY",
+      "--base-url", "http://127.0.0.1:9/v1"], []),
+    # The TLS context is built while the debugger boots, so no chat turn
+    # pays for it.
+    (["--key-env", "DBGCHAT_TEST_KEY",
+      "--base-url", "https://127.0.0.1:9/v1"], ["ssl"]),
 ])
 def test_only_http_sessions_load_the_http_stack(fake_gdb, tmp_path, flags,
                                                 loaded):

@@ -537,6 +537,31 @@ def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
         assert out.result.payload == {"msg": "not recorded"}
 
 
+def _lines_of_the_old_reader(data: bytes, size: int) -> list[str]:
+    """The lines the reader gave before it kept pieces: each read joined
+    onto the unfinished line, and the whole split again."""
+    partial, out = b"", []
+    for start in range(0, len(data), size):
+        *lines, partial = (partial + data[start:start + size]).split(b"\n")
+        out += [raw.decode("utf-8", "replace").rstrip("\r") for raw in lines]
+    return out
+
+
+def test_a_long_line_written_in_pieces_reads_as_before(fake_gdb):
+    # Over 1 MB in 4 kB writes; the UTF-8 character and the CRLF fall
+    # across piece boundaries.
+    entry = '{name="café_%06d",type="int"},'
+    line = "^done,symbols=[" + "".join(entry % i for i in range(40000)) + "]"
+    text = f"=thread-created,id=\"1\"\r\n{line}\n(gdb) \n"
+    assert len(line) > 1_000_000
+    target, cfg = fake_gdb({"-symbol-info-variables": [
+        {"pieces": text, "size": 4096}]})
+    with spawn_debugger(target, config=cfg) as dbg:
+        out = dbg.send_command("-symbol-info-variables")
+    assert out.lines == _lines_of_the_old_reader(text.encode(), 4096)
+    assert out.lines[1] == line
+
+
 def test_command_timeout_reports_the_records_so_far(fake_gdb):
     target, cfg = fake_gdb({"-slow": ['~"one"', '~"two"']})
     with spawn_debugger(target, config=cfg) as dbg:
