@@ -46,7 +46,10 @@ def symbol_table_line(count: int, per_file: int = 50) -> str:
 
 def _store_rate(benchmark, size):
     benchmark.extra_info["bytes"] = size
-    benchmark.extra_info["mb_s"] = size / benchmark.stats.stats.median / 1e6
+    # --benchmark-disable runs each case once and keeps no stats.
+    if benchmark.stats is not None:
+        benchmark.extra_info["mb_s"] = (size / benchmark.stats.stats.median
+                                        / 1e6)
 
 
 CASES = {
@@ -122,6 +125,4 @@ def test_read_symbols_20k_in_pieces(benchmark, tmp_path):
     while handles:
         handles.pop().close()
     assert lines == [line, "(gdb) "]
-    benchmark.extra_info["bytes"] = len(line) + 1
-    benchmark.extra_info["mb_s"] = ((len(line) + 1)
-                                    / benchmark.stats.stats.median / 1e6)
+    _store_rate(benchmark, len(line) + 1)

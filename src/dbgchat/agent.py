@@ -5,7 +5,8 @@ the session history) or free text (sent to the model).  During a chat
 turn the model may call the debug/code/definition tools; every executed
 call is echoed to the user once and returned to the model once.  The
 history accumulates between sends and is cleared exactly when a prompt
-goes out.
+goes out.  A debugger answer that fails or is malformed while the first
+prompt is built ends that chat turn only, as a model failure does.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
-from .errors import DbgChatError, DebuggerError, LlmError, NotStopped
+from .errors import DbgChatError, DebuggerError, EvaluationError, LlmError, \
+    NotStopped, ProtocolError
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
@@ -157,8 +159,13 @@ class Agent:
         if self.messages:
             messages = make_followup_prompt(self.history, line)
         else:
-            messages = make_initial_prompt(self._initial_bundle(line),
-                                           self.config.budget)
+            try:
+                bundle = self._initial_bundle(line)
+            except (EvaluationError, ProtocolError) as exc:
+                # The debugger still runs; the next chat line tries again.
+                self._end_turn(exc)
+                return
+            messages = make_initial_prompt(bundle, self.config.budget)
         self.history = []
         self.messages.extend(messages)
         self.transcript.write({"event": "send",
@@ -207,10 +214,7 @@ class Agent:
                         finish = event.finish_reason
             except LlmError as exc:
                 self._commit(text_parts, calls)
-                self.ui.on_notice(f"chat turn ended: {exc}")
-                self.ui.on_turn_end()
-                self.transcript.write({"event": "turn_error",
-                                       "error": str(exc)})
+                self._end_turn(exc)
                 return "".join(final_parts + text_parts)
             self._commit(text_parts, calls)
             final_parts.extend(text_parts)
@@ -229,6 +233,11 @@ class Agent:
                 self.transcript.write({"event": "prose", "text": final})
             self.ui.on_turn_end()
             return final
+
+    def _end_turn(self, exc: DbgChatError) -> None:
+        self.ui.on_notice(f"chat turn ended: {exc}")
+        self.ui.on_turn_end()
+        self.transcript.write({"event": "turn_error", "error": str(exc)})
 
     def _commit(self, text_parts: list[str],
                 calls: list[tuple[ToolCallRequest, str]]) -> None:
@@ -278,10 +287,7 @@ class Agent:
             verdict = sanitize(command, self.policy)
             if not verdict.allowed:
                 return f"command not allowed: {verdict.reason}"
-            try:
-                output = self.session.execute_console(command)
-            except DebuggerError as exc:
-                return f"error: {exc}"
+            output = self.session.execute_console(command)
             return output if output.strip() else "(no output)"
         if call.name == "code":
             return code_window(self._resolve_loc(call.arguments["loc"]),

@@ -138,8 +138,6 @@ class TerminalUi:
 
 
 def _innermost_user_frame(session: DebugSession, root: str) -> Frame | None:
-    if not session.stopped:
-        return None
     is_user_frame = user_frame_test(root)
     try:
         for frame in session.backtrace():

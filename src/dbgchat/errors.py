@@ -21,10 +21,6 @@ class TargetNotFound(DebuggerError):
     """The target executable does not exist."""
 
 
-class ProtocolHandshakeFailed(DebuggerError):
-    """No prompt arrived from the debugger within the startup timeout."""
-
-
 class DebuggerExited(DebuggerError):
     """The debugger child process died while a command was outstanding."""
 
@@ -33,14 +29,14 @@ class CommandTimeout(DebuggerError):
     """A debugger command did not complete within its deadline."""
 
 
+class ProtocolError(DebuggerError):
+    """A debugger answer had no usable result or not the shape expected."""
+
+
 # --- session-level preconditions ---
 
 class NotStopped(DebuggerError):
     """The operation requires a stopped target."""
-
-
-class BadFrameIndex(DebuggerError):
-    """Frame index outside the current backtrace."""
 
 
 class EvaluationError(DebuggerError):

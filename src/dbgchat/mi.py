@@ -2,10 +2,11 @@ r"""GDB machine-interface (MI) driver.
 
 Spawns GDB with ``--interpreter=mi`` and serializes commands one at a
 time.  Each answer's lines are kept as text and parsed into structured
-records when first read; ``file_symbols`` reads one file's entries of a
-symbol table without parsing the rest.  The inferior's own
-stdin/stdout/stderr are routed through a pty so that target output never
-interleaves with protocol traffic.
+records when first read; ``MIOutput.result`` decides whether an answer
+is usable.  ``file_symbols`` reads one file's entries of a symbol table
+without parsing the rest.  The inferior's own stdin/stdout/stderr are
+routed through a pty so that target output never interleaves with
+protocol traffic.
 
 Record grammar (one line each, mirroring the MI output syntax):
 
@@ -42,13 +43,15 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from functools import cached_property
+from typing import Callable, Union
 
 from .errors import (
     CommandTimeout,
+    DebuggerError,
     DebuggerExited,
     DebuggerNotFound,
-    ProtocolHandshakeFailed,
+    ProtocolError,
     TargetNotFound,
 )
 
@@ -98,27 +101,26 @@ class MIOutput:
     """All lines produced by one command, ending with the prompt."""
 
     lines: list[str]
-    _records: list[MIRecord] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    command: str = ""
 
-    @property
+    @cached_property
     def records(self) -> list[MIRecord]:
         """The lines parsed, the first time they are asked for."""
-        if self._records is None:
-            self._records = [parse_mi_line(line) for line in self.lines]
-        return self._records
+        return [parse_mi_line(line) for line in self.lines]
 
-    @property
-    def result(self) -> MIRecord | None:
+    def result(self, error: Callable[[str], Exception]) -> MIRecord:
+        """The answer's ``^done`` or ``^running`` record.  ``^error`` raises
+        error with gdb's message; any other answer, also one with no result
+        record, raises ProtocolError naming the command and quoting it."""
         for r in self.records:
             if r.kind is RecordKind.RESULT:
-                return r
-        return None
-
-    @property
-    def result_class(self) -> str:
-        r = self.result
-        return r.klass if r else ""
+                if r.klass in ("done", "running"):
+                    return r
+                if r.klass == "error" and isinstance(r.payload.get("msg"), str):
+                    raise error(r.payload["msg"])
+                break
+        start = "\n".join(self.lines)[:60]
+        raise ProtocolError(f"unexpected answer to {self.command}: {start!r}")
 
     @property
     def console_text(self) -> str:
@@ -431,8 +433,8 @@ class DebuggerHandle:
 
     Before its first command, ``send_command`` reads the child's boot
     prompt and points the inferior at ``tty_slave`` with
-    ``-inferior-tty-set``; a failure there raises ProtocolHandshakeFailed
-    and closes the handle.
+    ``-inferior-tty-set``; a failure there closes the handle and raises
+    as it would for any command.
     """
 
     def __init__(self, proc: subprocess.Popen, tty_master: int,
@@ -529,15 +531,10 @@ class DebuggerHandle:
         self._handshake_owed = False
         try:
             self.read_until_prompt(HANDSHAKE_TIMEOUT)
-            out = self.send_command(
+            self.send_command(
                 f"-inferior-tty-set {os.ttyname(self._tty_slave)}",
-                timeout=HANDSHAKE_TIMEOUT)
-            if out.result_class != "done":
-                raise ProtocolHandshakeFailed(
-                    f"tty setup failed: {out.result_class}")
-        except (CommandTimeout, DebuggerExited) as exc:
-            self.close()
-            raise ProtocolHandshakeFailed(str(exc)) from exc
+                timeout=HANDSHAKE_TIMEOUT,
+            ).result(lambda msg: DebuggerError(f"tty setup failed: {msg}"))
         except Exception:
             self.close()
             raise
@@ -574,7 +571,7 @@ class DebuggerHandle:
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise DebuggerExited(str(exc)) from exc
-        return MIOutput(self.read_until_prompt(timeout))
+        return MIOutput(self.read_until_prompt(timeout), command)
 
     def wait_for_stop(self, timeout: float,
                       stdin: str | None = None) -> MIRecord:
@@ -640,12 +637,6 @@ class DebuggerHandle:
                 self._transcript.close()
             except Exception:
                 pass
-
-    def __enter__(self) -> "DebuggerHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def spawn_debugger(executable: str, target_args: list[str] | None = None,

@@ -3,18 +3,22 @@
 Wraps the machine-interface driver with typed queries (frames, variables,
 expression evaluation, console passthrough) and the run-to-stop protocol,
 including exit-code decoding and failed-assertion detection.
+
+``MIOutput.result`` decides whether an answer is usable, and ``_read``
+raises ProtocolError for a payload or ``*stopped`` field gdb never gives.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
-    BadFrameIndex,
     DebuggerExited,
     EvaluationError,
     NotStopped,
+    ProtocolError,
 )
 from .mi import (
     DriverConfig,
@@ -110,21 +114,46 @@ class StopInfo:
         return "stopped"
 
 
+def _read(what: str, read: Callable, value):
+    """read(value); a field it finds missing or mistyped is a ProtocolError."""
+    try:
+        return read(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {what}: {exc!r}") from exc
+
+
+def _text(value) -> str | None:
+    """A value gdb gives as a string, or None; TypeError for any other."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r:.40}")
+    return value
+
+
 def _frame_from_payload(payload: dict) -> Frame:
     # Source file and line travel together or not at all.
-    file = payload.get("file", "")
-    fullname = payload.get("fullname", "")
+    file = _text(payload.get("file", ""))
+    fullname = _text(payload.get("fullname", ""))
     line = payload.get("line")
     if not file or line is None:
         file, fullname, line = "", "", None
     return Frame(
         level=int(payload.get("level", "0")),
-        func=payload.get("func", "??"),
+        func=_text(payload.get("func", "??")),
         file=file,
         fullname=fullname,
         line=int(line) if line is not None else None,
-        shared_lib=payload.get("from", ""),
+        shared_lib=_text(payload.get("from", "")),
     )
+
+
+def _definition(payload: dict, name: str) -> tuple[str, int] | None:
+    """(fullname, line) of the first symbol called name in a
+    ``-symbol-info-*`` answer's debug entries, or None."""
+    return next(((_text(entry.get("fullname") or entry.get("filename", "")),
+                  int(sym["line"]))
+                 for entry in payload.get("symbols", {}).get("debug", [])
+                 for sym in entry.get("symbols", [])
+                 if sym.get("name") == name and sym.get("line")), None)
 
 
 class DebugSession:
@@ -132,7 +161,6 @@ class DebugSession:
 
     def __init__(self, executable: str, target_args: list[str] | None = None,
                  driver: DriverConfig | None = None):
-        self.executable = executable
         self.handle: DebuggerHandle = spawn_debugger(
             executable, target_args, driver)
         self._stop: StopInfo | None = None
@@ -148,6 +176,11 @@ class DebugSession:
     def stopped(self) -> bool:
         """True when the inferior is paused with a live stack."""
         return self._stop is not None and self._stop.kind != "exited"
+
+    def _ask(self, command: str, read: Callable):
+        """read(payload) of command's usable answer; see MIOutput.result."""
+        record = self.handle.send_command(command).result(EvaluationError)
+        return _read(f"answer to {command}", read, record.payload)
 
     def _require_stack(self) -> None:
         if not self.stopped:
@@ -167,29 +200,26 @@ class DebugSession:
     def run_to_stop(self, stdin_text: str | None = None) -> StopInfo:
         """Start the target and block until it stops or exits.  What it
         has not read of stdin_text when it stops is dropped."""
-        self._stack = None
-        out = self.handle.send_command("-exec-run")
-        if out.result_class == "error":
-            raise DebuggerExited(out.result.payload.get("msg", "run failed"))
+        self.handle.send_command("-exec-run").result(DebuggerExited)
         return self._await_stop(stdin_text)
 
     def _await_stop(self, stdin_text: str | None = None) -> StopInfo:
-        self._stop = self._decode_stop(
-            self.handle.wait_for_stop(RUN_TIMEOUT, stdin_text))
+        self._stack = None
+        self._stop = _read("*stopped record", self._decode_stop,
+                           self.handle.wait_for_stop(RUN_TIMEOUT, stdin_text))
         return self._stop
 
     def _decode_stop(self, rec: MIRecord) -> StopInfo:
         payload = rec.payload
         reason = payload.get("reason", "")
-        frame = None
-        if isinstance(payload.get("frame"), dict):
-            frame = _frame_from_payload(payload["frame"])
+        frame = (_frame_from_payload(payload["frame"]) if "frame" in payload
+                 else None)
 
         if reason == "signal-received":
             info = StopInfo(
                 kind="signal",
-                signal_name=payload.get("signal-name", ""),
-                signal_meaning=payload.get("signal-meaning", ""),
+                signal_name=_text(payload.get("signal-name", "")),
+                signal_meaning=_text(payload.get("signal-meaning", "")),
                 frame=frame,
             )
             if info.signal_name == "SIGABRT":
@@ -198,10 +228,8 @@ class DebugSession:
                     info.kind = "assertion"
             return info
         if reason in ("exited", "exited-normally", "exited-signalled"):
-            code = 0
-            if "exit-code" in payload:
-                # gdb reports inferior exit codes in octal.
-                code = int(payload["exit-code"], 8)
+            # gdb reports inferior exit codes in octal.
+            code = int(payload.get("exit-code", "0"), 8)
             return StopInfo(kind="exited", exit_code=code, frame=frame)
         if reason == "breakpoint-hit":
             return StopInfo(kind="breakpoint", frame=frame)
@@ -223,20 +251,16 @@ class DebugSession:
         """The stop's depth and innermost frames, asked of the debugger once."""
         self._require_stack()
         if self._stack is None:
-            out = self.handle.send_command(
-                f"-stack-info-depth {DEPTH_PROBE_CAP}")
-            depth = int(out.result.payload.get("depth", "0"))
-            frames = (self._list_frames(min(depth, DEFAULT_FRAME_CAP))
-                      if depth else [])
+            depth = self._ask(f"-stack-info-depth {DEPTH_PROBE_CAP}",
+                              lambda payload: int(payload["depth"]))
+            frames = []
+            if depth:
+                frames = self._ask(
+                    f"-stack-list-frames 0 {min(depth, DEFAULT_FRAME_CAP) - 1}",
+                    lambda payload: [_frame_from_payload(entry["frame"])
+                                     for entry in payload["stack"]])
             self._stack = (depth, frames)
         return self._stack
-
-    def _list_frames(self, count: int) -> list[Frame]:
-        out = self.handle.send_command(f"-stack-list-frames 0 {count - 1}")
-        if out.result_class != "done":
-            raise EvaluationError(out.result.payload.get("msg", "backtrace failed"))
-        return [_frame_from_payload(entry["frame"])
-                for entry in out.result.payload.get("stack", [])]
 
     def stack_depth(self) -> int:
         """Frames on the stopped stack, counted up to DEPTH_PROBE_CAP."""
@@ -253,34 +277,21 @@ class DebugSession:
         command and fetched with a frame-scoped evaluation instead.
         """
         self._require_stack()
-        out = self.handle.send_command(
-            f"-stack-list-variables --thread 1 --frame {level} --simple-values")
-        if out.result_class != "done":
-            raise BadFrameIndex(out.result.payload.get("msg", str(level)))
-        bindings = []
-        for var in out.result.payload.get("variables", []):
-            name = var["name"]
-            value = var.get("value")
-            if value is None:
-                try:
-                    value = self.evaluate(name, frame=level)
-                except EvaluationError:
-                    value = "<unreadable>"
-            bindings.append(Binding(
-                name=name,
-                value=value,
-                type=var.get("type", ""),
-            ))
-        return bindings
+        listed = self._ask(
+            f"-stack-list-variables --thread 1 --frame {level} --simple-values",
+            lambda payload: [(_text(var["name"]), _text(var.get("value")),
+                              _text(var.get("type", "")))
+                             for var in payload["variables"]])
+        return [Binding(name=name, type=type_, value=self._value(name, level)
+                        if value is None else value)
+                for name, value, type_ in listed]
 
     def evaluate(self, expression: str, frame: int | None = None) -> str:
         """Evaluate an expression, optionally in a specific frame's scope."""
         scope = f"--thread 1 --frame {frame} " if frame is not None else ""
-        out = self.handle.send_command(
-            f"-data-evaluate-expression {scope}{_quote_mi_arg(expression)}")
-        if out.result_class != "done":
-            raise EvaluationError(out.result.payload.get("msg", expression))
-        return out.result.payload.get("value", "")
+        return self._ask(
+            f"-data-evaluate-expression {scope}{_quote_mi_arg(expression)}",
+            lambda payload: _text(payload["value"]))
 
     def global_variables(self, fullname: str, frame: int) -> list[Binding]:
         """The first DEFAULT_GLOBALS_CAP file-scope variables of one file.
@@ -288,18 +299,21 @@ class DebugSession:
         Values are read in the given frame's scope so file statics resolve.
         """
         self._require_stack()
+        # file_symbols parses only this file's entries of the table.
         out = self.handle.send_command("-symbol-info-variables")
-        symbols = sorted((int(sym.get("line", "0")), sym["name"],
-                          sym.get("type", ""))
-                         for sym in file_symbols(out, fullname))
-        bindings = []
-        for _, name, type_ in symbols[:DEFAULT_GLOBALS_CAP]:
-            try:
-                value = self.evaluate(name, frame=frame)
-            except EvaluationError:
-                value = "<unreadable>"
-            bindings.append(Binding(name=name, value=value, type=type_))
-        return bindings
+        symbols = _read("answer to -symbol-info-variables", lambda syms: sorted(
+            (int(sym.get("line", "0")), _text(sym["name"]),
+             _text(sym.get("type", ""))) for sym in syms),
+            file_symbols(out, fullname))
+        return [Binding(name=name, value=self._value(name, frame), type=type_)
+                for _, name, type_ in symbols[:DEFAULT_GLOBALS_CAP]]
+
+    def _value(self, name: str, frame: int) -> str:
+        """The variable's value in the frame, or "<unreadable>"."""
+        try:
+            return self.evaluate(name, frame=frame)
+        except EvaluationError:
+            return "<unreadable>"
 
     def symbol_definition(self, name: str) -> tuple[str, int] | None:
         """Where a function, variable, or type with this name is defined.
@@ -307,18 +321,14 @@ class DebugSession:
         Returns (fullname, line) from the debug info, or None.
         """
         pattern = _quote_mi_arg("^" + re.escape(name) + "$")
-        for command in (f"-symbol-info-functions --name {pattern}",
-                        f"-symbol-info-variables --name {pattern}",
-                        f"-symbol-info-types --name {pattern}"):
-            out = self.handle.send_command(command)
-            if out.result_class != "done":
+        for kind in ("functions", "variables", "types"):
+            try:
+                found = self._ask(f"-symbol-info-{kind} --name {pattern}",
+                                  lambda payload: _definition(payload, name))
+            except EvaluationError:
                 continue
-            debug = out.result.payload.get("symbols", {}).get("debug", [])
-            for entry in debug:
-                fullname = entry.get("fullname") or entry.get("filename", "")
-                for sym in entry.get("symbols", []):
-                    if sym.get("name") == name and sym.get("line"):
-                        return (fullname, int(sym["line"]))
+            if found:
+                return found
         return None
 
     # -- console passthrough ----------------------------------------------
@@ -333,12 +343,9 @@ class DebugSession:
         """
         out = self.handle.send_command(
             f"-interpreter-exec console {_quote_mi_arg(command)}")
-        if (out.result_class == "running"
-                or not sanitize(command, native_strict()).allowed):
+        if not sanitize(command, native_strict()).allowed:
             self._stack = None
-        if out.result_class == "error":
-            raise EvaluationError(out.result.payload.get("msg", command))
-        if out.result_class == "running":
+        if out.result(EvaluationError).klass == "running":
             self._await_stop()
         return out.console_text
 

@@ -11,7 +11,9 @@ SCRIPT, in the place of the target executable, is a JSON file::
 
 The child runs the ``boot`` steps, prints a prompt, then answers each
 command line on stdin with the steps of the first key the line starts
-with.  A step is a line for stdout (scripts write their own ``(gdb) ``
+with.  A key may hold a list of such step lists instead: each command
+it matches plays the next one, and the last one is played again.  A
+step is a line for stdout (scripts write their own ``(gdb) ``
 prompts) or one of:
 
     {"tty": TEXT}       the target writes TEXT to its terminal
@@ -100,6 +102,8 @@ def main(argv: list[str]) -> int:
         else:
             steps = next((v for k, v in commands.items() if line.startswith(k)),
                          ['^error,msg="not recorded"', "(gdb) "])
+            if steps and isinstance(steps[0], list):
+                steps = steps.pop(0) if len(steps) > 1 else steps[0]
         code = run(steps)
         if code is not None:
             return code

@@ -427,6 +427,51 @@ def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
     backend.close()
 
 
+def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
+        fake_gdb, tmp_path):
+    frame = (f'frame={{level="0",func="main",file="app.c",'
+             f'fullname="{tmp_path}/app.c",line="3"}}')
+    target, cfg = fake_gdb({
+        "-exec-run": ["^running", "(gdb) ",
+                      f'*stopped,reason="signal-received",'
+                      f'signal-name="SIGSEGV",{frame}', "(gdb) "],
+        "-stack-info-depth": ['^done,depth="1"', "(gdb) "],
+        "-stack-list-frames": [f"^done,stack=[{frame}]", "(gdb) "],
+        "-stack-list-variables": [
+            ['^error,msg="No frame at level 0."', "(gdb) "],
+            ['^done,variables=[{name="x",type="int",value="1"}]', "(gdb) "]],
+        "-symbol-info-variables": ["^done,symbols={debug=[]}", "(gdb) "],
+        '-interpreter-exec console "p x"': ['~"$1 = 1\\n"', "^done",
+                                             "(gdb) "],
+    })
+    with DebugSession(target, driver=cfg) as session:
+        session.run_to_stop()
+        agent, _, ui = make_agent(tmp_path, [[{"text": "x is 1."}]],
+                                  session=session, transcript_name="t.jsonl")
+        agent.handle_input("p x")
+        agent.handle_input("why did it crash?")
+        assert ui.events[-2:] == [
+            ("notice", "chat turn ended: No frame at level 0."), ("end",)]
+        assert agent.messages == []
+        assert agent.history == [("p x", "$1 = 1\n")]
+
+        agent.handle_input("p x")
+        assert ui.events[-1] == ("debugger", "p x", "$1 = 1\n")
+        agent.handle_input("why did it crash?")
+    assert ui.prose_text() == "x is 1."
+    assert [m.role for m in agent.messages] == [SYSTEM, USER, ASSISTANT]
+    assert agent.history == []
+    events = read_transcript(tmp_path / "t.jsonl")
+    assert [e["event"] for e in events] == [
+        "config", "debugger", "turn_error", "debugger", "send", "prose"]
+    assert events[2] == {"event": "turn_error",
+                         "error": "No frame at level 0."}
+    system, user = events[4]["messages"]
+    assert (system["role"], user["role"]) == ("system", "user")
+    assert "x: int = 1" in user["content"]
+    assert user["content"].count("$1 = 1") == 2
+
+
 def test_malformed_scripted_call_ends_turn(tmp_path):
     turns = [[{"tool_call": {"name": "debug", "arguments": {"cmd": "bt"}}}]]
     agent, session, ui = make_agent(tmp_path, turns)

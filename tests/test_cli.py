@@ -1,19 +1,27 @@
 """CLI behavior: flags, rendering, exit codes, end-to-end replays."""
 
+import copy
+import functools
 import gc
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dbgchat
 from dbgchat import PROMPT
+from dbgchat import session as session_module
 from dbgchat.cli import (
     MAX_STDIN_LINE,
     TerminalUi,
@@ -22,9 +30,11 @@ from dbgchat.cli import (
     run_repl,
     stop_report,
 )
+from dbgchat.mi import parse_mi_line
 from dbgchat.session import Frame, StopInfo
 
 from conftest import FakeSession
+from mi_serialize import serialize
 
 DATA = Path(__file__).parent / "data"
 REPLAY_SCRIPT = DATA / "replay_segv.json"
@@ -423,3 +433,174 @@ def test_cli_leaves_no_debugger_behind(segv_binary, tmp_path):
     scan = subprocess.run(["pgrep", "-f", "hygiene_target"],
                           capture_output=True, text=True)
     assert scan.stdout.strip() == ""
+
+
+# -- one bad debugger answer, over the fake gdb ----------------------------
+
+# A SIGSEGV two frames deep in ROOT/app.c, ROOT standing for the --root
+# directory.  One chat line enriches the stack and the model calls
+# ``debug bt``; then the user's ``p x`` must get its own answer.
+_FRAME = 'file="app.c",fullname="ROOT/app.c",line="{line}"'
+_ANSWERS = {
+    "-exec-run": [
+        "^running", "(gdb) ",
+        '*stopped,reason="signal-received",signal-name="SIGSEGV",'
+        'signal-meaning="Segmentation fault",frame={level="0",func="inner",'
+        + _FRAME.format(line=5) + "}", "(gdb) "],
+    "-stack-info-depth": ['^done,depth="2"', "(gdb) "],
+    "-stack-list-frames": [
+        '^done,stack=[frame={level="0",func="inner",' + _FRAME.format(line=5)
+        + '},frame={level="1",func="main",' + _FRAME.format(line=9) + "}]",
+        "(gdb) "],
+    "-stack-list-variables": [
+        '^done,variables=[{name="x",type="int",value="1"},'
+        '{name="v",type="int [2]"}]', "(gdb) "],
+    "-data-evaluate-expression": ['^done,value="{1, 2}"', "(gdb) "],
+    "-symbol-info-variables": [
+        '^done,symbols={debug=[{filename="app.c",fullname="ROOT/app.c",'
+        'symbols=[{line="2",name="g",type="int",description="int g;"}]}]}',
+        "(gdb) "],
+    '-interpreter-exec console "bt"': [
+        '~"#0  inner () at app.c:5\\n"', "^done", "(gdb) "],
+}
+_PRINT_X = {'-interpreter-exec console "p x"': ['~"$1 = 1\\n"', "^done",
+                                                 "(gdb) "]}
+_TURNS = [[{"tool_call": {"name": "debug", "arguments": {"command": "bt"}}}],
+          [{"text": "x is 1."}]]
+_PRINTED_X = f"{PROMPT}p x\n$1 = 1\n"
+
+
+@pytest.fixture()
+def faulty_session(fake_gdb, tmp_path, monkeypatch):
+    """``run(answers) -> (exit code, stdout, stderr)`` of one in-process
+    ``--script`` session over the fake gdb: a chat line, ``p x``, quit.
+    A stop the debugger never reports times out after 1 s, not 60 s."""
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(session_module, "RUN_TIMEOUT", 1.0)
+    (tmp_path / "app.c").write_text(
+        "".join(f"int line_{i};\n" for i in range(1, 13)))
+    script = tmp_path / "turns.json"
+    script.write_text(json.dumps({"version": 1, "turns": _TURNS}))
+
+    def run(answers):
+        text = json.dumps({**answers, **_PRINT_X})
+        target, _ = fake_gdb(json.loads(text.replace("ROOT", str(tmp_path))))
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO("why did it crash?\np x\nquit\n")
+        with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), \
+                redirect_stderr(err):
+            code = main(["--script", str(script), "--root", str(tmp_path),
+                         target])
+        return code, out.getvalue(), err.getvalue()
+    return run
+
+
+def test_the_faultless_session_gets_through(faulty_session):
+    code, out, err = faulty_session(_ANSWERS)
+    assert (code, err) == (0, "")
+    assert "  at app.c:5 in inner()\n" in out
+    assert "→ bt\n   #0  inner () at app.c:5\n" in out
+    assert "x is 1.\n" in out
+    assert "chat turn ended" not in out
+    assert _PRINTED_X in out
+
+
+_CUT_FRAMES = _ANSWERS["-stack-list-frames"][0][:40]
+
+
+@pytest.mark.parametrize("command, line, notice", [
+    ("-stack-list-frames", _CUT_FRAMES,
+     "unexpected answer to -stack-list-frames 0 1: "
+     + repr(f"{_CUT_FRAMES}\n(gdb) "[:60])),
+    ("-stack-list-variables", '^done,variables=[{type="int",value="1"}]',
+     "malformed answer to -stack-list-variables --thread 1 --frame 0 "
+     "--simple-values: KeyError('name')"),
+    ("-stack-info-depth", '^done,depth="two"',
+     "malformed answer to -stack-info-depth 10000: ValueError(\"invalid "
+     "literal for int() with base 10: 'two'\")"),
+    ("-stack-list-variables", '^error,msg="No frame at level 0."',
+     "No frame at level 0."),
+    ("-stack-info-depth", '^error,msg="No stack."', "No stack."),
+], ids=["frames-cut-short", "variable-without-name", "depth-not-a-number",
+        "variables-error", "depth-error"])
+def test_a_bad_answer_to_the_first_chat_line_ends_only_that_turn(
+        faulty_session, command, line, notice):
+    code, out, err = faulty_session({**_ANSWERS, command: [line, "(gdb) "]})
+    assert (code, err) == (0, "")
+    assert re.findall(r"\[chat turn ended: .*\]\n", out) == [
+        f"[chat turn ended: {notice}]\n"]
+    assert _PRINTED_X in out
+
+
+# The result record of each answer, and the stop record.
+_TARGETS = [(command, i) for command, steps in _ANSWERS.items()
+            for i, step in enumerate(steps) if step[:1] in "^*"]
+
+
+def _members(value, path=()):
+    """The path to each named member of a parsed MI value."""
+    if isinstance(value, dict):
+        for name, member in value.items():
+            yield path + (name,)
+            yield from _members(member, path + (name,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _members(item, path + (i,))
+
+
+def _spoil(steps, index, fault, pick, other):
+    """steps with the line at index spoiled by fault."""
+    steps, line = list(steps), steps[index]
+    if fault == "cut":
+        steps[index] = line[:pick % len(line)]
+    elif fault == "drop":
+        del steps[index]
+    elif fault == "error":
+        steps[index] = '^error,msg="injected"'
+    elif fault == "exit":
+        steps[index:] = [{"exit": 3}]
+    else:
+        record = parse_mi_line(line)
+        paths = list(_members(record.payload))
+        if paths:
+            path = paths[pick % len(paths)]
+            owner = functools.reduce(lambda v, k: v[k], path[:-1],
+                                     record.payload)
+            if fault == "delete":
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = copy.deepcopy(other)
+        steps[index] = serialize(record)
+    return steps
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# A string field that comes as a tuple or a list: a frame's fullname, a
+# variable's type, an evaluated value.  pick counts _members in order.
+@example(target=("-stack-list-frames", 0), fault="retype", pick=5,
+         other={"x": "1"})
+@example(target=("-stack-list-variables", 0), fault="retype", pick=2,
+         other=[])
+@example(target=("-data-evaluate-expression", 0), fault="retype", pick=0,
+         other={})
+@given(target=st.sampled_from(_TARGETS),
+       fault=st.sampled_from(["cut", "drop", "delete", "retype", "error",
+                              "exit"]),
+       pick=st.integers(0, 10 ** 6),
+       other=st.sampled_from(["two", {}, {"x": "1"}, []]))
+def test_one_bad_answer_ends_as_a_message_never_a_traceback(
+        faulty_session, target, fault, pick, other):
+    command, index = target
+    # An exception out of main is what the command line shows as a
+    # traceback; it fails the test by itself.
+    code, out, err = faulty_session(
+        {**_ANSWERS, command: _spoil(_ANSWERS[command], index, fault, pick,
+                                     other)})
+    if code == 1:
+        assert re.fullmatch(r"dbgchat: [^\n]*\n", err), err
+        return
+    assert (code, err) == (0, "")
+    assert out.count("[chat turn ended: ") <= 1
+    if fault != "exit":
+        assert _PRINTED_X in out

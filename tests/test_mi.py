@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 from dbgchat import mi
 from dbgchat.errors import (
     CommandTimeout,
+    DebuggerError,
     DebuggerExited,
-    ProtocolHandshakeFailed,
+    EvaluationError,
+    ProtocolError,
     TargetNotFound,
 )
 from dbgchat.mi import (
@@ -203,6 +205,43 @@ def test_large_symbol_table_record():
     rec = parse_mi_line(line)
     assert not rec.unparsed
     assert rec.payload == payload
+
+
+# -- the one accessor of an answer's result --------------------------------
+
+class Refused(Exception):
+    """Stands for the error a caller hands MIOutput.result."""
+
+
+@pytest.mark.parametrize("lines, outcome", [
+    (['=thread-created,id="1"', '^done,value="2"', "(gdb) "], "done"),
+    (['~"Starting program"', "^running", "(gdb) "], "running"),
+    (['~"x"', r'^error,msg="No symbol \"x\" in current context."', "(gdb) "],
+     (Refused, r'^No symbol "x" in current context\.$')),
+    (['~"2\\n"', "(gdb) "],
+     (ProtocolError, r"""^unexpected answer to -data-evaluate-expression x: """
+                     r"""'~"2\\\\n"\\n\(gdb\) '$""")),
+    (['^done,value="{1, 2', "(gdb) "],
+     (ProtocolError, r"""^unexpected answer to -data-evaluate-expression x: """
+                     r"""'\^done,value="{1, 2\\n\(gdb\) '$""")),
+    (["^exit"],
+     (ProtocolError, r"^unexpected answer to -data-evaluate-expression x: "
+                     r"'\^exit'$")),
+    (["^error", "(gdb) "], (ProtocolError, r"'\^error\\n\(gdb\) '$")),
+    (["~" + "a" * 500, "(gdb) "], (ProtocolError, r": '~a{59}'$")),
+], ids=["done", "running", "error", "no-result-line", "cut-result-line",
+        "exit", "error-without-msg", "long-answer-quoted-in-part"])
+def test_result_gives_done_or_running_and_raises_for_the_rest(lines,
+                                                              outcome):
+    out = MIOutput(lines, "-data-evaluate-expression x")
+    if isinstance(outcome, str):
+        record = out.result(Refused)
+        assert (record.kind, record.klass) == (RecordKind.RESULT, outcome)
+        return
+    error, message = outcome
+    with pytest.raises(error, match=message) as caught:
+        out.result(Refused)
+    assert type(caught.value) is error
 
 
 # -- one file's entries of a symbol table ----------------------------------
@@ -474,8 +513,8 @@ def _handle_on_fake_child(tty_text=b""):
         select.select([master], [], [], 5)
     child = subprocess.Popen([sys.executable, str(FAKE_GDB)],
                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    with child, DebuggerHandle(child, tty_master=master,
-                               tty_slave=slave) as handle:
+    with child, contextlib.closing(DebuggerHandle(
+            child, tty_master=master, tty_slave=slave)) as handle:
         yield handle, slave
 
 
@@ -527,14 +566,15 @@ def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
     target, cfg = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", "=thread-created,id=\"1\"", "(gdb) ",
         _STOP, "(gdb) "]})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         out = dbg.send_command("-exec-run")
         assert [r.kind for r in out.records] == [RecordKind.RESULT,
                                                  RecordKind.PROMPT]
-        assert out.result_class == "running"
+        assert out.result(EvaluationError).klass == "running"
         assert dbg.wait_for_stop(5).payload["signal-name"] == "SIGSEGV"
         out = dbg.send_command("-data-evaluate-expression 1")
-        assert out.result.payload == {"msg": "not recorded"}
+        with pytest.raises(EvaluationError, match="^not recorded$"):
+            out.result(EvaluationError)
 
 
 def _lines_of_the_old_reader(data: bytes, size: int) -> list[str]:
@@ -556,7 +596,7 @@ def test_a_long_line_written_in_pieces_reads_as_before(fake_gdb):
     assert len(line) > 1_000_000
     target, cfg = fake_gdb({"-symbol-info-variables": [
         {"pieces": text, "size": 4096}]})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         out = dbg.send_command("-symbol-info-variables")
     assert out.lines == _lines_of_the_old_reader(text.encode(), 4096)
     assert out.lines[1] == line
@@ -564,7 +604,7 @@ def test_a_long_line_written_in_pieces_reads_as_before(fake_gdb):
 
 def test_command_timeout_reports_the_records_so_far(fake_gdb):
     target, cfg = fake_gdb({"-slow": ['~"one"', '~"two"']})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         with pytest.raises(CommandTimeout,
                            match=r"no prompt within 0\.3s \(2 records so far\)"):
             dbg.send_command("-slow", timeout=0.3)
@@ -572,7 +612,7 @@ def test_command_timeout_reports_the_records_so_far(fake_gdb):
 
 def test_debugger_exit_mid_command_raises(fake_gdb):
     target, cfg = fake_gdb({"-die": ['~"bye"', {"exit": 3}]})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         with pytest.raises(DebuggerExited):
             dbg.send_command("-die")
         with pytest.raises(DebuggerExited):
@@ -584,7 +624,7 @@ def test_target_output_is_drained_while_a_command_waits(fake_gdb):
     text = "".join(f"line {i}\n" for i in range(30000))
     target, cfg = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", {"tty": text}, _STOP, "(gdb) "]})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(10)
         assert dbg.target_output() == text
@@ -599,7 +639,7 @@ def test_transcript_is_byte_identical_to_what_the_child_wrote(fake_gdb,
         "-exec-run": ["^running", "(gdb) ", '@"caf\u00e9"', _STOP, "(gdb) "],
     }, log=str(log))
     cfg.transcript_path = str(tmp_path / "mi.log")
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         dbg.send_command("-symbol-info-variables")
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(5)
@@ -613,7 +653,7 @@ def test_a_handle_starts_no_thread(fake_gdb):
     before = threading.active_count()
     target, cfg = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", {"read_tty": True}, _STOP, "(gdb) "]})
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(5, stdin="input\n")
         assert "read 6 bytes" in dbg.target_output()
@@ -627,16 +667,17 @@ def test_boot_output_is_not_a_reply(fake_gdb):
     target, cfg = fake_gdb({"-data-evaluate-expression": [
         '^done,value="2"', "(gdb) "]},
         boot=['=thread-group-added,id="i1"', '~"Reading symbols"'])
-    with spawn_debugger(target, config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
         out = dbg.send_command("-data-evaluate-expression 1+1")
-        assert out.result.payload == {"value": "2"}
+        assert out.result(EvaluationError).payload == {"value": "2"}
 
 
 def test_tty_setup_error_fails_the_handshake(fake_gdb):
     target, cfg = fake_gdb({"-inferior-tty-set": [
         '^error,msg="Cannot open tty"', "(gdb) "]})
     dbg = spawn_debugger(target, config=cfg)
-    with pytest.raises(ProtocolHandshakeFailed, match="tty setup failed"):
+    with pytest.raises(DebuggerError,
+                       match="^tty setup failed: Cannot open tty$"):
         dbg.send_command("-exec-run")
     assert dbg._proc.poll() is not None
     with pytest.raises(DebuggerExited):
@@ -650,7 +691,7 @@ def test_exit_during_boot_fails_the_handshake(fake_gdb, boot):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dbg = spawn_debugger(target, config=cfg)
-        with pytest.raises(ProtocolHandshakeFailed):
+        with pytest.raises(DebuggerExited):
             dbg.send_command("-exec-run")
         del dbg
         gc.collect()
@@ -679,16 +720,18 @@ def test_spawn_missing_debugger_raises(fixture_bins):
 
 
 def test_live_evaluate(fixture_bins):
-    with spawn_debugger(str(fixture_bins["crash_segv"])) as dbg:
+    with contextlib.closing(
+            spawn_debugger(str(fixture_bins["crash_segv"]))) as dbg:
         out = dbg.send_command("-data-evaluate-expression 1+1")
-        assert out.result_class == "done"
-        assert out.result.payload["value"] == "2"
+        assert out.result(EvaluationError).klass == "done"
+        assert out.result(EvaluationError).payload["value"] == "2"
 
 
 def test_live_run_captures_target_output(fixture_bins):
-    with spawn_debugger(str(fixture_bins["crash_segv"])) as dbg:
+    with contextlib.closing(
+            spawn_debugger(str(fixture_bins["crash_segv"]))) as dbg:
         out = dbg.send_command("-exec-run")
-        assert out.result_class == "running"
+        assert out.result(EvaluationError).klass == "running"
         stop = dbg.wait_for_stop(timeout=20)
         assert stop.payload["signal-name"] == "SIGSEGV"
         assert stop.payload["frame"]["func"] == "tally_reds"
@@ -706,7 +749,8 @@ def test_live_commands_after_close_raise(fixture_bins):
 def test_transcript_mirrors_raw_lines(fixture_bins, tmp_path):
     path = tmp_path / "mi.log"
     cfg = DriverConfig(transcript_path=str(path))
-    with spawn_debugger(str(fixture_bins["crash_segv"]), config=cfg) as dbg:
+    with contextlib.closing(spawn_debugger(
+            str(fixture_bins["crash_segv"]), config=cfg)) as dbg:
         dbg.send_command("-data-evaluate-expression 6*7")
     text = path.read_text()
     assert '^done,value="42"' in text
