@@ -6,7 +6,9 @@ turn the model may call the debug/code/definition tools; every executed
 call is echoed to the user once and returned to the model once.  The
 history accumulates between sends and is cleared exactly when a prompt
 goes out.  A debugger answer that fails or is malformed while the first
-prompt is built ends that chat turn only, as a model failure does.
+prompt is built ends that chat turn only, as a model failure does, and so
+does a first prompt that cannot fit the token budget.  A debugger that
+has exited ends the session, whoever ran the command.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
-from .errors import DbgChatError, DebuggerError, EvaluationError, LlmError, \
-    NotStopped, ProtocolError
+from .errors import BudgetImpossible, DbgChatError, DebuggerError, \
+    DebuggerExited, EvaluationError, LlmError, NotStopped, ProtocolError
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
@@ -150,6 +152,8 @@ class Agent:
     def _user_command(self, line: str) -> str:
         try:
             return self.session.execute_console(line)
+        except DebuggerExited:
+            raise
         except DebuggerError as exc:
             return f"error: {exc}"
 
@@ -160,12 +164,12 @@ class Agent:
             messages = make_followup_prompt(self.history, line)
         else:
             try:
-                bundle = self._initial_bundle(line)
-            except (EvaluationError, ProtocolError) as exc:
+                messages = make_initial_prompt(self._initial_bundle(line),
+                                               self.config.budget)
+            except (EvaluationError, ProtocolError, BudgetImpossible) as exc:
                 # The debugger still runs; the next chat line tries again.
                 self._end_turn(exc)
                 return
-            messages = make_initial_prompt(bundle, self.config.budget)
         self.history = []
         self.messages.extend(messages)
         self.transcript.write({"event": "send",
@@ -256,6 +260,8 @@ class Agent:
     def _dispatch(self, call: ToolCallRequest) -> str:
         try:
             output = self._execute_tool(call)
+        except DebuggerExited:
+            raise
         except DbgChatError as exc:
             output = f"error: {exc}"
         self.ui.on_echo(self._render_call(call), output)

@@ -176,7 +176,7 @@ def _parse_cstring(line: str, pos: int) -> tuple[str, int]:
     return _decode(m.group(1)), m.end()
 
 
-def _parse_value(line: str, pos: int) -> tuple[MIValue, int]:
+def _parse_mi_value(line: str, pos: int) -> tuple[MIValue, int]:
     ch = line[pos]
     if ch == '"':
         return _parse_cstring(line, pos)
@@ -203,7 +203,7 @@ def _parse_tuple(line: str, pos: int) -> tuple[dict, int]:
             name, pos = _parse_name(line, pos)
             if not line.startswith("=", pos):
                 raise ValueError(f"expected '=' at column {pos}")
-            out[name], pos = _parse_value(line, pos + 1)
+            out[name], pos = _parse_mi_value(line, pos + 1)
             sep = line[pos:pos + 1]
             pos += 1
         if sep == "}":
@@ -223,12 +223,12 @@ def _parse_list(line: str, pos: int) -> tuple[list, int]:
         # latter are normalized to single-entry tuples so that repeated
         # names (e.g. frame=... entries) survive.
         if line[pos] in '"{[':
-            value, pos = _parse_value(line, pos)
+            value, pos = _parse_mi_value(line, pos)
         else:
             name, pos = _parse_name(line, pos)
             if not line.startswith("=", pos):
                 raise ValueError(f"expected '=' at column {pos}")
-            inner, pos = _parse_value(line, pos + 1)
+            inner, pos = _parse_mi_value(line, pos + 1)
             value = {name: inner}
         out.append(value)
         sep = line[pos:pos + 1]
@@ -251,13 +251,13 @@ def _parse_results(line: str, pos: int) -> tuple[dict, list]:
     positional: list = []
     while pos < len(line):
         if line[pos] in '"{[':
-            value, pos = _parse_value(line, pos)
+            value, pos = _parse_mi_value(line, pos)
             positional.append(value)
         else:
             name, pos = _parse_name(line, pos)
             if pos >= len(line) or line[pos] != "=":
                 raise ValueError(f"expected '=' at column {pos}")
-            value, pos = _parse_value(line, pos + 1)
+            value, pos = _parse_mi_value(line, pos + 1)
             named[name] = value
         if pos < len(line):
             if line[pos] != ",":

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-from .enrich import DEFAULT_RADIUS, source_window
+from .enrich import DEFAULT_RADIUS, _read_source, source_window
 from .errors import (
     BadLocSyntax,
     DefinitionNotFound,
@@ -64,11 +63,7 @@ class Definition:
 
 def _require_on_line(loc: SourceLoc, symbol: str) -> None:
     """Raise unless the symbol occurs as a whole word on the line at loc."""
-    try:
-        lines = Path(loc.file).read_text(encoding="utf-8",
-                                         errors="replace").splitlines()
-    except OSError as exc:
-        raise SourceUnavailable(str(exc)) from exc
+    lines = _read_source(loc.file)
     if loc.line > len(lines):
         raise SourceUnavailable(f"{loc.file} has only {len(lines)} lines")
     text = lines[loc.line - 1]

@@ -31,7 +31,7 @@ from dbgchat.prompts import (
 from dbgchat.sanitizer import native_strict, sanitize, unsafe_policy, whitelist
 from dbgchat.session import DebugSession
 from dbgchat.source_nav import SourceLoc, code, definition, parse_loc
-from dbgchat.values import HEAD, MAX_DEPTH, TAIL, ValueNode, render_node
+from dbgchat.values import HEAD, MAX_DEPTH, TAIL, render_value
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -53,13 +53,14 @@ def test_criterion_1_protocol_corpus():
 
 
 def _random_tree(rng, depth):
+    """A random value as gdb prints it: scalars, arrays and structs."""
     if depth == 0 or rng.random() < 0.3:
-        return ValueNode("scalar", str(rng.randint(-99, 99)))
+        return str(rng.randint(-99, 99))
     if rng.random() < 0.5:
-        return ValueNode("array", items=[(_random_tree(rng, depth - 1), 1)
-                                         for _ in range(rng.randint(1, 4))])
-    return ValueNode("struct", fields=[(f"f{i}", _random_tree(rng, depth - 1))
-                                       for i in range(rng.randint(1, 4))])
+        return "{" + ", ".join(_random_tree(rng, depth - 1)
+                               for _ in range(rng.randint(1, 4))) + "}"
+    return "{" + ", ".join(f"f{i} = {_random_tree(rng, depth - 1)}"
+                           for i in range(rng.randint(1, 4))) + "}"
 
 
 def _bracket_depth(text):
@@ -90,12 +91,12 @@ def test_criterion_2_enriched_stack_goldens(fixture_bins, fixtures_dir):
         assert stack.shown_count + stack.hidden_count == stack.total_frames
         assert stack.shown_count == pattern.count("u")
 
-        assert _bracket_depth(render_node(_random_tree(rng, 5))) <= MAX_DEPTH
+        tree = _random_tree(rng, 5)
+        assert _bracket_depth(render_value("v", tree)) <= MAX_DEPTH
 
         values = [rng.randint(-999, 999) for _ in range(rng.randint(7, 40))]
-        wide = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
-                                         for v in values])
-        parts = render_node(wide)[1:-1].split(", ")
+        wide = "{" + ", ".join(map(str, values)) + "}"
+        parts = render_value("v", wide)[1:-1].split(", ")
         assert len(parts) == HEAD + TAIL + 1
         assert parts[HEAD] == "..."
         assert parts[:HEAD] == [str(v) for v in values[:HEAD]]

@@ -16,7 +16,7 @@ from dbgchat.agent import (
     is_debugger_command,
 )
 from dbgchat.enrich import source_window
-from dbgchat.errors import EvaluationError
+from dbgchat.errors import DebuggerExited, EvaluationError
 from dbgchat.llm import (
     ASSISTANT,
     SYSTEM,
@@ -470,6 +470,34 @@ def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
     assert (system["role"], user["role"]) == ("system", "user")
     assert "x: int = 1" in user["content"]
     assert user["content"].count("$1 = 1") == 2
+
+
+@pytest.mark.parametrize("line", ["bt", "why did it crash?"],
+                         ids=["typed", "tool-call"])
+def test_a_debugger_that_exits_ends_the_session(fake_gdb, tmp_path, line):
+    # gdb dies on bt, typed by the user or called by the model: no later
+    # command could reach it, so the session ends rather than the turn.
+    frame = (f'frame={{level="0",func="main",file="app.c",'
+             f'fullname="{tmp_path}/app.c",line="3"}}')
+    target, cfg = fake_gdb({
+        "-exec-run": ["^running", "(gdb) ",
+                      f'*stopped,reason="signal-received",'
+                      f'signal-name="SIGSEGV",{frame}', "(gdb) "],
+        "-stack-info-depth": ['^done,depth="1"', "(gdb) "],
+        "-stack-list-frames": [f"^done,stack=[{frame}]", "(gdb) "],
+        "-stack-list-variables": [
+            '^done,variables=[{name="x",type="int",value="1"}]', "(gdb) "],
+        "-symbol-info-variables": ["^done,symbols={debug=[]}", "(gdb) "],
+        '-interpreter-exec console "bt"': [{"exit": 0}],
+    })
+    with DebugSession(target, driver=cfg) as session:
+        session.run_to_stop()
+        agent, _, ui = make_agent(tmp_path, [[debug_call("bt")]],
+                                  session=session)
+        with pytest.raises(DebuggerExited,
+                           match="^debugger closed its output stream$"):
+            agent.handle_input(line)
+    assert ui.kind("debugger") == ui.kind("echo") == ui.kind("notice") == []
 
 
 def test_malformed_scripted_call_ends_turn(tmp_path):

@@ -468,13 +468,15 @@ _PRINT_X = {'-interpreter-exec console "p x"': ['~"$1 = 1\\n"', "^done",
 _TURNS = [[{"tool_call": {"name": "debug", "arguments": {"command": "bt"}}}],
           [{"text": "x is 1."}]]
 _PRINTED_X = f"{PROMPT}p x\n$1 = 1\n"
+_CHAT_THEN_PRINT_X = "why did it crash?\np x\nquit\n"
 
 
 @pytest.fixture()
 def faulty_session(fake_gdb, tmp_path, monkeypatch):
-    """``run(answers) -> (exit code, stdout, stderr)`` of one in-process
-    ``--script`` session over the fake gdb: a chat line, ``p x``, quit.
-    A stop the debugger never reports times out after 1 s, not 60 s."""
+    """``run(answers, lines, flags) -> (exit code, stdout, stderr)`` of one
+    in-process ``--script`` session over the fake gdb, by default a chat
+    line, ``p x``, quit.  A stop the debugger never reports times out
+    after 1 s, not 60 s."""
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.setattr(session_module, "RUN_TIMEOUT", 1.0)
     (tmp_path / "app.c").write_text(
@@ -482,15 +484,14 @@ def faulty_session(fake_gdb, tmp_path, monkeypatch):
     script = tmp_path / "turns.json"
     script.write_text(json.dumps({"version": 1, "turns": _TURNS}))
 
-    def run(answers):
+    def run(answers, lines=_CHAT_THEN_PRINT_X, flags=()):
         text = json.dumps({**answers, **_PRINT_X})
         target, _ = fake_gdb(json.loads(text.replace("ROOT", str(tmp_path))))
         out, err = io.StringIO(), io.StringIO()
-        stdin = io.StringIO("why did it crash?\np x\nquit\n")
-        with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), \
-                redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", io.StringIO(lines)), \
+                redirect_stdout(out), redirect_stderr(err):
             code = main(["--script", str(script), "--root", str(tmp_path),
-                         target])
+                         *flags, target])
         return code, out.getvalue(), err.getvalue()
     return run
 
@@ -529,6 +530,27 @@ def test_a_bad_answer_to_the_first_chat_line_ends_only_that_turn(
     assert (code, err) == (0, "")
     assert re.findall(r"\[chat turn ended: .*\]\n", out) == [
         f"[chat turn ended: {notice}]\n"]
+    assert _PRINTED_X in out
+
+
+@pytest.mark.parametrize("lines", ["bt\np x\ninfo locals\nquit\n",
+                                   _CHAT_THEN_PRINT_X],
+                         ids=["typed", "tool-call"])
+def test_a_debugger_that_exits_ends_the_session(faulty_session, lines):
+    code, out, err = faulty_session(
+        {**_ANSWERS, '-interpreter-exec console "bt"': [{"exit": 0}]}, lines)
+    assert (code, err) == (1, "dbgchat: debugger closed its output stream\n")
+    assert "$1 = 1" not in out
+    assert "error:" not in out
+
+
+def test_a_chat_line_past_the_budget_ends_only_that_turn(faulty_session):
+    # The instructions alone take more than 50 tokens.
+    code, out, err = faulty_session(_ANSWERS, flags=["--budget", "50"])
+    assert (code, err) == (0, "")
+    assert re.findall(r"\[chat turn ended: .*\]\n", out) == [
+        "[chat turn ended: cannot fit the prompt in 50 tokens: instructions, "
+        "error, and user text alone exceed the budget]\n"]
     assert _PRINTED_X in out
 
 

@@ -103,7 +103,7 @@ def test_definition_symbol_not_on_line():
 
 
 def test_definition_unreadable_source():
-    with pytest.raises(SourceUnavailable):
+    with pytest.raises(SourceUnavailable, match=r"^nope\.c$"):
         definition(SourceLoc("nope.c", 5), "checksum", oracle_session())
     with pytest.raises(SourceUnavailable):
         definition(SourceLoc(str(DEFPROJ / "main.c"), 9999), "checksum",

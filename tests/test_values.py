@@ -1,26 +1,22 @@
-"""Value parsing and depth/width-limited rendering."""
+"""Depth- and width-limited rendering of value text."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgchat.values import (
-    _POINTER,
-    _POINTER_STRING,
-    _POINTER_SYMBOL,
     _REPEATS,
     _STRUCT_FIELD,
     HEAD,
     MAX_DEPTH,
     MAX_WIDTH,
     TAIL,
-    ValueNode,
+    _render,
     _split_top_level,
-    parse_value,
-    render_node,
     render_value,
 )
 
@@ -150,7 +146,40 @@ def test_parse_and_render_total(raw):
     assert isinstance(render_value("v", raw), str)
 
 
-_scalars = st.integers(-999, 999).map(lambda i: ValueNode("scalar", str(i)))
+@dataclass
+class Node:
+    """One node of a parsed value: scalar, string, pointer, array, struct.
+
+    Arrays store (element, count) runs so huge repeat counts never expand.
+    The reference parser below builds these; the properties draw them and
+    hand their gdb text to the renderer.
+    """
+
+    kind: str  # "scalar" | "string" | "pointer" | "array" | "struct"
+    text: str = ""    # scalar text, string literal, or pointer address
+    annot: str = ""   # pointer annotation: quoted string or <symbol>
+    fields: list[tuple[str, "Node"]] = field(default_factory=list)
+    items: list[tuple["Node", int]] = field(default_factory=list)
+
+    @property
+    def is_null_pointer(self) -> bool:
+        return self.kind == "pointer" and int(self.text, 16) == 0
+
+
+def gdb_text(node: Node) -> str:
+    """The value as gdb prints it."""
+    if node.kind == "array":
+        return "{" + ", ".join(
+            gdb_text(child) + (f" <repeats {count} times>" if count > 1
+                               else "")
+            for child, count in node.items) + "}"
+    if node.kind == "struct":
+        return "{" + ", ".join(f"{name} = {gdb_text(child)}"
+                               for name, child in node.fields) + "}"
+    return f"{node.text} {node.annot}" if node.annot else node.text
+
+
+_scalars = st.integers(-999, 999).map(lambda i: Node("scalar", str(i)))
 
 
 def _nodes(depth):
@@ -159,10 +188,10 @@ def _nodes(depth):
     sub = _nodes(depth - 1)
     return st.one_of(
         _scalars,
-        st.builds(lambda items: ValueNode("array", items=items),
+        st.builds(lambda items: Node("array", items=items),
                   st.lists(st.tuples(sub, st.integers(1, 30)), min_size=1,
                            max_size=5)),
-        st.builds(lambda fields: ValueNode("struct", fields=fields),
+        st.builds(lambda fields: Node("struct", fields=fields),
                   st.lists(st.tuples(st.from_regex(r"[a-z]{1,6}",
                                                    fullmatch=True), sub),
                            min_size=1, max_size=9)),
@@ -174,7 +203,7 @@ def _nodes(depth):
 def test_depth_bound_holds_for_any_tree(node):
     # No more than MAX_DEPTH nesting levels appear in the text, and an
     # aggregate at level MAX_DEPTH shows nothing but its elision.
-    text = render_node(node)
+    text = render_text(gdb_text(node))
     assert max_open_depth(text) <= MAX_DEPTH
     assert set(bodies_at(text, MAX_DEPTH)) <= {"..."}
 
@@ -209,9 +238,8 @@ def bodies_at(text: str, level: int) -> list[str]:
 @settings(max_examples=300)
 @given(st.lists(st.integers(-999, 999), min_size=7, max_size=60))
 def test_width_rule_exact_for_flat_arrays(values):
-    node = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
-                                     for v in values])
-    inner = render_node(node)[1:-1].split(", ")
+    node = Node("array", items=[(Node("scalar", str(v)), 1) for v in values])
+    inner = render_text(gdb_text(node))[1:-1].split(", ")
     assert len(inner) == HEAD + TAIL + 1
     assert inner[HEAD] == "..."
     assert inner[:HEAD] == [str(v) for v in values[:HEAD]]
@@ -221,9 +249,9 @@ def test_width_rule_exact_for_flat_arrays(values):
 @settings(max_examples=300)
 @given(st.lists(st.integers(-999, 999), min_size=1, max_size=MAX_WIDTH))
 def test_small_arrays_conserved(values):
-    node = ValueNode("array", items=[(ValueNode("scalar", str(v)), 1)
-                                     for v in values])
-    assert render_node(node) == "[" + ", ".join(str(v) for v in values) + "]"
+    node = Node("array", items=[(Node("scalar", str(v)), 1) for v in values])
+    assert render_text(gdb_text(node)) == (
+        "[" + ", ".join(str(v) for v in values) + "]")
 
 
 @settings(max_examples=200)
@@ -231,89 +259,107 @@ def test_small_arrays_conserved(values):
                           st.integers(1, 40)), min_size=1, max_size=6))
 def test_run_length_arrays_match_expanded_equivalent(runs):
     expanded = [ch for ch, count in runs for _ in range(count)]
-    run_node = ValueNode("array", items=[(ValueNode("scalar", f"'{c}'"), n)
-                                         for c, n in runs])
-    flat_node = ValueNode("array", items=[(ValueNode("scalar", f"'{c}'"), 1)
-                                          for c in expanded])
-    assert render_node(run_node) == render_node(flat_node)
+    run_node = Node("array", items=[(Node("scalar", f"'{c}'"), n)
+                                    for c, n in runs])
+    flat_node = Node("array", items=[(Node("scalar", f"'{c}'"), 1)
+                                     for c in expanded])
+    assert (render_text(gdb_text(run_node))
+            == render_text(gdb_text(flat_node)))
 
 
-def test_parse_value_classifies():
-    assert parse_value("0x0").kind == "pointer"
-    assert parse_value("{x = 1}").kind == "struct"
-    assert parse_value("{1, 2}").kind == "array"
-    assert parse_value('"hi"').kind == "string"
-    assert parse_value("3.25").kind == "scalar"
+def test_rendering_tells_the_kinds_apart():
+    # Only a pointer is dereferenced; a struct keeps its braces, an array
+    # takes brackets, and strings and scalars pass through.
+    deref = {"is_pointer": True, "evaluator": lambda expression: "7"}
+    assert render_text("0x10", **deref) == "0x10 → 7"
+    assert render_text("{x = 1}", **deref) == "{x = 1}"
+    assert render_text("{1, 2}", **deref) == "[1, 2]"
+    assert render_text('"hi"', **deref) == '"hi"'
+    assert render_text("3.25", **deref) == "3.25"
     assert re.match(r"\['R'(, 'R'){5}\]",
                     render_text("'R' <repeats 6 times>"))
+
+
+def test_nesting_past_the_recursion_limit_still_collapses():
+    # Text below the collapsed level is never split, so a value nested
+    # deeper than Python's recursion limit renders like any deep struct.
+    raw = "{a = " * 400 + "1" + "}" * 400
+    assert render_text(raw) == "{a = {a = {...}}}"
 
 
 # -- differential: the renderer that kept a flag record, as reference ------
 #
 # The value path as it was while rendering also returned whether anything
 # was elided and how deep it went.  The text is all any caller prints, and
-# it must not change; the flags are dropped here too.
+# it must not change; the flags are dropped here too.  It parsed the whole
+# value into a Node tree first, and keeps its own pointer regexes; only
+# the top-level split and the repeat and field regexes are shared.
 
-def _ref_parse_value(text: str) -> ValueNode:
+_REF_POINTER = re.compile(r"^0x[0-9a-fA-F]+$")
+_REF_POINTER_STRING = re.compile(r'^(0x[0-9a-fA-F]+) (".*")$')
+_REF_POINTER_SYMBOL = re.compile(r"^(0x[0-9a-fA-F]+) (<.+>)$")
+
+
+def _ref_parse_value(text: str) -> Node:
     try:
         return _ref_parse(text.strip())
     except Exception:
-        return ValueNode(kind="scalar", text=text.strip())
+        return Node(kind="scalar", text=text.strip())
 
 
-def _ref_parse(text: str) -> ValueNode:
+def _ref_parse(text: str) -> Node:
     if text.startswith("{") and text.endswith("}"):
         return _ref_parse_braced(text[1:-1])
     segments = _split_top_level(text)
     if len(segments) > 1 or (segments and _REPEATS.match(segments[0])):
         return _ref_parse_char_segments(segments)
-    m = _POINTER_STRING.match(text)
+    m = _REF_POINTER_STRING.match(text)
     if m:
-        return ValueNode(kind="pointer", text=m.group(1), annot=m.group(2))
-    m = _POINTER_SYMBOL.match(text)
+        return Node(kind="pointer", text=m.group(1), annot=m.group(2))
+    m = _REF_POINTER_SYMBOL.match(text)
     if m:
-        return ValueNode(kind="pointer", text=m.group(1), annot=m.group(2))
-    if _POINTER.match(text):
-        return ValueNode(kind="pointer", text=text)
+        return Node(kind="pointer", text=m.group(1), annot=m.group(2))
+    if _REF_POINTER.match(text):
+        return Node(kind="pointer", text=text)
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return ValueNode(kind="string", text=text)
-    return ValueNode(kind="scalar", text=text)
+        return Node(kind="string", text=text)
+    return Node(kind="scalar", text=text)
 
 
-def _ref_parse_braced(inner: str) -> ValueNode:
+def _ref_parse_braced(inner: str) -> Node:
     inner = inner.strip()
     if not inner:
-        return ValueNode(kind="struct")
+        return Node(kind="struct")
     elements = _split_top_level(inner)
     if all(_STRUCT_FIELD.match(e) for e in elements):
         fields = []
         for e in elements:
             m = _STRUCT_FIELD.match(e)
             fields.append((m.group(1), _ref_parse_element(m.group(2))[0]))
-        return ValueNode(kind="struct", fields=fields)
-    return ValueNode(kind="array",
+        return Node(kind="struct", fields=fields)
+    return Node(kind="array",
                      items=[_ref_parse_element(e) for e in elements])
 
 
-def _ref_parse_element(text: str) -> tuple[ValueNode, int]:
+def _ref_parse_element(text: str) -> tuple[Node, int]:
     m = _REPEATS.match(text)
     if m:
         return _ref_parse(m.group(1)), int(m.group(2))
     return _ref_parse(text), 1
 
 
-def _ref_parse_char_segments(segments: list[str]) -> ValueNode:
-    items: list[tuple[ValueNode, int]] = []
+def _ref_parse_char_segments(segments: list[str]) -> Node:
+    items: list[tuple[Node, int]] = []
     for seg in segments:
         m = _REPEATS.match(seg)
         if m:
             items.append((_ref_parse(m.group(1)), int(m.group(2))))
         elif seg.startswith('"') and seg.endswith('"'):
             for ch in seg[1:-1]:
-                items.append((ValueNode(kind="scalar", text=f"'{ch}'"), 1))
+                items.append((Node(kind="scalar", text=f"'{ch}'"), 1))
         else:
             items.append((_ref_parse(seg), 1))
-    return ValueNode(kind="array", items=items)
+    return Node(kind="array", items=items)
 
 
 class _RefRender:
@@ -321,7 +367,7 @@ class _RefRender:
         self.truncated = False
         self.depth_reached = 0
 
-    def node(self, node: ValueNode, depth: int) -> str:
+    def node(self, node: Node, depth: int) -> str:
         self.depth_reached = max(self.depth_reached, min(depth, MAX_DEPTH))
         if node.kind in ("scalar", "string"):
             return node.text
@@ -334,7 +380,7 @@ class _RefRender:
             return self.array(node, depth)
         return self.struct(node, depth)
 
-    def array(self, node: ValueNode, depth: int) -> str:
+    def array(self, node: Node, depth: int) -> str:
         total = sum(count for _, count in node.items)
         if total > MAX_WIDTH:
             self.truncated = True
@@ -360,7 +406,7 @@ class _RefRender:
                 break
         return out
 
-    def struct(self, node: ValueNode, depth: int) -> str:
+    def struct(self, node: Node, depth: int) -> str:
         fields = node.fields
         if len(fields) > MAX_WIDTH:
             self.truncated = True
@@ -374,7 +420,7 @@ class _RefRender:
         return "{" + ", ".join(parts) + "}"
 
 
-def _ref_render_node(node: ValueNode, depth: int = 1) -> str:
+def _ref_render_node(node: Node, depth: int = 1) -> str:
     return _RefRender().node(node, depth)
 
 
@@ -449,7 +495,6 @@ _evaluators = st.one_of(
 @settings(max_examples=1000, deadline=None)
 @given(_raw_values, st.booleans(), _evaluators)
 def test_render_value_matches_the_reference(raw, is_pointer, evaluator):
-    assert parse_value(raw) == _ref_parse_value(raw)
     assert (render_value("p", raw, is_pointer=is_pointer,
                          evaluator=evaluator)
             == _ref_render_value("p", raw, is_pointer=is_pointer,
@@ -459,4 +504,6 @@ def test_render_value_matches_the_reference(raw, is_pointer, evaluator):
 @settings(max_examples=200, deadline=None)
 @given(_nodes(2), st.integers(1, MAX_DEPTH))
 def test_render_node_matches_the_reference(node, depth):
-    assert render_node(node, depth) == _ref_render_node(node, depth)
+    text = gdb_text(node)
+    assert _ref_parse_value(text) == node
+    assert _render(text, depth) == _ref_render_node(node, depth)
