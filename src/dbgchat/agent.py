@@ -4,11 +4,14 @@ User input is either a debugger command (executed directly, recorded in
 the session history) or free text (sent to the model).  During a chat
 turn the model may call the debug/code/definition tools; every executed
 call is echoed to the user once and returned to the model once.  The
-history accumulates between sends and is cleared exactly when a prompt
-goes out.  A debugger answer that fails or is malformed while the first
-prompt is built ends that chat turn only, as a model failure does, and so
-does a first prompt that cannot fit the token budget.  A debugger that
-has exited ends the session, whoever ran the command.
+"filename:lineno" of a code or definition call is parsed here, a relative
+filename taken from the workspace root.  The history accumulates between
+sends and is cleared exactly when a prompt goes out.  A debugger answer
+that fails or is malformed while the first prompt is built ends that chat
+turn only, as a model failure does, and so does a first prompt that
+cannot fit the token budget.  A debugger that has exited ends the
+session, whoever ran the command; that command goes to the log with its
+error, but not to the screen.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack
-from .errors import BudgetImpossible, DbgChatError, DebuggerError, \
-    DebuggerExited, EvaluationError, LlmError, NotStopped, ProtocolError
+from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack, \
+    definition, source_window as code_window
+from .errors import BadLocSyntax, BudgetImpossible, DbgChatError, \
+    DebuggerError, DebuggerExited, EvaluationError, LlmError, NotStopped, \
+    ProtocolError
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
@@ -34,8 +39,6 @@ from .prompts import (
 )
 from .sanitizer import DEFAULT_PREFIXES, RESUME_COMMANDS, SanitizerPolicy, \
     sanitize
-from .source_nav import SourceLoc, code as code_window, definition, \
-    parse_loc
 
 TOOL_LOOP_CAP = 16
 
@@ -67,6 +70,21 @@ def is_debugger_command(line: str) -> bool:
     if not words:
         return False
     return words[0].split("/", 1)[0] in KNOWN_COMMANDS
+
+
+def parse_loc(text: str, root: str) -> tuple[str, int]:
+    """The (path, line) of a tool's "filename:lineno"; a relative
+    filename is taken from root."""
+    file, sep, lineno = text.rpartition(":")
+    if not sep or not file:
+        raise BadLocSyntax(f"expected filename:lineno, got {text!r}")
+    try:
+        line = int(lineno)
+    except ValueError:
+        raise BadLocSyntax(f"line number is not an integer in {text!r}")
+    if line < 1:
+        raise BadLocSyntax(f"line number must be positive in {text!r}")
+    return os.path.join(root, file), line
 
 
 class Ui(Protocol):
@@ -140,22 +158,22 @@ class Agent:
         """One REPL line: debugger command or chat text."""
         if not line.strip():
             return
-        if is_debugger_command(line):
-            output = self._user_command(line)
-            self.ui.on_debugger(line, output)
-            self.history.append((line, output))
-            self.transcript.write({"event": "debugger", "command": line,
-                                   "output": output})
+        if not is_debugger_command(line):
+            self._chat(line)
             return
-        self._chat(line)
-
-    def _user_command(self, line: str) -> str:
+        exited = None
         try:
-            return self.session.execute_console(line)
-        except DebuggerExited:
-            raise
+            output = self.session.execute_console(line)
+        except DebuggerExited as exc:
+            output, exited = f"error: {exc}", exc
         except DebuggerError as exc:
-            return f"error: {exc}"
+            output = f"error: {exc}"
+        self.transcript.write({"event": "debugger", "command": line,
+                               "output": output})
+        if exited is not None:
+            raise exited  # logged, not shown: the session ends with it
+        self.ui.on_debugger(line, output)
+        self.history.append((line, output))
 
     # -- chat path ---------------------------------------------------------
 
@@ -258,34 +276,29 @@ class Agent:
     # -- tool dispatch -----------------------------------------------------
 
     def _dispatch(self, call: ToolCallRequest) -> str:
+        exited = None
         try:
             output = self._execute_tool(call)
-        except DebuggerExited:
-            raise
+        except DebuggerExited as exc:
+            output, exited = f"error: {exc}", exc
         except DbgChatError as exc:
             output = f"error: {exc}"
-        self.ui.on_echo(self._render_call(call), output)
         self.transcript.write({
             "event": "tool_call", "id": call.id, "name": call.name,
             "arguments": call.arguments, "output": output,
         })
+        if exited is not None:
+            raise exited  # logged, not echoed: the session ends with it
+        self.ui.on_echo(self._render_call(call), output)
         return output
 
     def _render_call(self, call: ToolCallRequest) -> str:
+        # The backends validate every call first: each argument is text.
         if call.name == "debug":
-            return call.arguments.get("command", "")
+            return call.arguments["command"]
         if call.name == "code":
-            return f"code {call.arguments.get('loc', '')}"
-        return (f"definition {call.arguments.get('loc', '')} "
-                f"{call.arguments.get('symbol', '')}")
-
-    def _resolve_loc(self, text: str) -> SourceLoc:
-        loc = parse_loc(text)
-        if os.path.isabs(loc.file):
-            return loc
-        return SourceLoc(
-            file=os.path.join(self.config.workspace_root, loc.file),
-            line=loc.line)
+            return f"code {call.arguments['loc']}"
+        return f"definition {call.arguments['loc']} {call.arguments['symbol']}"
 
     def _execute_tool(self, call: ToolCallRequest) -> str:
         if call.name == "debug":
@@ -295,10 +308,9 @@ class Agent:
                 return f"command not allowed: {verdict.reason}"
             output = self.session.execute_console(command)
             return output if output.strip() else "(no output)"
+        path, line = parse_loc(call.arguments["loc"],
+                               self.config.workspace_root)
         if call.name == "code":
-            return code_window(self._resolve_loc(call.arguments["loc"]),
-                               self.config.radius)
-        found = definition(self._resolve_loc(call.arguments["loc"]),
-                           call.arguments["symbol"],
-                           self.session, radius=self.config.radius)
-        return f"{found.loc}\n{found.source}"
+            return code_window(path, line, self.config.radius)
+        return definition(path, line, call.arguments["symbol"], self.session,
+                          self.config.radius)

@@ -246,6 +246,10 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
                         radius=ns.radius),
             TerminalUi(out), transcript=transcript)
         run_repl(agent, in_stream, out)
+    except DbgChatError as exc:
+        if transcript is not None:
+            transcript.write({"event": "session_error", "error": str(exc)})
+        raise
     finally:
         if isinstance(backend, HttpBackend):
             backend.close()

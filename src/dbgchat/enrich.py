@@ -6,6 +6,9 @@ and a depth/width-limited value, and (for the outermost user frame) global
 variables.  Runs of library frames, frames without source, and frames
 beyond the depth cap collapse into hidden-frame markers.
 
+The model's tools read source through the same code: the reply to `code`
+is this source window, and `definition` builds the reply to that tool.
+
 Layout, top to bottom, outermost frame first:
 
     [... skipping 2 hidden frame(s)]
@@ -28,10 +31,12 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import NotStopped, SourceUnavailable
+from .errors import DefinitionNotFound, NotStopped, SourceUnavailable, \
+    SymbolNotOnLine
 from .session import Binding, Frame
 from .values import render_value
 
@@ -68,6 +73,27 @@ def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS,
         prefix = "---> " if num == line else "     "
         out.append(f"{prefix}{str(num).rjust(width)} {lines[num - 1]}".rstrip())
     return "\n".join(out)
+
+
+def definition(path: str, line: int, symbol: str, session,
+               radius: int) -> str:
+    """Where the symbol on that line is defined: its path:line, a newline,
+    then the source window there.
+
+    The symbol must occur as a whole word on the line; its definition
+    comes from the session's debug info.
+    """
+    lines = _read_source(path)
+    if line > len(lines):
+        raise SourceUnavailable(f"{path} has only {len(lines)} lines")
+    if not re.search(rf"\b{re.escape(symbol)}\b", lines[line - 1]):
+        raise SymbolNotOnLine(f"{symbol!r} does not occur at {path}:{line}")
+    found = session.symbol_definition(symbol)
+    if found is None:
+        raise DefinitionNotFound(f"no definition found for {symbol!r}")
+    def_path, def_line = found
+    window = source_window(def_path, def_line, radius)
+    return f"{def_path}:{def_line}\n{window}"
 
 
 def _head(frame: Frame) -> str:

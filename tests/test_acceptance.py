@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.agent import Agent, AgentConfig
-from dbgchat.enrich import build_enriched_stack, source_window
+from dbgchat.agent import Agent, AgentConfig, code_window, parse_loc
+from dbgchat.enrich import build_enriched_stack, definition, source_window
 from dbgchat.errors import BudgetImpossible, DefinitionNotFound
 from dbgchat.llm import ScriptedBackend
 from dbgchat.mi import parse_mi_line
@@ -30,7 +30,6 @@ from dbgchat.prompts import (
 )
 from dbgchat.sanitizer import native_strict, sanitize, unsafe_policy, whitelist
 from dbgchat.session import DebugSession
-from dbgchat.source_nav import SourceLoc, code, definition, parse_loc
 from dbgchat.values import HEAD, MAX_DEPTH, TAIL, render_value
 
 DATA = Path(__file__).parent / "data"
@@ -242,12 +241,12 @@ def test_criterion_7_definition_and_code_tools(fixtures_dir):
     from test_source_nav import oracle_session
 
     main_c = str(fixtures_dir / "defproj" / "main.c")
-    assert code(SourceLoc(main_c, 7)) == source_window(main_c, 7)
+    assert code_window(main_c, 7) == source_window(main_c, 7)
 
     generated = fixtures_dir / "generated"
     with pytest.raises(DefinitionNotFound):
-        definition(SourceLoc(str(generated / "parser.c"), 8), "yy_reduce",
-                   session=oracle_session())
+        definition(str(generated / "parser.c"), 8, "yy_reduce",
+                   oracle_session(), 5)
     print("PASS criterion 7: code matches the shared renderer; generated "
           "code yields DefinitionNotFound")
 
@@ -258,15 +257,15 @@ def test_criterion_7_definition_oracle(fixture_bins, fixtures_dir):
     assert len(oracle) >= 5
     with DebugSession(str(fixture_bins["defproj"])) as session:
         for case in oracle:
-            loc = parse_loc(case["loc"])
-            loc = SourceLoc(str(defproj / loc.file), loc.line)
-            expect = parse_loc(case["def"])
-            found = definition(loc, case["symbol"], session=session)
-            assert Path(found.loc.file).resolve() == \
-                (defproj / expect.file).resolve(), case["symbol"]
-            assert found.loc.line == expect.line, case["symbol"]
-            assert found.source == source_window(found.loc.file,
-                                                 found.loc.line)
+            path, line = parse_loc(case["loc"], str(defproj))
+            reply = definition(path, line, case["symbol"], session, 5)
+            where, window = reply.split("\n", 1)
+            found_path, found_line = parse_loc(where, "")
+            expect_path, expect_line = parse_loc(case["def"], str(defproj))
+            assert Path(found_path).resolve() == \
+                Path(expect_path).resolve(), case["symbol"]
+            assert found_line == expect_line, case["symbol"]
+            assert window == source_window(found_path, found_line)
     print(f"PASS criterion 7: {len(oracle)} symbols resolved through the "
           "debugger to recorded locations")
 

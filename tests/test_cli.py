@@ -533,15 +533,30 @@ def test_a_bad_answer_to_the_first_chat_line_ends_only_that_turn(
     assert _PRINTED_X in out
 
 
-@pytest.mark.parametrize("lines", ["bt\np x\ninfo locals\nquit\n",
-                                   _CHAT_THEN_PRINT_X],
-                         ids=["typed", "tool-call"])
-def test_a_debugger_that_exits_ends_the_session(faulty_session, lines):
+_CLOSED = "debugger closed its output stream"
+
+
+@pytest.mark.parametrize("lines, running", [
+    ("bt\np x\ninfo locals\nquit\n",
+     {"event": "debugger", "command": "bt", "output": f"error: {_CLOSED}"}),
+    (_CHAT_THEN_PRINT_X,
+     {"event": "tool_call", "id": "call_0_0", "name": "debug",
+      "arguments": {"command": "bt"}, "output": f"error: {_CLOSED}"}),
+], ids=["typed", "tool-call"])
+def test_a_debugger_that_exits_ends_the_session(faulty_session, tmp_path,
+                                                lines, running):
+    log = tmp_path / "session.log"
     code, out, err = faulty_session(
-        {**_ANSWERS, '-interpreter-exec console "bt"': [{"exit": 0}]}, lines)
-    assert (code, err) == (1, "dbgchat: debugger closed its output stream\n")
+        {**_ANSWERS, '-interpreter-exec console "bt"': [{"exit": 0}]}, lines,
+        flags=["--log", str(log)])
+    assert (code, err) == (1, f"dbgchat: {_CLOSED}\n")
     assert "$1 = 1" not in out
     assert "error:" not in out
+    # The log names the command that was running, then why the session
+    # ended.
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert events[-2:] == [running,
+                           {"event": "session_error", "error": _CLOSED}]
 
 
 def test_a_chat_line_past_the_budget_ends_only_that_turn(faulty_session):

@@ -1,8 +1,14 @@
-"""No Python file in the repository imports a name it never uses.
+"""No Python file in the repository imports a name it never uses, and
+the program defines nothing that only tests use.
 
 Every ``.py`` file under ``src/``, ``tests/``, ``tools/`` and ``bench/`` is
 read with ``ast``: each name an import binds must be read somewhere in the
 same file.  ``from __future__`` imports and star imports are exempt.
+
+Each function, class, method and module-level constant defined under
+``src/dbgchat/`` must be read somewhere in ``src/`` outside its own
+definition, by name or as an attribute; importing it counts.  Names are
+matched without regard to their owner.  Dunder names are exempt.
 """
 
 from __future__ import annotations
@@ -12,6 +18,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 SCANNED = ("src", "tests", "tools", "bench")
+#: Definitions that nothing in src/ reads, each with its reason.
+UNREAD_ALLOWED = {
+    # perfbench/traced.py reads both to meter prompt truncation.
+    "_estimate_bundle",
+    "shown_count",
+    # ROADMAP item 4 turns it into an invariant the agent checks.
+    "validate_conversation",
+}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -32,6 +46,56 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
                   if name not in read)
 
 
+def _reads(tree: ast.AST) -> list[str]:
+    """Every name the tree reads, imports included, once per occurrence."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out += [alias.name for alias in node.names]
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """(node, name) for each module-level function, class and constant,
+    and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node, target.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item, item.name
+
+
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) for each definition in the sources that none of
+    them reads outside the definition itself."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _reads(tree):
+            reads[name] = reads.get(name, 0) + 1
+    found = []
+    for path, tree in trees.items():
+        for node, name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads.get(name, 0) == _reads(node).count(name):
+                found.append((path, node.lineno, name))
+    return sorted(found)
+
+
 def test_scanner_finds_an_unused_import():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nc(os)\n"
     assert unused_imports(source) == [(2, "system"), (3, "d")]
@@ -43,3 +107,25 @@ def test_no_unused_imports():
              for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_scanner_finds_an_unread_definition():
+    sources = {
+        "a.py": ("LIMIT = 3\nSPARE = 4\n\ndef spin():\n    return spin()\n\n"
+                 "class Box:\n    def __init__(self): pass\n"
+                 "    def size(self): return LIMIT\n"
+                 "    def unused(self): pass\n"),
+        "b.py": "from a import Box\nBox().size()\n",
+    }
+    assert unread_definitions(sources) == [
+        ("a.py", 2, "SPARE"), ("a.py", 4, "spin"), ("a.py", 10, "unused")]
+
+
+def test_src_defines_nothing_it_never_reads():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    unread = unread_definitions(sources)
+    assert [f"{path}:{line}: {name}" for path, line, name in unread
+            if name not in UNREAD_ALLOWED] == []
+    # An entry that src/ has come to read leaves the list.
+    assert {name for _, _, name in unread} >= UNREAD_ALLOWED

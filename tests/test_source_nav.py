@@ -1,4 +1,5 @@
-"""Location parsing, source windows, and definition lookup."""
+"""The code and definition tools: location parsing, source windows, and
+definition lookup."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dbgchat.enrich import source_window
+from dbgchat.agent import code_window, parse_loc
+from dbgchat.enrich import definition, source_window
 from dbgchat.errors import (
     BadLocSyntax,
     DefinitionNotFound,
@@ -17,7 +19,6 @@ from dbgchat.errors import (
     SymbolNotOnLine,
 )
 from dbgchat.session import DebugSession
-from dbgchat.source_nav import SourceLoc, code, definition, parse_loc
 
 from conftest import FakeSession
 
@@ -30,98 +31,91 @@ ORACLE = json.loads((HERE / "data" / "definition_oracle.json").read_text())
 # -- locations -------------------------------------------------------------
 
 def test_parse_loc():
-    loc = parse_loc("fixture.c:118")
-    assert loc == SourceLoc(file="fixture.c", line=118)
-    assert str(loc) == "fixture.c:118"
+    assert parse_loc("fixture.c:118", "/ws") == ("/ws/fixture.c", 118)
+    assert parse_loc("/src/fixture.c:118", "/ws") == ("/src/fixture.c", 118)
 
 
 def test_parse_loc_keeps_path_colons():
-    assert parse_loc("dir/od:d.c:7") == SourceLoc(file="dir/od:d.c", line=7)
+    assert parse_loc("dir/od:d.c:7", "") == ("dir/od:d.c", 7)
 
 
 @pytest.mark.parametrize("bad", ["fixture.c", ":5", "a.c:", "a.c:x",
                                  "a.c:0", "a.c:-3", ""])
 def test_parse_loc_rejects(bad):
     with pytest.raises(BadLocSyntax):
-        parse_loc(bad)
+        parse_loc(bad, "/ws")
 
 
 @given(file=st.text(min_size=1, max_size=30), line=st.integers(1, 10**6))
 def test_loc_round_trips(file, line):
-    loc = SourceLoc(file=file, line=line)
-    assert parse_loc(str(loc)) == loc
+    assert parse_loc(f"{file}:{line}", "") == (file, line)
 
 
 def test_code_matches_stack_window(fixtures_dir):
     path = str(fixtures_dir / "crash_segv.c")
     for line in (1, 5, 28):
-        assert code(SourceLoc(path, line)) == source_window(path, line, 5)
+        assert code_window(path, line) == source_window(path, line, 5)
 
 
 def test_code_window_radius():
     path = str(DEFPROJ / "util.c")
-    assert code(SourceLoc(path, 8), radius=2) == source_window(path, 8, 2)
+    assert code_window(path, 8, 2) == source_window(path, 8, 2)
 
 
 def test_code_unreadable():
     with pytest.raises(SourceUnavailable):
-        code(SourceLoc("nope.c", 5))
+        code_window("nope.c", 5)
     with pytest.raises(SourceUnavailable):
-        code(SourceLoc(str(DEFPROJ / "util.c"), 9999))
+        code_window(str(DEFPROJ / "util.c"), 9999)
 
 
 # -- definition ------------------------------------------------------------
-
-def _case_loc(case) -> SourceLoc:
-    raw = parse_loc(case["loc"])
-    return SourceLoc(file=str(DEFPROJ / raw.file), line=raw.line)
-
 
 def oracle_session() -> FakeSession:
     """A session whose debug info places each oracle symbol where the
     oracle records its definition."""
     symbols = {}
     for case in ORACLE:
-        where = parse_loc(case["def"])
-        symbols[case["symbol"]] = (str(DEFPROJ / where.file), where.line)
+        symbols[case["symbol"]] = parse_loc(case["def"], str(DEFPROJ))
     return FakeSession(symbols=symbols)
+
+
+def _define(case, session) -> str:
+    path, line = parse_loc(case["loc"], str(DEFPROJ))
+    return definition(path, line, case["symbol"], session, 5)
 
 
 @pytest.mark.parametrize("case", ORACLE,
                          ids=[c["symbol"] for c in ORACLE])
 def test_definition_through_session(case):
-    result = definition(_case_loc(case), case["symbol"], oracle_session())
-    expected = parse_loc(case["def"])
-    assert result.loc == SourceLoc(str(DEFPROJ / expected.file), expected.line)
-    assert result.source == source_window(result.loc.file, result.loc.line, 5)
+    path, line = parse_loc(case["def"], str(DEFPROJ))
+    assert _define(case, oracle_session()) == \
+        f"{path}:{line}\n{source_window(path, line, 5)}"
 
 
 def test_definition_symbol_not_on_line():
     with pytest.raises(SymbolNotOnLine):
-        definition(SourceLoc(str(DEFPROJ / "main.c"), 7), "table_size",
-                   oracle_session())
+        definition(str(DEFPROJ / "main.c"), 7, "table_size",
+                   oracle_session(), 5)
 
 
 def test_definition_unreadable_source():
     with pytest.raises(SourceUnavailable, match=r"^nope\.c$"):
-        definition(SourceLoc("nope.c", 5), "checksum", oracle_session())
+        definition("nope.c", 5, "checksum", oracle_session(), 5)
     with pytest.raises(SourceUnavailable):
-        definition(SourceLoc(str(DEFPROJ / "main.c"), 9999), "checksum",
-                   oracle_session())
+        definition(str(DEFPROJ / "main.c"), 9999, "checksum",
+                   oracle_session(), 5)
 
 
 def test_definition_generated_code_not_found():
     with pytest.raises(DefinitionNotFound):
-        definition(SourceLoc(str(GENERATED / "parser.c"), 8), "yy_reduce",
-                   oracle_session())
+        definition(str(GENERATED / "parser.c"), 8, "yy_reduce",
+                   oracle_session(), 5)
 
 
 def test_definition_is_deterministic():
-    loc = _case_loc(ORACLE[0])
     session = oracle_session()
-    first = definition(loc, ORACLE[0]["symbol"], session)
-    second = definition(loc, ORACLE[0]["symbol"], session)
-    assert first == second
+    assert _define(ORACLE[0], session) == _define(ORACLE[0], session)
 
 
 # -- through gdb's debug info ----------------------------------------------
@@ -150,5 +144,5 @@ def test_symbol_definition_from_debug_info(defproj_session, symbol, file,
 
 def test_definition_not_in_debug_info(defproj_session):
     with pytest.raises(DefinitionNotFound):
-        definition(SourceLoc(str(GENERATED / "parser.c"), 8), "yy_reduce",
-                   defproj_session)
+        definition(str(GENERATED / "parser.c"), 8, "yy_reduce",
+                   defproj_session, 5)

@@ -14,9 +14,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from dbgchat import agent, prompts
+from dbgchat.enrich import source_window
+from dbgchat.llm import ToolCallRequest
 from dbgchat.session import Frame
 
 from conftest import FakeSession
+from test_agent import make_agent
 
 TRACED = Path(__file__).parent.parent / "perfbench" / "traced.py"
 
@@ -101,3 +104,29 @@ def test_traced_hooks_keep_their_shapes():
     after = prompts._estimate_bundle(
         prompts.truncate_bundle(bundle, budget), budget)
     assert before >= after > 0
+
+
+def test_traced_tool_functions_are_looked_up_when_a_tool_runs(
+        tmp_path, monkeypatch):
+    # traced.py replaces agent.code_window and agent.definition by setattr.
+    # A reference the agent took at import would keep calling the old
+    # functions, and those layers would read zero without an error.
+    app = tmp_path / "app.c"
+    app.write_text("".join(f"int line_{i};\n" for i in range(1, 13)))
+    bot, _, _ = make_agent(
+        tmp_path, [], session=FakeSession(symbols={"line_3": (str(app), 3)}))
+    calls = [ToolCallRequest("c1", "code", {"loc": "app.c:5"}),
+             ToolCallRequest("c2", "definition",
+                             {"loc": f"{app}:3", "symbol": "line_3"})]
+    replies = [source_window(str(app), 5, 5),
+               f"{app}:3\n{source_window(str(app), 3, 5)}"]
+    assert [bot._dispatch(call) for call in calls] == replies
+
+    ran = []
+    for name in ("code_window", "definition"):
+        def recorder(*args, _name=name, _fn=getattr(agent, name)):
+            ran.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(agent, name, recorder)
+    assert [bot._dispatch(call) for call in calls] == replies
+    assert ran == ["code_window", "definition"]
