@@ -16,7 +16,6 @@ timing.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -70,6 +69,11 @@ BUNDLE = PromptBundle(
     user_text="Why did the program stop here?")
 
 
+def _with_stack(stack: EnrichedStack) -> PromptBundle:
+    return PromptBundle(BUNDLE.instructions, stack, BUNDLE.inputs,
+                        BUNDLE.error, BUNDLE.history, BUNDLE.user_text)
+
+
 @pytest.mark.parametrize("room", [False, True], ids=["full", "room"])
 def test_first_prompt(benchmark, workspace, room):
     builds = []
@@ -80,7 +84,7 @@ def test_first_prompt(benchmark, workspace, room):
             session, str(workspace),
             room=stack_room(BUNDLE, DEFAULT_MAX_TOKENS) if room else None)
         builds.append((len(session.calls), stack.shown_count))
-        return make_initial_prompt(replace(BUNDLE, enriched_stack=stack))
+        return make_initial_prompt(_with_stack(stack))
 
     benchmark(first_prompt)
     calls, shown = builds[-1]
@@ -90,7 +94,7 @@ def test_first_prompt(benchmark, workspace, room):
 
 def test_truncate_bundle(benchmark, workspace):
     stack = build_enriched_stack(_session(workspace), str(workspace))
-    bundle = replace(BUNDLE, enriched_stack=stack)
+    bundle = _with_stack(stack)
     cut = benchmark(truncate_bundle, bundle, DEFAULT_MAX_TOKENS)
     benchmark.extra_info["frames_before"] = stack.shown_count
     benchmark.extra_info["frames_after"] = cut.enriched_stack.shown_count

@@ -5,6 +5,11 @@ Run with ``PYTHONPATH=src python -m pytest bench -q``.  The debugger is
 of reading symbols, then answers ``-exec-run`` with a stop at once.  Cases:
 
 - ``import``: ``python -c "import dbgchat.cli"`` in a fresh interpreter.
+- ``import_without_site``: the same under ``python -S``, which skips the
+  ``site`` module and so any ``.pth`` file in site-packages.  A ``.pth``
+  file that imports a package at every start (``certifi``, say) preloads
+  modules the entry point would otherwise pay for; this case shows the
+  import on an interpreter without one.
 - ``session``: ``DebugSession(...)`` and ``run_to_stop`` in this process.
 - ``cli``: a whole ``dbgchat`` run with the HTTP backend up to its exit
   after ``quit``: imports, then the HTTP stack loading while the debugger
@@ -60,6 +65,12 @@ def _timed_subprocess(benchmark, argv, env, input_text=""):
 
 def test_import(benchmark):
     _timed_subprocess(benchmark, [sys.executable, "-c", "import dbgchat.cli"],
+                      {**os.environ, "PYTHONPATH": SRC})
+
+
+def test_import_without_site(benchmark):
+    _timed_subprocess(benchmark,
+                      [sys.executable, "-S", "-c", "import dbgchat.cli"],
                       {**os.environ, "PYTHONPATH": SRC})
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -111,7 +110,8 @@ def test_session_bodies(benchmark, monkeypatch, way):
     assert bodies == dict_bodies(messages, cuts)
 
     def fresh():
-        return ([replace(m) for m in messages], cuts), {}
+        return ([ChatMessage(m.role, m.content, m.tool_call_id, m.tool_calls)
+                 for m in messages], cuts), {}
 
     benchmark.pedantic(WAYS[way], setup=fresh, rounds=30)
     benchmark.extra_info["requests"] = len(bodies)

@@ -5,27 +5,26 @@ the session history) or free text (sent to the model).  During a chat
 turn the model may call the debug/code/definition tools; every executed
 call is echoed to the user once and returned to the model once.  The
 "filename:lineno" of a code or definition call is parsed here, a relative
-filename taken from the workspace root.  The history accumulates between
-sends and is cleared exactly when a prompt goes out.  A debugger answer
-that fails or is malformed while the first prompt is built ends that chat
-turn only, as a model failure does, and so does a first prompt that
-cannot fit the token budget.  A debugger that has exited ends the
-session, whoever ran the command; that command goes to the log with its
-error, but not to the screen.
+filename taken from the workspace root and a file outside that root
+refused.  The history accumulates between sends and is cleared exactly
+when a prompt goes out.  A debugger answer that fails or is malformed
+while the first prompt is built ends that chat turn only, as a model
+failure does, and so does a first prompt that cannot fit the token
+budget.  A debugger that has exited ends the session, whoever ran the
+command; that command goes to the log with its error, but not to the
+screen.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
-from typing import Protocol
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack, \
     definition, source_window as code_window
 from .errors import BadLocSyntax, BudgetImpossible, DbgChatError, \
     DebuggerError, DebuggerExited, EvaluationError, LlmError, NotStopped, \
-    ProtocolError
+    ProtocolError, SourceUnavailable
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
@@ -74,7 +73,9 @@ def is_debugger_command(line: str) -> bool:
 
 def parse_loc(text: str, root: str) -> tuple[str, int]:
     """The (path, line) of a tool's "filename:lineno"; a relative
-    filename is taken from root."""
+    filename is taken from root.  The path, its ".." steps resolved as
+    text (symbolic links are not followed), must lie under root, so that
+    the model reads no source but the workspace's."""
     file, sep, lineno = text.rpartition(":")
     if not sep or not file:
         raise BadLocSyntax(f"expected filename:lineno, got {text!r}")
@@ -84,10 +85,17 @@ def parse_loc(text: str, root: str) -> tuple[str, int]:
         raise BadLocSyntax(f"line number is not an integer in {text!r}")
     if line < 1:
         raise BadLocSyntax(f"line number must be positive in {text!r}")
-    return os.path.join(root, file), line
+    path = os.path.join(root, file)
+    base, full = os.path.abspath(root), os.path.abspath(path)
+    if full != base and not full.startswith(os.path.join(base, "")):
+        raise SourceUnavailable(
+            f"{file} is outside the workspace root {base}")
+    return path, line
 
 
-class Ui(Protocol):
+class Ui:
+    """What the agent shows the user; cli.TerminalUi is the one in use."""
+
     def on_prose(self, chunk: str) -> None: ...
     def on_echo(self, command: str, output: str) -> None: ...
     def on_debugger(self, command: str, output: str) -> None: ...
@@ -118,13 +126,18 @@ class _NoTranscript:
         pass
 
 
-@dataclass
 class AgentConfig:
-    workspace_root: str
-    argv: list[str] = field(default_factory=list)
-    stdin_text: str | None = None
-    budget: int = DEFAULT_MAX_TOKENS
-    radius: int = DEFAULT_RADIUS
+    __slots__ = ("workspace_root", "argv", "stdin_text", "budget", "radius")
+
+    def __init__(self, workspace_root: str, argv: list[str] | None = None,
+                 stdin_text: str | None = None,
+                 budget: int = DEFAULT_MAX_TOKENS,
+                 radius: int = DEFAULT_RADIUS):
+        self.workspace_root = workspace_root
+        self.argv = [] if argv is None else argv
+        self.stdin_text = stdin_text
+        self.budget = budget
+        self.radius = radius
 
 
 class Agent:
@@ -210,7 +223,7 @@ class Agent:
                 room=stack_room(bundle, self.config.budget))
         except NotStopped:
             return bundle
-        return replace(bundle, enriched_stack=stack)
+        return bundle.replace(enriched_stack=stack)
 
     def _run_chat_turn(self) -> str:
         final_parts: list[str] = []

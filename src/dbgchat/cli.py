@@ -1,5 +1,12 @@
 """Command-line entry point: flags, startup, the interactive loop.
 
+Importing this module, which runs before the debugger is spawned, loads
+the package and the standard library it needs: ``argparse``, ``json``,
+``re``, ``subprocess`` with ``pty`` and ``select``, ``shutil``, ``enum``
+and ``functools``.  The package defines plain classes and no typing
+constructs, so ``dataclasses``, ``inspect`` (with ``ast``, ``dis`` and
+``tokenize``) and ``typing`` stay unloaded.
+
 Startup runs in this order:
 
 1. Checks that need no child: the --stdin-file contents, the sanitizer
@@ -11,7 +18,11 @@ Startup runs in this order:
    neither, and --script sessions skip this step.
 4. The debugger's first prompt and its tty setup are read, and the target
    runs to its first stop.
-5. A short stop report is printed and the read-eval loop starts.
+5. A short stop report is printed.  Every object alive then, the
+   imported modules' included, is frozen out of the garbage collector's
+   generations with ``gc.freeze``, so that no collection in the session
+   walks them, and the read-eval loop starts.  The session's end
+   unfreezes them.
 
 Lines are routed to the debugger or to the model by the agent; EOF or
 "quit" ends the session, the debugger child and the provider connection.
@@ -20,6 +31,7 @@ Lines are routed to the debugger or to the model by the agent; EOF or
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -245,12 +257,14 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
                         budget=ns.budget,
                         radius=ns.radius),
             TerminalUi(out), transcript=transcript)
+        gc.freeze()
         run_repl(agent, in_stream, out)
     except DbgChatError as exc:
         if transcript is not None:
             transcript.write({"event": "session_error", "error": str(exc)})
         raise
     finally:
+        gc.unfreeze()
         if isinstance(backend, HttpBackend):
             backend.close()
         if transcript is not None:

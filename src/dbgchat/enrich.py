@@ -32,8 +32,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DefinitionNotFound, NotStopped, SourceUnavailable, \
     SymbolNotOnLine
@@ -49,7 +48,7 @@ def _read_source(path: str) -> list[str]:
         with open(path, encoding="utf-8", errors="replace") as fh:
             return fh.read().splitlines()
     except OSError as exc:
-        raise SourceUnavailable(path) from exc
+        raise SourceUnavailable(f"{path}: {exc.strerror or exc}") from exc
 
 
 def source_window(path: str, line: int, radius: int = DEFAULT_RADIUS,
@@ -100,13 +99,26 @@ def _head(frame: Frame) -> str:
     return f"{frame.file}({frame.line}){frame.func}()"
 
 
-@dataclass
 class EnrichedFrame:
-    frame: Frame
-    window: str | None
-    bindings: list[tuple[str, str, str]]  # (name, type, rendered value)
-    globals: list[tuple[str, str, str]] = field(default_factory=list)
-    marked: bool = False
+    __slots__ = ("frame", "window", "bindings", "globals", "marked")
+
+    def __init__(self, frame: Frame, window: str | None,
+                 bindings: list[tuple[str, str, str]],
+                 globals: list[tuple[str, str, str]] | None = None,
+                 marked: bool = False):
+        self.frame = frame
+        self.window = window
+        self.bindings = bindings  # (name, type, rendered value)
+        self.globals = [] if globals is None else globals
+        self.marked = marked
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.frame, self.window, self.bindings, self.globals,
+                 self.marked)
+                == (other.frame, other.window, other.bindings, other.globals,
+                    other.marked))
 
     def render(self) -> str:
         head = _head(self.frame)
@@ -128,10 +140,19 @@ class EnrichedFrame:
         return body
 
 
-@dataclass
 class ElisionMarker:
-    hidden_count: int
-    budget_cut: bool = False  # dropped to fit the prompt, not hidden code
+    __slots__ = ("hidden_count", "budget_cut")
+
+    def __init__(self, hidden_count: int, budget_cut: bool = False):
+        self.hidden_count = hidden_count
+        # Dropped to fit the prompt, not hidden code.
+        self.budget_cut = budget_cut
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.hidden_count, self.budget_cut)
+                == (other.hidden_count, other.budget_cut))
 
     def render(self) -> str:
         if self.budget_cut:
@@ -140,13 +161,23 @@ class ElisionMarker:
         return f"[... skipping {self.hidden_count} hidden frame(s)]"
 
 
-@dataclass
 class EnrichedStack:
     """Entries outermost-first.  A bare Frame is a user frame the budget
     left unfetched; it renders as nothing and counts as neither shown nor
     hidden."""
-    entries: list[EnrichedFrame | ElisionMarker | Frame]
-    total_frames: int
+
+    __slots__ = ("entries", "total_frames")
+
+    def __init__(self, entries: list[EnrichedFrame | ElisionMarker | Frame],
+                 total_frames: int):
+        self.entries = entries
+        self.total_frames = total_frames
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.entries, self.total_frames)
+                == (other.entries, other.total_frames))
 
     @property
     def shown_count(self) -> int:

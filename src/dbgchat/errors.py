@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the refusal that
+keeps an immutable record unchanged."""
 
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ class SourceError(DbgChatError):
 
 
 class SourceUnavailable(SourceError):
-    """The requested source file cannot be read."""
+    """The requested source file cannot be read, or lies outside the
+    workspace root."""
 
 
 class BadLocSyntax(SourceError):
@@ -103,3 +105,11 @@ class ScriptExhausted(LlmError):
 
 class BudgetImpossible(DbgChatError):
     """The untruncatable prompt sections alone exceed the token budget."""
+
+
+# --- immutable records ---
+
+def refuse_change(record, name: str, value=None):
+    """``__setattr__`` and ``__delattr__`` of a record that never changes
+    once built."""
+    raise AttributeError(f"cannot assign to field {name!r}")

@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Iterator
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     AuthError,
@@ -32,6 +31,7 @@ from .errors import (
     ScriptExhausted,
     ScriptParseError,
     TransportError,
+    refuse_change,
 )
 
 
@@ -43,27 +43,46 @@ TOOL = "tool"
 SCRIPT_VERSION = 1
 
 
-@dataclass
 class ToolCallRequest:
-    id: str
-    name: str
-    arguments: dict
+    __slots__ = ("id", "name", "arguments")
+
+    def __init__(self, id: str, name: str, arguments: dict):
+        self.id = id
+        self.name = name
+        self.arguments = arguments
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.id, self.name, self.arguments)
+                == (other.id, other.name, other.arguments))
 
 
-@dataclass(frozen=True)
 class ChatMessage:
     """One message of the conversation.
 
-    Frozen, because ``wire_json`` caches its encoding: the conversation is
-    re-sent whole with every request, and a message that changed after
+    Immutable, because ``wire_json`` caches its encoding: the conversation
+    is re-sent whole with every request, and a message that changed after
     its first send would go out stale.  Its ``tool_calls`` list must not
     be changed either.
     """
 
-    role: str
-    content: str = ""
-    tool_call_id: str | None = None           # Tool role only
-    tool_calls: list[ToolCallRequest] = field(default_factory=list)
+    __setattr__ = __delattr__ = refuse_change
+
+    def __init__(self, role: str, content: str = "",
+                 tool_call_id: str | None = None,
+                 tool_calls: list[ToolCallRequest] | None = None):
+        self.__dict__.update(
+            role=role, content=content,
+            tool_call_id=tool_call_id,  # Tool role only
+            tool_calls=[] if tool_calls is None else tool_calls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.role, self.content, self.tool_call_id, self.tool_calls)
+                == (other.role, other.content, other.tool_call_id,
+                    other.tool_calls))
 
     @cached_property
     def wire_json(self) -> str:
@@ -87,14 +106,18 @@ class ChatMessage:
         return msg
 
 
-@dataclass(frozen=True)
 class ToolDef:
-    """A callable the model may invoke; all parameters are text.  Frozen,
-    like ``ChatMessage``, so that its encoding is computed once."""
+    """A callable the model may invoke; all parameters are text.
+    Immutable, like ``ChatMessage``, so that its encoding is computed
+    once."""
 
-    name: str
-    description: str
-    parameters: list[tuple[str, str]]  # (param name, param description)
+    __setattr__ = __delattr__ = refuse_change
+
+    def __init__(self, name: str, description: str,
+                 parameters: list[tuple[str, str]]):
+        # parameters: (param name, param description)
+        self.__dict__.update(name=name, description=description,
+                             parameters=parameters)
 
     @cached_property
     def wire_json(self) -> str:
@@ -117,12 +140,23 @@ class ToolDef:
         }
 
 
-@dataclass
 class CompletionEvent:
-    kind: str  # "text" | "tool_call" | "done"
-    text: str = ""
-    tool_call: ToolCallRequest | None = None
-    finish_reason: str = ""
+    __slots__ = ("kind", "text", "tool_call", "finish_reason")
+
+    def __init__(self, kind: str, text: str = "",
+                 tool_call: ToolCallRequest | None = None,
+                 finish_reason: str = ""):
+        self.kind = kind  # "text" | "tool_call" | "done"
+        self.text = text
+        self.tool_call = tool_call
+        self.finish_reason = finish_reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.text, self.tool_call, self.finish_reason)
+                == (other.kind, other.text, other.tool_call,
+                    other.finish_reason))
 
 
 def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:

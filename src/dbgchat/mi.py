@@ -41,10 +41,9 @@ import shutil
 import subprocess
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Union
 
 from .errors import (
     CommandTimeout,
@@ -60,7 +59,7 @@ HANDSHAKE_TIMEOUT = 15.0
 
 # Values are plain Python: unescaped strings for constants, insertion-ordered
 # dicts for tuples, lists for lists.
-MIValue = Union[str, dict, list]
+MIValue = str | dict | list
 
 
 class RecordKind(Enum):
@@ -82,26 +81,48 @@ _STREAM_KINDS = {
 }
 
 
-@dataclass
 class MIRecord:
     """One parsed record of the MI output stream."""
 
-    kind: RecordKind
-    token: int | None = None
-    klass: str = ""
-    payload: dict = field(default_factory=dict)
-    # Unnamed payload values, as emitted by legacy records like +download,{...}.
-    positional: list = field(default_factory=list)
-    text: str = ""          # stream records only
-    unparsed: bool = False  # LogStream fallback for lines outside the grammar
+    __slots__ = ("kind", "token", "klass", "payload", "positional", "text",
+                 "unparsed")
+
+    def __init__(self, kind: RecordKind, token: int | None = None,
+                 klass: str = "", payload: dict | None = None,
+                 positional: list | None = None, text: str = "",
+                 unparsed: bool = False):
+        self.kind = kind
+        self.token = token
+        self.klass = klass
+        self.payload = {} if payload is None else payload
+        # Unnamed payload values, as emitted by legacy records like
+        # +download,{...}.
+        self.positional = [] if positional is None else positional
+        self.text = text  # stream records only
+        # LogStream fallback for lines outside the grammar
+        self.unparsed = unparsed
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.token, self.klass, self.payload,
+                self.positional, self.text, self.unparsed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("MIRecord(kind={!r}, token={!r}, klass={!r}, payload={!r}, "
+                "positional={!r}, text={!r}, unparsed={!r})"
+                ).format(*self._fields())
 
 
-@dataclass
 class MIOutput:
     """All lines produced by one command, ending with the prompt."""
 
-    lines: list[str]
-    command: str = ""
+    def __init__(self, lines: list[str], command: str = ""):
+        self.lines = lines
+        self.command = command
 
     @cached_property
     def records(self) -> list[MIRecord]:
@@ -406,12 +427,15 @@ def _parsed_file_symbols(line: str, fullname: str) -> list:
 # Process driver
 # --------------------------------------------------------------------------
 
-@dataclass
 class DriverConfig:
     """Launch configuration for the debugger child process."""
 
-    debugger: str = "gdb"
-    transcript_path: str | None = None
+    __slots__ = ("debugger", "transcript_path")
+
+    def __init__(self, debugger: str = "gdb",
+                 transcript_path: str | None = None):
+        self.debugger = debugger
+        self.transcript_path = transcript_path
 
 
 def _default_env() -> dict[str, str]:

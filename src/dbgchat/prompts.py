@@ -21,8 +21,6 @@ which never fit, so the same cut drops them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import PROMPT
 from .enrich import ElisionMarker, EnrichedFrame, EnrichedStack
 from .errors import BudgetImpossible
@@ -37,14 +35,31 @@ def estimate_tokens(text: str) -> int:
     return (len(text.encode("utf-8")) + 3) // 4
 
 
-@dataclass
 class PromptBundle:
-    instructions: str
-    enriched_stack: EnrichedStack
-    inputs: str
-    error: str
-    history: list[tuple[str, str]]
-    user_text: str
+    __slots__ = ("instructions", "enriched_stack", "inputs", "error",
+                 "history", "user_text")
+
+    def __init__(self, instructions: str, enriched_stack: EnrichedStack,
+                 inputs: str, error: str, history: list[tuple[str, str]],
+                 user_text: str):
+        self.instructions = instructions
+        self.enriched_stack = enriched_stack
+        self.inputs = inputs
+        self.error = error
+        self.history = history
+        self.user_text = user_text
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in PromptBundle.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def replace(self, **changes) -> PromptBundle:
+        """A copy with the named fields changed."""
+        return PromptBundle(**(self._fields() | changes))
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +211,8 @@ def _section_bytes(heading: str, parts: int, body: int, sep: int) -> int:
 def _room(bundle: PromptBundle, budget: int) -> int:
     """Bytes `budget` tokens leave for the Stack, Inputs and History
     sections once Instructions, Error and User Text are in."""
-    fixed = _bytes(_user_sections(replace(
-        bundle, enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
+    fixed = _bytes(_user_sections(bundle.replace(
+        enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
     # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
     return 4 * (budget - estimate_tokens(bundle.instructions)) - fixed
 
@@ -233,12 +248,12 @@ def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
         kept = _section_bytes(_HISTORY_HEADING, len(block_bytes) - dropped,
                               history, 1)
         if stack + inputs + kept <= room:
-            return (replace(bundle, history=bundle.history[dropped:])
+            return (bundle.replace(history=bundle.history[dropped:])
                     if dropped else bundle)
 
     # Without inputs; when there were none, the last check above was this.
     if stack <= room:
-        return replace(bundle, inputs="", history=[])
+        return bundle.replace(inputs="", history=[])
 
     droppable = [i for i, e in enumerate(entries) if isinstance(e, Frame)
                  or isinstance(e, EnrichedFrame) and not e.marked]
@@ -254,8 +269,8 @@ def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
             kept_entries.insert(droppable[0], note)
             stack_left = EnrichedStack(kept_entries,
                                        bundle.enriched_stack.total_frames)
-            return replace(bundle, enriched_stack=stack_left, inputs="",
-                           history=[])
+            return bundle.replace(enriched_stack=stack_left, inputs="",
+                                  history=[])
 
     raise BudgetImpossible(
         f"cannot fit the prompt in {budget} tokens: instructions, "

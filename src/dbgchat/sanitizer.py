@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+
+from .errors import refuse_change
 
 
 class Mode(enum.Enum):
@@ -42,10 +43,19 @@ RESUME_COMMANDS = frozenset({
 _FRAME_APPLY = frozenset({"ap", "app", "appl", "apply"})
 
 
-@dataclass(frozen=True)
 class Verdict:
-    allowed: bool
-    reason: str = ""
+    __slots__ = ("allowed", "reason")
+    __setattr__ = __delattr__ = refuse_change
+
+    def __init__(self, allowed: bool, reason: str = ""):
+        object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.allowed, self.reason)
+                == (other.allowed, other.reason))
 
 
 _ALLOW = Verdict(True)
@@ -55,15 +65,17 @@ def _deny(reason: str) -> Verdict:
     return Verdict(False, reason)
 
 
-@dataclass(frozen=True)
 class SanitizerPolicy:
-    mode: Mode
-    functions: frozenset[str] = frozenset()
-    unsafe_ack: bool = False
+    __slots__ = ("mode", "functions", "unsafe_ack")
+    __setattr__ = __delattr__ = refuse_change
 
-    def __post_init__(self):
-        if self.mode is Mode.UNSAFE and not self.unsafe_ack:
+    def __init__(self, mode: Mode, functions: frozenset[str] = frozenset(),
+                 unsafe_ack: bool = False):
+        if mode is Mode.UNSAFE and not unsafe_ack:
             raise ValueError("unsafe mode requires the --unsafe flag")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "unsafe_ack", unsafe_ack)
 
 
 def native_strict() -> SanitizerPolicy:

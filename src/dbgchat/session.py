@@ -11,8 +11,7 @@ raises ProtocolError for a payload or ``*stopped`` field gdb never gives.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (
     DebuggerExited,
@@ -49,27 +48,41 @@ DEPTH_PROBE_CAP = 10000
 DEFAULT_GLOBALS_CAP = 10
 
 
-@dataclass
 class Binding:
     """One variable visible in a frame, with gdb's textual value."""
 
-    name: str
-    value: str
-    type: str = ""
+    __slots__ = ("name", "value", "type")
+
+    def __init__(self, name: str, value: str, type: str = ""):
+        self.name = name
+        self.value = value
+        self.type = type
 
     @property
     def is_pointer(self) -> bool:
         return self.type.rstrip().endswith("*")
 
 
-@dataclass
 class Frame:
-    level: int
-    func: str
-    file: str = ""
-    fullname: str = ""
-    line: int | None = None
-    shared_lib: str = ""
+    __slots__ = ("level", "func", "file", "fullname", "line", "shared_lib")
+
+    def __init__(self, level: int, func: str, file: str = "",
+                 fullname: str = "", line: int | None = None,
+                 shared_lib: str = ""):
+        self.level = level
+        self.func = func
+        self.file = file
+        self.fullname = fullname
+        self.line = line
+        self.shared_lib = shared_lib
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.level, self.func, self.file, self.fullname, self.line,
+                 self.shared_lib)
+                == (other.level, other.func, other.file, other.fullname,
+                    other.line, other.shared_lib))
 
     @property
     def has_source(self) -> bool:
@@ -83,7 +96,6 @@ class Frame:
         return "at unknown location"
 
 
-@dataclass
 class StopInfo:
     """Why execution stopped.
 
@@ -91,12 +103,27 @@ class StopInfo:
     output matches the assertion-message pattern.  signal_name stays set.
     """
 
-    kind: str  # "signal" | "assertion" | "exited" | "breakpoint" | "other"
-    signal_name: str = ""
-    signal_meaning: str = ""
-    exit_code: int | None = None
-    frame: Frame | None = None
-    assertion_text: str = ""
+    __slots__ = ("kind", "signal_name", "signal_meaning", "exit_code",
+                 "frame", "assertion_text")
+
+    def __init__(self, kind: str, signal_name: str = "",
+                 signal_meaning: str = "", exit_code: int | None = None,
+                 frame: Frame | None = None, assertion_text: str = ""):
+        # kind: "signal" | "assertion" | "exited" | "breakpoint" | "other"
+        self.kind = kind
+        self.signal_name = signal_name
+        self.signal_meaning = signal_meaning
+        self.exit_code = exit_code
+        self.frame = frame
+        self.assertion_text = assertion_text
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.signal_name, self.signal_meaning,
+                 self.exit_code, self.frame, self.assertion_text)
+                == (other.kind, other.signal_name, other.signal_meaning,
+                    other.exit_code, other.frame, other.assertion_text))
 
     def describe(self) -> str:
         if self.kind == "assertion":

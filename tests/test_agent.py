@@ -94,7 +94,7 @@ def make_agent(tmp_path, turns, session=None, transcript_name=None, **config):
         _open_transcripts.append(transcript)
     agent = Agent(session, ScriptedBackend(write_script(tmp_path, turns)),
                   native_strict(),
-                  AgentConfig(workspace_root=str(tmp_path), **config),
+                  AgentConfig(**{"workspace_root": str(tmp_path), **config}),
                   ui, transcript=transcript)
     return agent, session, ui
 
@@ -324,6 +324,32 @@ def test_code_tool_errors_become_outputs(tmp_path, loc, fragment):
     assert echo[1] == f"code {loc}"
     assert echo[2].startswith(fragment)
     assert ui.prose_text() == "moving on"
+
+
+@pytest.mark.parametrize("name, loc, reply", [
+    ("code", "nope.c:3", "error: {root}/nope.c: No such file or directory"),
+    ("code", "../hello.c:1",
+     "error: ../hello.c is outside the workspace root {root}"),
+    ("definition", "{outside}/hello.c:1",
+     "error: {outside}/hello.c is outside the workspace root {root}"),
+    ("code", "{root}/hello.c:1", "---> 1 int foo;\n     2 int bar;"),
+])
+def test_tool_locations_stay_inside_the_root(tmp_path, name, loc, reply):
+    root, outside = tmp_path / "ws", tmp_path / "other"
+    for directory in (root, outside):
+        directory.mkdir()
+        (directory / "hello.c").write_text("int foo;\nint bar;\n")
+    loc, reply = (text.format(root=root, outside=outside)
+                  for text in (loc, reply))
+    turns = [
+        [{"tool_call": {"name": name,
+                        "arguments": {"loc": loc, "symbol": "foo"}}}],
+        [{"text": "ok"}],
+    ]
+    agent, _, ui = make_agent(tmp_path, turns, workspace_root=str(root))
+    agent.handle_input("read it for me")
+    (echo,) = ui.kind("echo")
+    assert echo[2] == reply
 
 
 def test_definition_tool_not_found_becomes_output(tmp_path):

@@ -153,14 +153,15 @@ def test_failed_spawn_closes_the_log(tmp_path, monkeypatch, capsys):
 HTTP_STACK = ("http.client", "urllib.request", "ssl", "email")
 
 
-def loaded_after(code, *args, input_text=""):
-    """Which of HTTP_STACK and logging a subprocess running code has
-    loaded by its end; code reads its arguments from sys.argv[1:]."""
+def loaded_after(code, *args, input_text="",
+                 modules=HTTP_STACK + ("logging",), flags=()):
+    """Which of modules a subprocess running code, with the interpreter
+    flags given, has loaded by its end; code reads its arguments from
+    sys.argv[1:]."""
     src = str(Path(dbgchat.__file__).parent.parent)
     probe = (f"{code}\nimport sys\nprint([m for m in "
-             f"{HTTP_STACK + ('logging',)!r} if m in sys.modules], "
-             "file=sys.stderr)")
-    result = subprocess.run([sys.executable, "-c", probe, *args],
+             f"{tuple(modules)!r} if m in sys.modules], file=sys.stderr)")
+    result = subprocess.run([sys.executable, *flags, "-c", probe, *args],
                             input=input_text, text=True, capture_output=True,
                             timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
@@ -170,6 +171,34 @@ def loaded_after(code, *args, input_text=""):
 def test_import_does_not_load_logging():
     # Nothing logs, so importing the entry point must not pay for logging.
     assert "logging" not in loaded_after("import dbgchat.cli")
+
+
+#: Modules that only class-building machinery needs.  Under -S, since a
+#: site-packages .pth file may import typing at every interpreter start.
+CLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                   "typing")
+
+
+def test_import_does_not_load_the_class_machinery():
+    assert loaded_after("import dbgchat.cli", modules=CLASS_MACHINERY,
+                        flags=["-S"]) == "[]"
+
+
+def test_a_session_does_not_load_the_class_machinery(fake_gdb, tmp_path):
+    (tmp_path / "app.c").write_text(
+        "".join(f"int line_{i};\n" for i in range(1, 13)))
+    script = tmp_path / "turns.json"
+    script.write_text(json.dumps({"version": 1, "turns": _TURNS}))
+    answers = json.dumps({**_ANSWERS, **_PRINT_X})
+    target, _ = fake_gdb(json.loads(answers.replace("ROOT", str(tmp_path))))
+    code = (f"import os, sys\nos.environ['PATH'] = {str(tmp_path)!r} + "
+            "os.pathsep + os.environ['PATH']\n"
+            "from dbgchat.cli import main\n"
+            "assert main(sys.argv[1:]) == 0")
+    assert loaded_after(code, "--script", str(script), "--root",
+                        str(tmp_path), target,
+                        input_text=_CHAT_THEN_PRINT_X,
+                        modules=CLASS_MACHINERY, flags=["-S"]) == "[]"
 
 
 def test_import_does_not_load_the_http_stack():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -325,7 +324,7 @@ def _budget_cases(draw):
 
 def _tokens(bundle: PromptBundle, stack: EnrichedStack) -> int:
     """Tokens of the first request with `stack` and no Inputs or History."""
-    alone = replace(bundle, enriched_stack=stack, inputs="", history=[])
+    alone = bundle.replace(enriched_stack=stack, inputs="", history=[])
     return sum(estimate_tokens(m.content) for m in render_messages(alone))
 
 
@@ -335,12 +334,12 @@ def test_budgeted_enrichment_gives_the_same_first_request(source_root, case):
     specs, extra, bundle, share = case
     root = str(source_root)
     full_session = _budget_session(specs, extra, root)
-    full = replace(bundle,
-                   enriched_stack=build_enriched_stack(full_session, root))
+    full = bundle.replace(
+        enriched_stack=build_enriched_stack(full_session, root))
     least = _tokens(bundle, _minimal_stack(full.enriched_stack))
     budget = least + share * (_tokens(bundle, full.enriched_stack) - least) // 100
     session = _budget_session(specs, extra, root)
-    budgeted = replace(bundle, enriched_stack=build_enriched_stack(
+    budgeted = bundle.replace(enriched_stack=build_enriched_stack(
         session, root, room=stack_room(bundle, budget)))
 
     user = [level for level, spec in enumerate(specs) if spec[0] != "lib"]
@@ -409,7 +408,7 @@ def test_tiny_frames_that_fit_only_without_the_note_are_all_fetched(
                                  room=stack_room(bundle, budget - 1))
     assert session.levels("frame_variables") == list(range(6))
     assert session.levels("global_variables") == [5]
-    cut = make_initial_prompt(replace(bundle, enriched_stack=stack),
+    cut = make_initial_prompt(bundle.replace(enriched_stack=stack),
                               budget - 1)
     assert cut == make_initial_prompt(bundle, budget - 1)
     assert "[... 2 frame(s) omitted" in cut[1].content

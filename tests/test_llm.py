@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import socket
@@ -81,7 +80,7 @@ def test_tool_spec_wire_all_params_text_and_required():
 
 def test_built_message_cannot_change():
     msg = ChatMessage(USER, "hi")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         msg.content = "changed"
 
 

@@ -425,8 +425,9 @@ def test_truncation_idempotent(bundle, budget_tokens):
 @settings(max_examples=100)
 @given(bundle=bundles())
 def test_construction_order_irrelevant(bundle):
-    from dataclasses import fields
-    values = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
+    names = ("instructions", "enriched_stack", "inputs", "error", "history",
+             "user_text")
+    values = {name: getattr(bundle, name) for name in names}
     shuffled = PromptBundle(**dict(reversed(list(values.items()))))
     big = 10**9
     assert make_initial_prompt(shuffled, big) == make_initial_prompt(bundle, big)

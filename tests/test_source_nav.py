@@ -32,7 +32,20 @@ ORACLE = json.loads((HERE / "data" / "definition_oracle.json").read_text())
 
 def test_parse_loc():
     assert parse_loc("fixture.c:118", "/ws") == ("/ws/fixture.c", 118)
-    assert parse_loc("/src/fixture.c:118", "/ws") == ("/src/fixture.c", 118)
+    assert parse_loc("/ws/src/fixture.c:118", "/ws") == \
+        ("/ws/src/fixture.c", 118)
+    assert parse_loc("src/../fixture.c:118", "/ws") == \
+        ("/ws/src/../fixture.c", 118)
+
+
+@pytest.mark.parametrize("loc", ["/src/fixture.c:118", "../fixture.c:3",
+                                 "src/../../ws2/fixture.c:3", "/ws2/a.c:1",
+                                 "..:1"])
+def test_parse_loc_refuses_paths_outside_the_root(loc):
+    file = loc.rpartition(":")[0]
+    with pytest.raises(SourceUnavailable) as raised:
+        parse_loc(loc, "/ws")
+    assert str(raised.value) == f"{file} is outside the workspace root /ws"
 
 
 def test_parse_loc_keeps_path_colons():
@@ -46,9 +59,11 @@ def test_parse_loc_rejects(bad):
         parse_loc(bad, "/ws")
 
 
-@given(file=st.text(min_size=1, max_size=30), line=st.integers(1, 10**6))
+@given(file=st.text(st.characters(blacklist_characters="/"), min_size=1,
+                   max_size=30).filter(lambda file: file != ".."),
+       line=st.integers(1, 10**6))
 def test_loc_round_trips(file, line):
-    assert parse_loc(f"{file}:{line}", "") == (file, line)
+    assert parse_loc(f"{file}:{line}", "/ws") == (f"/ws/{file}", line)
 
 
 def test_code_matches_stack_window(fixtures_dir):
@@ -67,6 +82,19 @@ def test_code_unreadable():
         code_window("nope.c", 5)
     with pytest.raises(SourceUnavailable):
         code_window(str(DEFPROJ / "util.c"), 9999)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("nope.c", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_unreadable_source_says_why(name, reason):
+    path = str(DEFPROJ / name)
+    for read in (lambda: code_window(path, 5),
+                 lambda: definition(path, 5, "checksum", oracle_session(), 5)):
+        with pytest.raises(SourceUnavailable) as raised:
+            read()
+        assert str(raised.value) == f"{path}: {reason}"
 
 
 # -- definition ------------------------------------------------------------
@@ -100,7 +128,8 @@ def test_definition_symbol_not_on_line():
 
 
 def test_definition_unreadable_source():
-    with pytest.raises(SourceUnavailable, match=r"^nope\.c$"):
+    with pytest.raises(SourceUnavailable,
+                       match=r"^nope\.c: No such file or directory$"):
         definition("nope.c", 5, "checksum", oracle_session(), 5)
     with pytest.raises(SourceUnavailable):
         definition(str(DEFPROJ / "main.c"), 9999, "checksum",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
-from dataclasses import replace
 from pathlib import Path
 
 from dbgchat import agent, prompts
@@ -99,7 +98,7 @@ def test_traced_hooks_keep_their_shapes():
         room=prompts.stack_room(bundle, budget))
     assert 0 < stack.shown_count < len(frames)
     # The bundle truncate_bundle gets still holds the unfetched frames.
-    bundle = replace(bundle, enriched_stack=stack)
+    bundle = bundle.replace(enriched_stack=stack)
     before = prompts._estimate_bundle(bundle, budget)
     after = prompts._estimate_bundle(
         prompts.truncate_bundle(bundle, budget), budget)
