@@ -38,7 +38,6 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 from conftest import make_certificate  # noqa: E402
 
 BODY_BYTES = 46_000
-KEY_ENV = "DBGCHAT_BENCH_KEY"
 
 
 def request_messages():
@@ -98,7 +97,6 @@ def servers(tmp_path_factory):
     plain = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     running = {"http": plain}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(KEY_ENV, "sk-bench")
         if made is not None:
             cert, key = made
             paths = ssl.get_default_verify_paths()
@@ -126,7 +124,7 @@ def test_chat_request(benchmark, servers, scheme):
         pytest.skip("openssl is required to make the certificate")
     host = "localhost" if scheme == "https" else "127.0.0.1"
     port = servers[scheme].server_address[1]
-    backend = HttpBackend(f"{scheme}://{host}:{port}/v1", MODEL, KEY_ENV)
+    backend = HttpBackend(f"{scheme}://{host}:{port}/v1", MODEL, "sk-bench")
     messages, size = request_messages()
 
     def request():

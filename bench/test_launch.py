@@ -10,7 +10,8 @@ of reading symbols, then answers ``-exec-run`` with a stop at once.  Cases:
   file that imports a package at every start (``certifi``, say) preloads
   modules the entry point would otherwise pay for; this case shows the
   import on an interpreter without one.
-- ``session``: ``DebugSession(...)`` and ``run_to_stop`` in this process.
+- ``session``: ``DebugSession(...)`` and ``run_to_stop`` in this process,
+  with the stand-in first on PATH.
 - ``cli``: a whole ``dbgchat`` run with the HTTP backend up to its exit
   after ``quit``: imports, then the HTTP stack loading while the debugger
   boots, the stop report, the prompt.
@@ -29,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.mi import DriverConfig
 from dbgchat.session import DebugSession
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
@@ -74,12 +74,12 @@ def test_import_without_site(benchmark):
                       {**os.environ, "PYTHONPATH": SRC})
 
 
-def test_session(benchmark, booting_gdb):
+def test_session(benchmark, booting_gdb, monkeypatch):
     target, bin_dir = booting_gdb
-    config = DriverConfig(debugger=str(Path(bin_dir) / "gdb"))
+    monkeypatch.setenv("PATH", bin_dir + os.pathsep + os.environ["PATH"])
 
     def launch():
-        with DebugSession(target, driver=config) as session:
+        with DebugSession(target) as session:
             assert session.run_to_stop().signal_name == "SIGSEGV"
     benchmark.pedantic(launch, rounds=20, warmup_rounds=2)
     benchmark.extra_info["boot_ms"] = BOOT_S * 1000

@@ -86,10 +86,10 @@ def dict_bodies(messages: list[ChatMessage], cuts: list[int]) -> list[bytes]:
 
 
 def join_bodies(messages: list[ChatMessage], cuts: list[int]) -> list[bytes]:
-    backend = HttpBackend("http://127.0.0.1:9", MODEL, "DBGCHAT_BENCH_KEY")
+    backend = HttpBackend("http://127.0.0.1:9", MODEL, "sk-bench")
     sent = []
 
-    def post(key, body):
+    def post(body):
         sent.append(body)
         return io.BytesIO()
 
@@ -103,8 +103,7 @@ WAYS = {"dict": dict_bodies, "join": join_bodies}
 
 
 @pytest.mark.parametrize("way", WAYS)
-def test_session_bodies(benchmark, monkeypatch, way):
-    monkeypatch.setenv("DBGCHAT_BENCH_KEY", "sk-bench")
+def test_session_bodies(benchmark, way):
     messages, cuts = session()
     bodies = WAYS[way](messages, cuts)
     assert bodies == dict_bodies(messages, cuts)

@@ -73,9 +73,11 @@ def is_debugger_command(line: str) -> bool:
 
 def parse_loc(text: str, root: str) -> tuple[str, int]:
     """The (path, line) of a tool's "filename:lineno"; a relative
-    filename is taken from root.  The path, its ".." steps resolved as
-    text (symbolic links are not followed), must lie under root, so that
-    the model reads no source but the workspace's."""
+    filename is taken from root.  The path, with symbolic links followed
+    and ".." steps resolved as the kernel resolves them, must lie under
+    root, likewise resolved, so that the model reads no source but the
+    workspace's.  A filename holding a NUL or a lone surrogate, which no
+    file can be named, is refused."""
     file, sep, lineno = text.rpartition(":")
     if not sep or not file:
         raise BadLocSyntax(f"expected filename:lineno, got {text!r}")
@@ -86,10 +88,13 @@ def parse_loc(text: str, root: str) -> tuple[str, int]:
     if line < 1:
         raise BadLocSyntax(f"line number must be positive in {text!r}")
     path = os.path.join(root, file)
-    base, full = os.path.abspath(root), os.path.abspath(path)
+    try:
+        base, full = os.path.realpath(root), os.path.realpath(path)
+    except ValueError:  # raised for a NUL or a lone surrogate
+        raise BadLocSyntax(f"no file can be named as in {text!r}")
     if full != base and not full.startswith(os.path.join(base, "")):
         raise SourceUnavailable(
-            f"{file} is outside the workspace root {base}")
+            f"{file} is outside the workspace root {os.path.abspath(root)}")
     return path, line
 
 

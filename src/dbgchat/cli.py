@@ -2,10 +2,12 @@
 
 Importing this module, which runs before the debugger is spawned, loads
 the package and the standard library it needs: ``argparse``, ``json``,
-``re``, ``subprocess`` with ``pty`` and ``select``, ``shutil``, ``enum``
-and ``functools``.  The package defines plain classes and no typing
+``re``, ``subprocess`` with ``pty`` and ``select``, ``enum`` and
+``functools``.  The package defines plain classes and no typing
 constructs, so ``dataclasses``, ``inspect`` (with ``ast``, ``dis`` and
-``tokenize``) and ``typing`` stay unloaded.
+``tokenize``) and ``typing`` stay unloaded, and gdb is left to
+``subprocess`` to find on PATH, so ``shutil`` (with ``bz2``, ``lzma``
+and ``fnmatch``) does too.
 
 Startup runs in this order:
 
@@ -68,11 +70,14 @@ def positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # add_argument builds a formatter only to check each metavar; one of a
+    # fixed width spares it the shutil import that reads the terminal's.
     parser = argparse.ArgumentParser(
         prog="dbgchat",
         description="Debug a crashing program with a chat assistant "
                     "driving gdb.",
-        epilog='Everything after "--" is passed to the target program.')
+        epilog='Everything after "--" is passed to the target program.',
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80))
     parser.add_argument("target", help="executable to debug")
     parser.add_argument("target_args", nargs="*", metavar="arg",
                         help="arguments for the target")
@@ -106,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="feed FILE to the target's standard input")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    parser.formatter_class = argparse.HelpFormatter  # for help and errors
     return parser
 
 
@@ -246,7 +252,8 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
         # so the two take the longer one's time, not their sum.
         session = DebugSession(ns.target, ns.target_args)
         if backend is None:
-            backend = HttpBackend(ns.base_url, ns.model, ns.key_env)
+            backend = HttpBackend(ns.base_url, ns.model,
+                                  os.environ[ns.key_env])
         session.run_to_stop(stdin_text)
         out.write(stop_report(session, root) + "\n")
         agent = Agent(

@@ -319,16 +319,16 @@ class HttpBackend:
     ``https:`` URLs one TLS context, verifying against the system CA store,
     is built here, so the debugger's boot hides its cost.  ``https_proxy``,
     ``http_proxy`` and ``no_proxy`` are honoured as urllib honoured them;
-    redirects are not followed.
+    redirects are not followed.  Every request carries ``key`` as its
+    bearer token.
     """
 
-    def __init__(self, base_url: str, model: str, key_env: str):
+    def __init__(self, base_url: str, model: str, key: str):
         # Load the socket module now rather than in the first chat turn.
         import socket  # noqa: F401
         from urllib.parse import urlsplit
         self.base_url = base_url
         self.model = model
-        self.key_env = key_env
         url = urlsplit(base_url.rstrip("/") + "/chat/completions")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"not an http: or https: URL: {base_url!r}")
@@ -356,7 +356,8 @@ class HttpBackend:
             target = f"http://{authority}{target}"
         self._head = (f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
                       f"{auth}Content-Type: application/json\r\n"
-                      "Accept-Encoding: identity\r\n")
+                      "Accept-Encoding: identity\r\n"
+                      f"Authorization: Bearer {key}\r\n")
         self._sock = None
         self._file = None
 
@@ -373,11 +374,6 @@ class HttpBackend:
 
     def complete(self, messages: list[ChatMessage],
                  tools: list[ToolDef]) -> Iterator[CompletionEvent]:
-        key = os.environ.get(self.key_env, "")
-        if not key:
-            raise AuthError(
-                f"no API key in ${self.key_env}; set it or use "
-                "a scripted backend")
         # Byte for byte what json.dumps gives for the same dict, with its
         # default separators and ensure_ascii.
         body = ('{"model": ' + json.dumps(self.model)
@@ -387,7 +383,7 @@ class HttpBackend:
             body += ', "tools": [' + ", ".join(t.wire_json for t in tools) + "]"
         body += "}"
 
-        blocks = self._post_with_retry(key, body.encode("utf-8"))
+        blocks = self._post_with_retry(body.encode("utf-8"))
         lines = _lines(blocks)
         try:
             yield from self._stream_events(lines, tools)
@@ -464,12 +460,11 @@ class HttpBackend:
             if not (done and keep):
                 self.close()
 
-    def _post_with_retry(self, key: str, body: bytes) -> Iterator[bytes]:
+    def _post_with_retry(self, body: bytes) -> Iterator[bytes]:
         """Post the body and yield the answer's body.  A 429 is retried
         after its Retry-After and a failed connection after a back-off, up
         to RETRY_CAP times in all; any other status of 300 or above fails."""
-        request = (self._head + f"Authorization: Bearer {key}\r\n"
-                   f"Content-Length: {len(body)}\r\n\r\n"
+        request = (self._head + f"Content-Length: {len(body)}\r\n\r\n"
                    ).encode("latin-1") + body
         attempt = 0
         while True:

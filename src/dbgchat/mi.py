@@ -1,12 +1,14 @@
 r"""GDB machine-interface (MI) driver.
 
-Spawns GDB with ``--interpreter=mi`` and serializes commands one at a
-time.  Each answer's lines are kept as text and parsed into structured
-records when first read; ``MIOutput.result`` decides whether an answer
-is usable.  ``file_symbols`` reads one file's entries of a symbol table
-without parsing the rest.  The inferior's own stdin/stdout/stderr are
-routed through a pty so that target output never interleaves with
-protocol traffic.
+Spawns ``gdb``, as found on PATH, with ``--interpreter=mi`` and
+serializes commands one at a time.  A ``gdb`` that cannot be started,
+whether missing, not executable or missing its ``#!`` interpreter,
+raises DebuggerNotFound.  Each answer's lines are kept as text and
+parsed into structured records when first read; ``MIOutput.result``
+decides whether an answer is usable.  ``file_symbols`` reads one
+file's entries of a symbol table without parsing the rest.  The
+inferior's own stdin/stdout/stderr are routed through a pty so that
+target output never interleaves with protocol traffic.
 
 Record grammar (one line each, mirroring the MI output syntax):
 
@@ -37,7 +39,6 @@ import os
 import pty
 import re
 import select
-import shutil
 import subprocess
 import time
 from collections import deque
@@ -427,17 +428,6 @@ def _parsed_file_symbols(line: str, fullname: str) -> list:
 # Process driver
 # --------------------------------------------------------------------------
 
-class DriverConfig:
-    """Launch configuration for the debugger child process."""
-
-    __slots__ = ("debugger", "transcript_path")
-
-    def __init__(self, debugger: str = "gdb",
-                 transcript_path: str | None = None):
-        self.debugger = debugger
-        self.transcript_path = transcript_path
-
-
 def _default_env() -> dict[str, str]:
     # Trimmed environment so that spawned sessions (and inferior stack
     # layouts) are reproducible across runs.
@@ -462,7 +452,7 @@ class DebuggerHandle:
     """
 
     def __init__(self, proc: subprocess.Popen, tty_master: int,
-                 tty_slave: int = -1, transcript: "object | None" = None):
+                 tty_slave: int = -1):
         self._proc = proc
         assert proc.stdout is not None
         self._stdout = proc.stdout.fileno()
@@ -476,7 +466,6 @@ class DebuggerHandle:
         self._tty_slave = tty_slave
         self._target_text: list[str] = []
         self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
-        self._transcript = transcript
         self._closed = False
         self._handshake_owed = True
 
@@ -516,9 +505,6 @@ class DebuggerHandle:
         if rest:
             self._partial.append(rest)
         for raw in lines:
-            if self._transcript is not None:
-                self._transcript.write(raw + b"\n")
-                self._transcript.flush()
             self._lines.append(raw.decode("utf-8", "replace").rstrip("\r"))
         return True
 
@@ -638,11 +624,6 @@ class DebuggerHandle:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait(timeout=3)
-        if self._transcript is not None:
-            # Mirror what the debugger wrote up to its exit.
-            deadline = time.monotonic() + 1.0
-            while not self._eof and self._pump(deadline):
-                pass
         self._tty_open = False
         for pipe in (self._proc.stdin, self._proc.stdout):
             try:
@@ -656,36 +637,21 @@ class DebuggerHandle:
                 os.close(fd)
             except OSError:
                 pass
-        if self._transcript is not None:
-            try:
-                self._transcript.close()
-            except Exception:
-                pass
 
 
-def spawn_debugger(executable: str, target_args: list[str] | None = None,
-                   config: DriverConfig | None = None) -> DebuggerHandle:
-    """Start the debugger on a target and return while it boots.
+def spawn_debugger(executable: str,
+                   target_args: list[str] | None = None) -> DebuggerHandle:
+    """Start gdb, found on PATH, on a target and return while it boots.
 
     The handshake waits for the first command, so the caller may do other
     work while the debugger reads the target's symbols.
     """
-    cfg = config or DriverConfig()
-    target_args = target_args or []
-
     if not os.path.exists(executable):
         raise TargetNotFound(f"target executable not found: {executable}")
-    if shutil.which(cfg.debugger) is None:
-        raise DebuggerNotFound(f"debugger not found on PATH: {cfg.debugger}")
 
     master, slave = pty.openpty()
-
-    transcript = None
-    if cfg.transcript_path:
-        transcript = open(cfg.transcript_path, "ab")
-
-    argv = [cfg.debugger, "--nx", "--quiet", "--interpreter=mi",
-            "--args", executable, *target_args]
+    argv = ["gdb", "--nx", "--quiet", "--interpreter=mi",
+            "--args", executable, *(target_args or [])]
     try:
         proc = subprocess.Popen(
             argv,
@@ -694,11 +660,9 @@ def spawn_debugger(executable: str, target_args: list[str] | None = None,
             stderr=subprocess.DEVNULL,
             env=_default_env(),
         )
-    except FileNotFoundError as exc:
+    except OSError as exc:
         os.close(master)
         os.close(slave)
-        raise DebuggerNotFound(
-            f"debugger not found on PATH: {cfg.debugger}") from exc
+        raise DebuggerNotFound("debugger not found on PATH: gdb") from exc
 
-    return DebuggerHandle(proc, tty_master=master, tty_slave=slave,
-                          transcript=transcript)
+    return DebuggerHandle(proc, tty_master=master, tty_slave=slave)

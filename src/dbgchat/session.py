@@ -20,7 +20,6 @@ from .errors import (
     ProtocolError,
 )
 from .mi import (
-    DriverConfig,
     MIRecord,
     DebuggerHandle,
     file_symbols,
@@ -186,10 +185,9 @@ def _definition(payload: dict, name: str) -> tuple[str, int] | None:
 class DebugSession:
     """One debugger child attached to one target executable."""
 
-    def __init__(self, executable: str, target_args: list[str] | None = None,
-                 driver: DriverConfig | None = None):
-        self.handle: DebuggerHandle = spawn_debugger(
-            executable, target_args, driver)
+    def __init__(self, executable: str,
+                 target_args: list[str] | None = None):
+        self.handle: DebuggerHandle = spawn_debugger(executable, target_args)
         self._stop: StopInfo | None = None
         self._stack: tuple[int, list[Frame]] | None = None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import select
 import shutil
 import socket
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.mi import DriverConfig
 from dbgchat.session import DEFAULT_FRAME_CAP, DEPTH_PROBE_CAP, Binding
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,22 +68,24 @@ def fixtures_dir() -> Path:
 # -- a scripted MI child in gdb's place -------------------------------------
 
 @pytest.fixture()
-def fake_gdb(tmp_path):
-    """``script(commands, **fields) -> (target, DriverConfig)``.
+def fake_gdb(tmp_path, monkeypatch):
+    """``script(commands, **fields) -> target``.
 
-    Handing both to ``spawn_debugger`` or ``DebugSession`` starts
-    ``tests/fake_gdb.py`` in gdb's place, answering from ``commands``;
-    ``fields`` go into the script as well (``log``, ``boot``).
+    ``tests/fake_gdb.py`` is the ``gdb`` first on PATH, so that
+    ``spawn_debugger(target)`` or ``DebugSession(target)`` starts it,
+    answering from ``commands``; ``fields`` go into the script as well
+    (``log``, ``boot``).
     """
     debugger = tmp_path / "gdb"
     debugger.write_text(
         f'#!/bin/sh\nexec "{sys.executable}" "{FAKE_GDB}" "$@"\n')
     debugger.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
 
     def script(commands, **fields):
         target = tmp_path / "script.json"
         target.write_text(json.dumps({"commands": commands, **fields}))
-        return str(target), DriverConfig(debugger=str(debugger))
+        return str(target)
     return script
 
 

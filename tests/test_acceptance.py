@@ -287,7 +287,8 @@ def test_criterion_8_live_smoke(fixture_bins, fixtures_dir):
     with DebugSession(str(fixture_bins["crash_segv"])) as session:
         session.run_to_stop()
         ui = RecordingUi()
-        backend = HttpBackend(ns.base_url, ns.model, ns.key_env)
+        backend = HttpBackend(ns.base_url, ns.model,
+                              os.environ[ns.key_env])
         agent = Agent(session, backend, native_strict(),
                       AgentConfig(workspace_root=str(fixtures_dir)), ui)
         start = time.monotonic()

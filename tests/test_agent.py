@@ -426,14 +426,12 @@ def test_backend_failure_ends_turn_gracefully(tmp_path):
     assert agent.messages
 
 
-def test_stream_cut_ends_turn_not_session(tmp_path, stub_server,
-                                          monkeypatch):
+def test_stream_cut_ends_turn_not_session(tmp_path, stub_server):
     stub_server.responses = [(None, CUT_STREAM), (200, sse(
         {"choices": [{"delta": {"content": "still here"}}]}))]
-    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
     backend = HttpBackend(
         f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
-        "DBGCHAT_TEST_KEY")
+        "sk-test")
     session, ui = FakeSession(), RecordingUi()
     agent = Agent(session, backend, native_strict(),
                   AgentConfig(workspace_root=str(tmp_path)), ui)
@@ -457,7 +455,7 @@ def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
         fake_gdb, tmp_path):
     frame = (f'frame={{level="0",func="main",file="app.c",'
              f'fullname="{tmp_path}/app.c",line="3"}}')
-    target, cfg = fake_gdb({
+    target = fake_gdb({
         "-exec-run": ["^running", "(gdb) ",
                       f'*stopped,reason="signal-received",'
                       f'signal-name="SIGSEGV",{frame}', "(gdb) "],
@@ -470,7 +468,7 @@ def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
         '-interpreter-exec console "p x"': ['~"$1 = 1\\n"', "^done",
                                              "(gdb) "],
     })
-    with DebugSession(target, driver=cfg) as session:
+    with DebugSession(target) as session:
         session.run_to_stop()
         agent, _, ui = make_agent(tmp_path, [[{"text": "x is 1."}]],
                                   session=session, transcript_name="t.jsonl")
@@ -505,7 +503,7 @@ def test_a_debugger_that_exits_ends_the_session(fake_gdb, tmp_path, line):
     # command could reach it, so the session ends rather than the turn.
     frame = (f'frame={{level="0",func="main",file="app.c",'
              f'fullname="{tmp_path}/app.c",line="3"}}')
-    target, cfg = fake_gdb({
+    target = fake_gdb({
         "-exec-run": ["^running", "(gdb) ",
                       f'*stopped,reason="signal-received",'
                       f'signal-name="SIGSEGV",{frame}', "(gdb) "],
@@ -516,7 +514,7 @@ def test_a_debugger_that_exits_ends_the_session(fake_gdb, tmp_path, line):
         "-symbol-info-variables": ["^done,symbols={debug=[]}", "(gdb) "],
         '-interpreter-exec console "bt"': [{"exit": 0}],
     })
-    with DebugSession(target, driver=cfg) as session:
+    with DebugSession(target) as session:
         session.run_to_stop()
         agent, _, ui = make_agent(tmp_path, [[debug_call("bt")]],
                                   session=session)

@@ -119,10 +119,8 @@ def test_stdin_file_control_characters_refused_before_the_debugger(
                           f"character {char!r}")
 
 
-def test_debugger_exit_during_boot_is_a_one_line_error(
-        fake_gdb, tmp_path, monkeypatch, capsys):
-    target, _ = fake_gdb({}, boot=[{"sleep": 0.05}, {"exit": 1}])
-    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+def test_debugger_exit_during_boot_is_a_one_line_error(fake_gdb, capsys):
+    target = fake_gdb({}, boot=[{"sleep": 0.05}, {"exit": 1}])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["--script", str(REPLAY_SCRIPT), target]) == 1
@@ -132,6 +130,13 @@ def test_debugger_exit_during_boot_is_a_one_line_error(
     assert captured.err.startswith("dbgchat: ")
     assert "Traceback" not in captured.err
     assert PROMPT not in captured.out
+
+
+def test_no_gdb_on_path_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert main(["--script", str(REPLAY_SCRIPT), sys.executable]) == 1
+    assert capsys.readouterr().err == \
+        "dbgchat: debugger not found on PATH: gdb\n"
 
 
 def test_failed_spawn_closes_the_log(tmp_path, monkeypatch, capsys):
@@ -173,14 +178,16 @@ def test_import_does_not_load_logging():
     assert "logging" not in loaded_after("import dbgchat.cli")
 
 
-#: Modules that only class-building machinery needs.  Under -S, since a
-#: site-packages .pth file may import typing at every interpreter start.
-CLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize",
-                   "typing")
+#: Modules that only class-building machinery needs, then ``shutil`` and
+#: the modules it imports, which only a PATH probe needed.  Under -S,
+#: since a site-packages .pth file may import typing or shutil at every
+#: interpreter start.
+NOT_NEEDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+              "shutil", "bz2", "lzma", "fnmatch")
 
 
 def test_import_does_not_load_the_class_machinery():
-    assert loaded_after("import dbgchat.cli", modules=CLASS_MACHINERY,
+    assert loaded_after("import dbgchat.cli", modules=NOT_NEEDED,
                         flags=["-S"]) == "[]"
 
 
@@ -190,15 +197,13 @@ def test_a_session_does_not_load_the_class_machinery(fake_gdb, tmp_path):
     script = tmp_path / "turns.json"
     script.write_text(json.dumps({"version": 1, "turns": _TURNS}))
     answers = json.dumps({**_ANSWERS, **_PRINT_X})
-    target, _ = fake_gdb(json.loads(answers.replace("ROOT", str(tmp_path))))
-    code = (f"import os, sys\nos.environ['PATH'] = {str(tmp_path)!r} + "
-            "os.pathsep + os.environ['PATH']\n"
-            "from dbgchat.cli import main\n"
+    target = fake_gdb(json.loads(answers.replace("ROOT", str(tmp_path))))
+    code = ("import sys\nfrom dbgchat.cli import main\n"
             "assert main(sys.argv[1:]) == 0")
     assert loaded_after(code, "--script", str(script), "--root",
                         str(tmp_path), target,
                         input_text=_CHAT_THEN_PRINT_X,
-                        modules=CLASS_MACHINERY, flags=["-S"]) == "[]"
+                        modules=NOT_NEEDED, flags=["-S"]) == "[]"
 
 
 def test_import_does_not_load_the_http_stack():
@@ -214,15 +219,12 @@ def test_import_does_not_load_the_http_stack():
     (["--key-env", "DBGCHAT_TEST_KEY",
       "--base-url", "https://127.0.0.1:9/v1"], ["ssl"]),
 ])
-def test_only_http_sessions_load_the_http_stack(fake_gdb, tmp_path, flags,
-                                                loaded):
-    target, _ = fake_gdb({"-exec-run": [
+def test_only_http_sessions_load_the_http_stack(fake_gdb, flags, loaded):
+    target = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", '*stopped,reason="signal-received",'
         'signal-name="SIGSEGV"', "(gdb) "]})
     code = ("import os, sys\n"
             "os.environ['DBGCHAT_TEST_KEY'] = 'sk-test'\n"
-            f"os.environ['PATH'] = {str(tmp_path)!r} + os.pathsep + "
-            "os.environ['PATH']\n"
             "from dbgchat.cli import main\n"
             "assert main(sys.argv[1:]) == 0")
     assert loaded_after(code, *flags, target,
@@ -506,7 +508,6 @@ def faulty_session(fake_gdb, tmp_path, monkeypatch):
     in-process ``--script`` session over the fake gdb, by default a chat
     line, ``p x``, quit.  A stop the debugger never reports times out
     after 1 s, not 60 s."""
-    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.setattr(session_module, "RUN_TIMEOUT", 1.0)
     (tmp_path / "app.c").write_text(
         "".join(f"int line_{i};\n" for i in range(1, 13)))
@@ -515,7 +516,7 @@ def faulty_session(fake_gdb, tmp_path, monkeypatch):
 
     def run(answers, lines=_CHAT_THEN_PRINT_X, flags=()):
         text = json.dumps({**answers, **_PRINT_X})
-        target, _ = fake_gdb(json.loads(text.replace("ROOT", str(tmp_path))))
+        target = fake_gdb(json.loads(text.replace("ROOT", str(tmp_path))))
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(sys, "stdin", io.StringIO(lines)), \
                 redirect_stdout(out), redirect_stderr(err):

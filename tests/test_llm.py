@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-import os
 import socket
 import urllib.request
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -261,14 +259,13 @@ PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy")
 def connect(monkeypatch):
     """``connect(url) -> HttpBackend`` with a test key and no proxy set;
     every backend made is closed at teardown."""
-    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
     for name in PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     made = []
 
     def connect(url):
-        made.append(HttpBackend(url, "test-model", "DBGCHAT_TEST_KEY"))
+        made.append(HttpBackend(url, "test-model", "sk-test"))
         return made[-1]
     yield connect
     for backend in made:
@@ -282,14 +279,6 @@ def url_of(server, scheme="http", host="127.0.0.1"):
 @pytest.fixture()
 def backend(stub_server, connect):
     return connect(url_of(stub_server))
-
-
-def test_http_missing_key_fails_before_any_request(monkeypatch):
-    monkeypatch.delenv("DBGCHAT_TEST_KEY", raising=False)
-    backend = HttpBackend("http://127.0.0.1:9", "test-model",
-                          "DBGCHAT_TEST_KEY")
-    with pytest.raises(AuthError):
-        list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
 def test_http_text_stream(stub_server, backend):
@@ -649,11 +638,11 @@ def test_no_proxy_matches_as_urllib_matched(authority, no_proxy):
                                  "api.example.com/v1"])
 def test_http_rejects_a_url_it_cannot_reach(url):
     with pytest.raises(ValueError):
-        HttpBackend(url, "m", "DBGCHAT_TEST_KEY")
+        HttpBackend(url, "m", "sk-test")
 
 
-def test_http_describe(monkeypatch):
-    backend = HttpBackend("http://x/v1", "m", "DBGCHAT_TEST_KEY")
+def test_http_describe():
+    backend = HttpBackend("http://x/v1", "m", "sk-test")
     info = backend.describe()
     assert info == {"backend": "http", "base_url": "http://x/v1", "model": "m"}
 
@@ -672,16 +661,15 @@ def reference_body(model, messages, tools) -> bytes:
 def sent_body(model, messages, tools) -> bytes:
     """The body complete() hands to the transport, stubbed to send nothing
     and answer with an empty body."""
-    backend = HttpBackend("http://127.0.0.1:9", model, "DBGCHAT_TEST_KEY")
+    backend = HttpBackend("http://127.0.0.1:9", model, "sk-test")
     sent = []
 
-    def post(key, body):
+    def post(body):
         sent.append(body)
         yield from ()
 
     backend._post_with_retry = post
-    with mock.patch.dict(os.environ, {"DBGCHAT_TEST_KEY": "sk-test"}):
-        list(backend.complete(messages, tools))
+    list(backend.complete(messages, tools))
     return sent[0]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import os
 import pty
 import select
@@ -24,13 +25,13 @@ from dbgchat.errors import (
     CommandTimeout,
     DebuggerError,
     DebuggerExited,
+    DebuggerNotFound,
     EvaluationError,
     ProtocolError,
     TargetNotFound,
 )
 from dbgchat.mi import (
     DebuggerHandle,
-    DriverConfig,
     MIOutput,
     MIRecord,
     RecordKind,
@@ -563,10 +564,10 @@ def test_close_closes_the_child_pipes():
 
 
 def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
-    target, cfg = fake_gdb({"-exec-run": [
+    target = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", "=thread-created,id=\"1\"", "(gdb) ",
         _STOP, "(gdb) "]})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         out = dbg.send_command("-exec-run")
         assert [r.kind for r in out.records] == [RecordKind.RESULT,
                                                  RecordKind.PROMPT]
@@ -594,25 +595,25 @@ def test_a_long_line_written_in_pieces_reads_as_before(fake_gdb):
     line = "^done,symbols=[" + "".join(entry % i for i in range(40000)) + "]"
     text = f"=thread-created,id=\"1\"\r\n{line}\n(gdb) \n"
     assert len(line) > 1_000_000
-    target, cfg = fake_gdb({"-symbol-info-variables": [
+    target = fake_gdb({"-symbol-info-variables": [
         {"pieces": text, "size": 4096}]})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         out = dbg.send_command("-symbol-info-variables")
     assert out.lines == _lines_of_the_old_reader(text.encode(), 4096)
     assert out.lines[1] == line
 
 
 def test_command_timeout_reports_the_records_so_far(fake_gdb):
-    target, cfg = fake_gdb({"-slow": ['~"one"', '~"two"']})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    target = fake_gdb({"-slow": ['~"one"', '~"two"']})
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         with pytest.raises(CommandTimeout,
                            match=r"no prompt within 0\.3s \(2 records so far\)"):
             dbg.send_command("-slow", timeout=0.3)
 
 
 def test_debugger_exit_mid_command_raises(fake_gdb):
-    target, cfg = fake_gdb({"-die": ['~"bye"', {"exit": 3}]})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    target = fake_gdb({"-die": ['~"bye"', {"exit": 3}]})
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         with pytest.raises(DebuggerExited):
             dbg.send_command("-die")
         with pytest.raises(DebuggerExited):
@@ -622,38 +623,54 @@ def test_debugger_exit_mid_command_raises(fake_gdb):
 def test_target_output_is_drained_while_a_command_waits(fake_gdb):
     # Far more than a pty buffers: the target blocks unless it is drained.
     text = "".join(f"line {i}\n" for i in range(30000))
-    target, cfg = fake_gdb({"-exec-run": [
+    target = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", {"tty": text}, _STOP, "(gdb) "]})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(10)
         assert dbg.target_output() == text
 
 
-def test_transcript_is_byte_identical_to_what_the_child_wrote(fake_gdb,
-                                                              tmp_path):
+def _corpus_recorder():
+    """``tools/record_mi_corpus.py``, loaded as a module."""
+    path = Path(__file__).parent.parent / "tools" / "record_mi_corpus.py"
+    spec = importlib.util.spec_from_file_location("record_mi_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_recorders_wrapper_copies_what_gdb_wrote(fake_gdb, tmp_path,
+                                                     monkeypatch):
     log = tmp_path / "child.log"
     symbols = ",".join(f'{{name="v{i}",line="{i}"}}' for i in range(20000))
-    target, cfg = fake_gdb({
-        "-symbol-info-variables": [f"^done,symbols=[{symbols}]", "(gdb) "],
+    answer = f"^done,symbols=[{symbols}]"
+    target = fake_gdb({
+        "-symbol-info-variables": [answer, "(gdb) "],
         "-exec-run": ["^running", "(gdb) ", '@"caf\u00e9"', _STOP, "(gdb) "],
     }, log=str(log))
-    cfg.transcript_path = str(tmp_path / "mi.log")
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
-        dbg.send_command("-symbol-info-variables")
+    wrapper_dir = tmp_path / "wrapper"
+    wrapper_dir.mkdir()
+    transcript = tmp_path / "mi.log"
+    monkeypatch.setenv("PATH", os.environ["PATH"])  # restored after the test
+    _corpus_recorder().wrap_gdb(wrapper_dir, transcript)
+    with contextlib.closing(spawn_debugger(target)) as dbg:
+        out = dbg.send_command("-symbol-info-variables")
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(5)
         dbg.send_command("-unknown")
-    mirrored = (tmp_path / "mi.log").read_bytes()
-    assert mirrored.endswith(b"^exit\n")
-    assert mirrored == log.read_bytes()
+    assert out.lines == [answer, "(gdb) "]
+    copied = transcript.read_bytes()
+    assert '@"caf\u00e9"\n'.encode() in copied
+    assert copied.endswith(b"^exit\n")
+    assert copied == log.read_bytes()
 
 
 def test_a_handle_starts_no_thread(fake_gdb):
     before = threading.active_count()
-    target, cfg = fake_gdb({"-exec-run": [
+    target = fake_gdb({"-exec-run": [
         "^running", "(gdb) ", {"read_tty": True}, _STOP, "(gdb) "]})
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         dbg.send_command("-exec-run")
         dbg.wait_for_stop(5, stdin="input\n")
         assert "read 6 bytes" in dbg.target_output()
@@ -664,18 +681,18 @@ def test_a_handle_starts_no_thread(fake_gdb):
 # -- the handshake, read before the first reply ----------------------------
 
 def test_boot_output_is_not_a_reply(fake_gdb):
-    target, cfg = fake_gdb({"-data-evaluate-expression": [
+    target = fake_gdb({"-data-evaluate-expression": [
         '^done,value="2"', "(gdb) "]},
         boot=['=thread-group-added,id="i1"', '~"Reading symbols"'])
-    with contextlib.closing(spawn_debugger(target, config=cfg)) as dbg:
+    with contextlib.closing(spawn_debugger(target)) as dbg:
         out = dbg.send_command("-data-evaluate-expression 1+1")
         assert out.result(EvaluationError).payload == {"value": "2"}
 
 
 def test_tty_setup_error_fails_the_handshake(fake_gdb):
-    target, cfg = fake_gdb({"-inferior-tty-set": [
+    target = fake_gdb({"-inferior-tty-set": [
         '^error,msg="Cannot open tty"', "(gdb) "]})
-    dbg = spawn_debugger(target, config=cfg)
+    dbg = spawn_debugger(target)
     with pytest.raises(DebuggerError,
                        match="^tty setup failed: Cannot open tty$"):
         dbg.send_command("-exec-run")
@@ -687,10 +704,10 @@ def test_tty_setup_error_fails_the_handshake(fake_gdb):
 @pytest.mark.parametrize("boot", [[{"exit": 1}],
                                   [{"sleep": 0.05}, {"exit": 1}]])
 def test_exit_during_boot_fails_the_handshake(fake_gdb, boot):
-    target, cfg = fake_gdb({}, boot=boot)
+    target = fake_gdb({}, boot=boot)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dbg = spawn_debugger(target, config=cfg)
+        dbg = spawn_debugger(target)
         with pytest.raises(DebuggerExited):
             dbg.send_command("-exec-run")
         del dbg
@@ -699,8 +716,8 @@ def test_exit_during_boot_fails_the_handshake(fake_gdb, boot):
 
 
 def test_closing_before_the_handshake_reaps_the_child(fake_gdb):
-    target, cfg = fake_gdb({}, boot=[{"sleep": 0.1}])
-    dbg = spawn_debugger(target, config=cfg)
+    target = fake_gdb({}, boot=[{"sleep": 0.1}])
+    dbg = spawn_debugger(target)
     dbg.close()
     assert dbg._proc.poll() is not None
 
@@ -712,11 +729,29 @@ def test_spawn_missing_target_raises():
         spawn_debugger("/no/such/binary")
 
 
-def test_spawn_missing_debugger_raises(fixture_bins):
-    from dbgchat.errors import DebuggerNotFound
-    cfg = DriverConfig(debugger="definitely-not-a-debugger")
-    with pytest.raises(DebuggerNotFound):
-        spawn_debugger(str(fixture_bins["crash_segv"]), config=cfg)
+@pytest.mark.parametrize("script, mode", [
+    (None, 0),
+    ("#!/no/such/interpreter\n", 0o755),
+    ("#!/bin/sh\nexit 0\n", 0o644),
+], ids=["no-gdb", "no-interpreter", "not-executable"])
+def test_spawn_without_a_runnable_gdb_raises_and_leaks_nothing(
+        tmp_path, monkeypatch, script, mode):
+    if script is not None:
+        gdb = tmp_path / "gdb"
+        gdb.write_text(script)
+        gdb.chmod(mode)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    fds = set(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(DebuggerNotFound,
+                           match="^debugger not found on PATH: gdb$"):
+            spawn_debugger(sys.executable)
+        gc.collect()
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_live_evaluate(fixture_bins):
@@ -744,17 +779,3 @@ def test_live_commands_after_close_raise(fixture_bins):
     dbg.close()
     with pytest.raises(DebuggerExited):
         dbg.send_command("-data-evaluate-expression 1")
-
-
-def test_transcript_mirrors_raw_lines(fixture_bins, tmp_path):
-    path = tmp_path / "mi.log"
-    cfg = DriverConfig(transcript_path=str(path))
-    with contextlib.closing(spawn_debugger(
-            str(fixture_bins["crash_segv"]), config=cfg)) as dbg:
-        dbg.send_command("-data-evaluate-expression 6*7")
-    text = path.read_text()
-    assert '^done,value="42"' in text
-    # Every mirrored line must parse, with no unparsed stragglers from gdb.
-    for line in text.splitlines():
-        rec = parse_mi_line(line)
-        assert not rec.unparsed or not line.startswith(("^", "*", "=", "~", "&"))

@@ -260,8 +260,8 @@ def scripted(fake_gdb, tmp_path):
     """A stopped DebugSession over fake_gdb, and ``count(prefix)``: how
     many lines the child wrote that start with ``prefix``."""
     log = tmp_path / "stdout.log"
-    target, cfg = fake_gdb(_scripted_commands(tmp_path), log=str(log))
-    session = DebugSession(target, driver=cfg)
+    target = fake_gdb(_scripted_commands(tmp_path), log=str(log))
+    session = DebugSession(target)
     session.run_to_stop()
 
     def count(prefix):
@@ -334,11 +334,11 @@ def test_global_variables_reads_one_file_capped_and_in_line_order(fake_gdb):
               for i, (name, _) in enumerate(_GLOBALS)}
     values["g_name"] = [r'^done,value="0x4006f4 \"run\""', "(gdb) "]
     values["g_buf"] = ['^error,msg="Cannot access memory"', "(gdb) "]
-    target, cfg = fake_gdb({
+    target = fake_gdb({
         "-exec-run": [*_RUN, _STOPPED, "(gdb) "],
         "-symbol-info-variables": [_SYMBOL_TABLE, "(gdb) "],
         **{f'{evaluate}"{name}"': steps for name, steps in values.items()}})
-    with DebugSession(target, driver=cfg) as s:
+    with DebugSession(target) as s:
         s.run_to_stop()
         sent = []
         send = s.handle.send_command
@@ -355,10 +355,10 @@ def test_global_variables_reads_one_file_capped_and_in_line_order(fake_gdb):
 
 
 def test_run_to_stop_waits_out_a_slow_boot(fake_gdb):
-    target, cfg = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]},
+    target = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]},
                            boot=[{"sleep": 0.3}])
     started = time.monotonic()
-    with DebugSession(target, driver=cfg) as s:
+    with DebugSession(target) as s:
         assert time.monotonic() - started < 0.15
         assert s.run_to_stop().signal_name == "SIGSEGV"
         assert time.monotonic() - started >= 0.3
@@ -375,8 +375,8 @@ def test_sigabrt_reads_the_assertion_report(fake_gdb, report, kind,
     abort = ('*stopped,reason="signal-received",signal-name="SIGABRT",'
              'frame={level="0",func="raise"}')
     tty = [{"tty": report}] if report else []
-    target, cfg = fake_gdb({"-exec-run": [*_RUN, *tty, abort, "(gdb) "]})
-    with DebugSession(target, driver=cfg) as s:
+    target = fake_gdb({"-exec-run": [*_RUN, *tty, abort, "(gdb) "]})
+    with DebugSession(target) as s:
         stop = s.run_to_stop()
     assert (stop.kind, stop.assertion_text) == (kind, expression)
 
@@ -385,33 +385,31 @@ def test_sigabrt_reads_the_assertion_report(fake_gdb, report, kind,
 
 
 def test_stdin_reaches_the_target_then_eof(fake_gdb):
-    target, cfg = fake_gdb({"-exec-run": [*_RUN, {"read_tty": True},
+    target = fake_gdb({"-exec-run": [*_RUN, {"read_tty": True},
                                           _STOPPED, "(gdb) "]})
-    with DebugSession(target, driver=cfg) as s:
+    with DebugSession(target) as s:
         assert s.run_to_stop("first\nsecond").kind == "signal"
         assert "read 13 bytes" in s.handle.target_output()
 
 
 _RUN_WITH_UNREAD_STDIN = """
 import sys
-from dbgchat.mi import DriverConfig
 from dbgchat.session import DebugSession
-with DebugSession(sys.argv[1], driver=DriverConfig(debugger=sys.argv[2])) as s:
+with DebugSession(sys.argv[1]) as s:
     print(s.run_to_stop("".join(f"record {i}\\n" for i in range(6000))).kind)
 """
 
 
 def test_stdin_the_target_never_reads_does_not_block_the_stop(fake_gdb):
     # 71 kB, far more than a pty takes unread; the target stops at once.
-    target, cfg = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]})
+    target = fake_gdb({"-exec-run": [*_RUN, _STOPPED, "(gdb) "]})
     src = str(Path(session_module.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         done = subprocess.run(
-            [sys.executable, "-c", _RUN_WITH_UNREAD_STDIN, target,
-             cfg.debugger], env=env, capture_output=True, text=True,
-            timeout=30)
+            [sys.executable, "-c", _RUN_WITH_UNREAD_STDIN, target],
+            env=env, capture_output=True, text=True, timeout=30)
     except subprocess.TimeoutExpired:
         pytest.fail("run_to_stop blocked on stdin the target never read")
     assert (done.returncode, done.stdout) == (0, "signal\n"), done.stderr

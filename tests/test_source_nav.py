@@ -48,18 +48,43 @@ def test_parse_loc_refuses_paths_outside_the_root(loc):
     assert str(raised.value) == f"{file} is outside the workspace root /ws"
 
 
+def test_parse_loc_refuses_a_link_out_of_the_root(tmp_path):
+    # The kernel resolves lnk/.. to other/, not to ws/.
+    ws, deep = tmp_path / "ws", tmp_path / "other" / "deep"
+    ws.mkdir()
+    deep.mkdir(parents=True)
+    (tmp_path / "other" / "secret.c").write_text("int secret;\n")
+    (ws / "lnk").symlink_to(deep)
+    with pytest.raises(SourceUnavailable) as raised:
+        parse_loc("lnk/../secret.c:1", str(ws))
+    assert str(raised.value) == \
+        f"lnk/../secret.c is outside the workspace root {ws}"
+
+
+def test_a_root_that_is_a_link_serves_its_files(tmp_path):
+    real, root = tmp_path / "real", tmp_path / "root"
+    real.mkdir()
+    (real / "app.c").write_text("int x;\n")
+    root.symlink_to(real)
+    for loc in ("app.c:1", f"{root}/app.c:1"):
+        assert parse_loc(loc, str(root)) == (f"{root}/app.c", 1)
+        assert "int x;" in code_window(*parse_loc(loc, str(root)))
+
+
 def test_parse_loc_keeps_path_colons():
     assert parse_loc("dir/od:d.c:7", "") == ("dir/od:d.c", 7)
 
 
 @pytest.mark.parametrize("bad", ["fixture.c", ":5", "a.c:", "a.c:x",
-                                 "a.c:0", "a.c:-3", ""])
+                                 "a.c:0", "a.c:-3", "", "a\0.c:1",
+                                 "\ud800.c:1"])
 def test_parse_loc_rejects(bad):
     with pytest.raises(BadLocSyntax):
         parse_loc(bad, "/ws")
 
 
-@given(file=st.text(st.characters(blacklist_characters="/"), min_size=1,
+@given(file=st.text(st.characters(blacklist_categories=["Cs"],
+                                   blacklist_characters="/\0"), min_size=1,
                    max_size=30).filter(lambda file: file != ".."),
        line=st.integers(1, 10**6))
 def test_loc_round_trips(file, line):

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
 """Record a machine-interface line corpus from live debugger sessions.
 
-Runs three crashing fixtures under the driver with a transcript attached,
-issues a representative spread of commands, and concatenates the raw
-protocol lines into tests/data/mi_corpus.txt.  Every line is checked to
-parse as a structured record before the corpus is written.
+Runs three crashing fixtures under the driver, issues a representative
+spread of commands, and writes the raw protocol lines of the three
+sessions, in order, to tests/data/mi_corpus.txt.  The lines are copied
+by a ``gdb`` wrapper put first on PATH, which runs the real gdb and tees
+its stdout, byte for byte, into a transcript.  Every line is checked to
+parse as a structured record before the corpus is written.  Needs gcc's
+fixture builds (``tests/fixtures/build``) and gdb on PATH.
 
 Usage: python3 tools/record_mi_corpus.py
 """
 
 from __future__ import annotations
 
+import os
+import shlex
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -18,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dbgchat.mi import DriverConfig, parse_mi_line  # noqa: E402
+from dbgchat.mi import parse_mi_line  # noqa: E402
 from dbgchat.session import DebugSession  # noqa: E402
 
 BUILD = ROOT / "tests" / "fixtures" / "build"
@@ -77,10 +83,21 @@ PER_FIXTURE = {
 }
 
 
-def record_fixture(name: str, tmp: Path) -> list[str]:
-    transcript = tmp / f"{name}.mi"
-    driver = DriverConfig(transcript_path=str(transcript))
-    with DebugSession(str(BUILD / name), driver=driver) as session:
+def wrap_gdb(directory: Path, transcript: Path) -> None:
+    """Put first on PATH a ``gdb`` in directory that runs the gdb PATH
+    held before and appends its stdout, byte for byte, to transcript."""
+    real = shutil.which("gdb")
+    if real is None:
+        raise SystemExit("gdb is not on PATH")
+    wrapper = directory / "gdb"
+    wrapper.write_text(f'#!/bin/sh\n{shlex.quote(real)} "$@" | '
+                       f"tee -a {shlex.quote(str(transcript))}\n")
+    wrapper.chmod(0o755)
+    os.environ["PATH"] = f"{directory}{os.pathsep}{os.environ['PATH']}"
+
+
+def record_fixture(name: str) -> None:
+    with DebugSession(str(BUILD / name)) as session:
         session.run_to_stop()
         for cmd in COMMON_COMMANDS + PER_FIXTURE[name]:
             try:
@@ -93,14 +110,15 @@ def record_fixture(name: str, tmp: Path) -> list[str]:
                 "--simple-values")
             session.handle.send_command(
                 f"-stack-list-arguments 1 {frame.level} {frame.level}")
-    return transcript.read_text().splitlines()
 
 
 def main() -> int:
-    lines: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
+        transcript = Path(tmp) / "mi.log"
+        wrap_gdb(Path(tmp), transcript)
         for name in PER_FIXTURE:
-            lines.extend(record_fixture(name, Path(tmp)))
+            record_fixture(name)
+        lines = transcript.read_text().splitlines()
 
     bad = [ln for ln in lines if parse_mi_line(ln).unparsed]
     if bad:
