@@ -3,14 +3,14 @@ and the budget cut alone.
 
 Run with ``PYTHONPATH=src python -m pytest bench -q``.  Each
 ``test_first_prompt`` case times ``build_enriched_stack`` plus
-``make_initial_prompt`` at the default budget over ``tests/conftest.py``'s
-``FakeSession``, whose answers cost no round trip, so the times show the
-enrichment and budgeting work alone.  ``extra_info`` holds the session
-calls per build (``frame_variables``, ``evaluate`` and
-``global_variables``, one debugger command each) and the frames the build
-enriched.  ``test_truncate_bundle`` times ``truncate_bundle`` on the
-fully enriched stack, which it must cut to fit.  Nothing here asserts on
-timing.
+``make_initial_prompt`` at the default budget on a real ``DebugSession``
+over ``perfbench/gdb_standin.py``, started afresh for each build outside
+the timed part, so the times hold the MI round trips as well as the
+enrichment and budgeting work.  In ``extra_info``,
+``session_calls_per_build`` is the MI commands one build sent, the stack
+snapshot's two included, and ``frames_enriched`` the frames it enriched.
+``test_truncate_bundle`` times ``truncate_bundle`` on the fully enriched
+stack, which it must cut to fit.  Nothing here asserts on timing.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ from dbgchat.prompts import (
     stack_room,
     truncate_bundle,
 )
-from dbgchat.session import Binding, Frame
+from dbgchat.session import Frame
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
-from conftest import FakeSession  # noqa: E402
+# standin is a fixture, found by name.
+from conftest import stack_description, standin, var  # noqa: E402, F401
 
 FRAMES = 200
+ROUNDS = 20
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +48,21 @@ def workspace(tmp_path_factory):
     return root
 
 
-def _session(root: Path) -> FakeSession:
-    """A recursion 200 frames deep: each frame has two ints, an array and
-    a pointer that is dereferenced once."""
+def _stack(root: Path) -> dict:
+    """A recursion 200 frames deep: each frame has two ints, an array
+    that is evaluated on its own and a pointer that is dereferenced
+    once."""
     frames = [Frame(level=n, func="walk", file="walk.c",
                     fullname=str(root / "walk.c"), line=20 + n % 30)
               for n in range(FRAMES)]
-    variables = {n: [Binding("depth", str(n), "int"),
-                     Binding("total", str(7 * n), "int"),
-                     Binding("seen", "{1, 2, 3, 4, 5, 6, 7, 8}", "int [8]"),
-                     Binding("node", "0x55550000", "struct node *")]
+    variables = {n: [var("depth", "int", str(n)),
+                     var("total", "int", str(7 * n)),
+                     var("seen", "int [8]", "{1, 2, 3, 4, 5, 6, 7, 8}",
+                         aggregate=True),
+                     var("node", "struct node *", "0x55550000",
+                         deref=f"{{next = 0x0, depth = {n}}}")]
                  for n in range(FRAMES)}
-    return FakeSession(frames=frames, variables=variables)
+    return stack_description(frames, variables)
 
 
 BUNDLE = PromptBundle(
@@ -75,25 +80,31 @@ def _with_stack(stack: EnrichedStack) -> PromptBundle:
 
 
 @pytest.mark.parametrize("room", [False, True], ids=["full", "room"])
-def test_first_prompt(benchmark, workspace, room):
+def test_first_prompt(benchmark, standin, workspace, room):
+    description = _stack(workspace)
     builds = []
 
-    def first_prompt():
-        session = _session(workspace)
+    def start():
+        standin.check()  # closes the earlier rounds' sessions
+        return standin(description), {}
+
+    def first_prompt(session, sent):
+        before = len(sent)
         stack = build_enriched_stack(
             session, str(workspace),
             room=stack_room(BUNDLE, DEFAULT_MAX_TOKENS) if room else None)
-        builds.append((len(session.calls), stack.shown_count))
+        builds.append((len(sent) - before, stack.shown_count))
         return make_initial_prompt(_with_stack(stack))
 
-    benchmark(first_prompt)
-    calls, shown = builds[-1]
-    benchmark.extra_info["session_calls_per_build"] = calls
+    benchmark.pedantic(first_prompt, setup=start, rounds=ROUNDS)
+    commands, shown = builds[-1]
+    benchmark.extra_info["session_calls_per_build"] = commands
     benchmark.extra_info["frames_enriched"] = shown
 
 
-def test_truncate_bundle(benchmark, workspace):
-    stack = build_enriched_stack(_session(workspace), str(workspace))
+def test_truncate_bundle(benchmark, standin, workspace):
+    session, _ = standin(_stack(workspace))
+    stack = build_enriched_stack(session, str(workspace))
     bundle = _with_stack(stack)
     cut = benchmark(truncate_bundle, bundle, DEFAULT_MAX_TOKENS)
     benchmark.extra_info["frames_before"] = stack.shown_count

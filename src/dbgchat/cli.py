@@ -60,6 +60,10 @@ MAX_STDIN_LINE = 4095
 #: (^C, ^\, ^Z): every one below U+0020 but tab and newline, and DEL.
 _TTY_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 
+#: What an HTTP header line cannot carry: control characters, which
+#: could end the line early, and anything outside Latin-1.
+_NOT_HEADER_TEXT = re.compile(r"[^\x20-\x7e\xa0-\xff]")
+
 
 def positive_int(text: str) -> int:
     """The argparse type of --budget and --radius."""
@@ -210,13 +214,20 @@ def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
 
 
 def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
-    """The replay backend, or None after checking the API key is set."""
+    """The replay backend, or None after checking the API key is set and
+    fits in an HTTP header."""
     if ns.script:
         return ScriptedBackend(ns.script)
-    if not os.environ.get(ns.key_env):
+    key = os.environ.get(ns.key_env)
+    if not key:
         raise AuthError(
             f"no API key: set the {ns.key_env} environment variable "
             "or pass --script")
+    if _NOT_HEADER_TEXT.search(key):
+        # The key itself is never quoted.
+        raise AuthError(
+            f"the API key in {ns.key_env} holds a control character or a "
+            "character outside Latin-1, which an HTTP header cannot carry")
     return None
 
 

@@ -168,8 +168,16 @@ def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
     for name, _ in spec.parameters:
         if name not in call.arguments:
             raise MalformedToolArgs(f"{call.name}: missing argument {name!r}")
-        if not isinstance(call.arguments[name], str):
+        value = call.arguments[name]
+        if not isinstance(value, str):
             raise MalformedToolArgs(f"{call.name}: argument {name!r} is not text")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate, from a JSON \ud800 escape: no output could
+            # show it, so the message quotes it escaped.
+            raise MalformedToolArgs(f"{call.name}: argument {name!r} is not "
+                                    f"UTF-8 text: {ascii(value)}") from None
 
 
 def validate_conversation(messages: list[ChatMessage]) -> None:
@@ -320,7 +328,8 @@ class HttpBackend:
     is built here, so the debugger's boot hides its cost.  ``https_proxy``,
     ``http_proxy`` and ``no_proxy`` are honoured as urllib honoured them;
     redirects are not followed.  Every request carries ``key`` as its
-    bearer token.
+    bearer token; the request head is encoded once, here, so a key that
+    Latin-1 cannot encode fails before any request, never in one.
     """
 
     def __init__(self, base_url: str, model: str, key: str):
@@ -357,7 +366,7 @@ class HttpBackend:
         self._head = (f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
                       f"{auth}Content-Type: application/json\r\n"
                       "Accept-Encoding: identity\r\n"
-                      f"Authorization: Bearer {key}\r\n")
+                      f"Authorization: Bearer {key}\r\n").encode("latin-1")
         self._sock = None
         self._file = None
 
@@ -464,8 +473,8 @@ class HttpBackend:
         """Post the body and yield the answer's body.  A 429 is retried
         after its Retry-After and a failed connection after a back-off, up
         to RETRY_CAP times in all; any other status of 300 or above fails."""
-        request = (self._head + f"Content-Length: {len(body)}\r\n\r\n"
-                   ).encode("latin-1") + body
+        request = (self._head + b"Content-Length: %d\r\n\r\n" % len(body)
+                   + body)
         attempt = 0
         while True:
             try:

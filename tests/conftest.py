@@ -1,9 +1,12 @@
-"""Shared fixtures: compile the C crashers once per session; a fake session."""
+"""Shared fixtures: compile the C crashers once per session; the two
+stand-ins for gdb; a stub provider."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import re
 import select
 import shutil
 import socket
@@ -16,10 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.session import DEFAULT_FRAME_CAP, DEPTH_PROBE_CAP, Binding
+from dbgchat.session import DebugSession
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FAKE_GDB = Path(__file__).parent / "fake_gdb.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+STANDIN = PERFBENCH / "gdb_standin.py"
 BUILD = FIXTURES / "build"
 
 CRASHERS = ["crash_segv", "crash_assert", "crash_fpe", "recurse", "libframe"]
@@ -89,65 +94,153 @@ def fake_gdb(tmp_path, monkeypatch):
     return script
 
 
-class FakeSession:
-    """Duck-typed stand-in for DebugSession; no debugger runs.
+# -- perfbench's gdb stand-in, answering from a stack description ----------
 
-    Console commands are recorded and answered from ``outputs`` (an
-    exception there is raised).  ``frames``, innermost first, make the
-    target stopped; a frame's variables are ``variables[level]``, by
-    default one ``x`` holding its level, and every file has one global
-    ``g = 7``.  ``total`` counts frames beyond the list as well; like a
-    session's stack snapshot, depth is counted up to ``DEPTH_PROBE_CAP``
-    and at most ``DEFAULT_FRAME_CAP`` frames are listed.  ``symbols`` maps
-    a name to the ``(fullname, line)`` of its definition in the debug
-    info.  ``calls`` records each ``frame_variables``, ``evaluate`` and
-    ``global_variables`` call as ``(method, frame level)``.
+_spec = importlib.util.spec_from_file_location("gdb_standin", STANDIN)
+gdb_standin = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gdb_standin)
+
+
+def var(name, type_, value, aggregate=False, deref=None) -> dict:
+    """One variable of a frame.  gdb leaves an aggregate's value out of
+    ``-stack-list-variables --simple-values``, so the session evaluates
+    it; ``deref`` answers ``*name``."""
+    out = {"name": name, "type": type_, "value": value}
+    if aggregate:
+        out["aggregate"] = True
+    if deref is not None:
+        out["deref"] = deref
+    return out
+
+
+def stack_description(frames, variables=None, globals=None, symbols=None,
+                      console=None) -> dict:
+    """A stack description for ``perfbench/gdb_standin.py``.
+
+    ``frames`` are Frames, innermost first, their level their index.  A
+    frame's variables are ``variables[level]``, by default one ``x``
+    holding its level.  ``globals`` maps a source fullname to the
+    variables defined at its file scope, on lines 1, 2, ...  ``symbols``
+    maps a function name to the ``(fullname, line)`` of its definition.
+    ``console`` maps a console command to its output; the stand-in
+    answers ``bt``, ``p``, ``info locals`` and ``ptype`` from the stack
+    itself.  The target stops on SIGSEGV.
+    """
+    variables = variables or {}
+    described = []
+    for level, frame in enumerate(frames):
+        described.append({
+            "func": frame.func, "file": frame.file if frame.line else "",
+            "fullname": frame.fullname, "line": frame.line,
+            "addr": f"0x{0x401000 + 16 * level:016x}",
+            "from": frame.shared_lib,
+            "vars": variables.get(level, [var("x", "int", str(level))])})
+    files = [{"filename": os.path.basename(fullname), "fullname": fullname,
+              "symbols": [[line, v["name"], v["type"]]
+                          for line, v in enumerate(defined, start=1)]}
+             for fullname, defined in (globals or {}).items()]
+    functions = [{"filename": os.path.basename(fullname),
+                  "fullname": fullname,
+                  "symbols": [[line, name, "int (void)"]]}
+                 for name, (fullname, line) in (symbols or {}).items()]
+    return {
+        "frames": described,
+        "globals": {v["name"]: {"type": v["type"], "value": v["value"]}
+                    for defined in (globals or {}).values() for v in defined},
+        "symbols": {"functions": functions, "variables": files},
+        "symbols_mi": gdb_standin.symbols_record(files),
+        "console": console or {},
+        "stop": {"reason": "signal-received", "signal-name": "SIGSEGV",
+                 "signal-meaning": "Segmentation fault"},
+    }
+
+
+class StandIn:
+    """Starts real DebugSessions over the stand-in, ``gdb`` on PATH.
+
+    ``standin(description)`` writes the description, starts a session on
+    it, runs it to its stop and returns ``(session, sent)``: ``sent`` is
+    every MI command the session sent, in order, recorded around
+    ``session.handle.send_command``.  ``check()`` closes each session and
+    compares the commands it recorded with those the stand-in counted in
+    its exit log, so that a command sent around the recorder fails the
+    test rather than leaving ``sent`` short.
     """
 
-    def __init__(self, outputs=None, frames=(), total=None, stop=None,
-                 symbols=None, variables=None):
-        self.commands = []
-        self.calls = []
-        self.outputs = dict(outputs or {})
-        self.frames = list(frames)
-        self.total = total if total is not None else len(self.frames)
-        self.stopped = bool(self.frames)
-        self.stop = stop
-        self.symbols = dict(symbols or {})
-        self.variables = dict(variables or {})
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.written = 0
+        self.runs = []  # (session, sent, log path)
 
-    def execute_console(self, command):
-        self.commands.append(command)
-        result = self.outputs.get(command, f"ran {command}")
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def target(self, description: dict) -> str:
+        """The description written to a file of its own: the target that
+        ``DebugSession`` hands the stand-in."""
+        self.written += 1
+        target = self.directory / f"stack{self.written}.json"
+        target.write_text(json.dumps({
+            **description, "exec_name": str(target),
+            "log": str(self.directory / f"stack{self.written}.log")}))
+        return str(target)
 
-    def symbol_definition(self, name):
-        return self.symbols.get(name)
+    def __call__(self, description: dict):
+        target = self.target(description)
+        session = DebugSession(target)
+        sent = []
+        send = session.handle.send_command
 
-    def stack_depth(self):
-        return min(self.total, DEPTH_PROBE_CAP)
+        def record(command, *args, **kwargs):
+            # Recorded after the call returns, so that the handshake's
+            # -inferior-tty-set, sent within the first call, comes first.
+            try:
+                return send(command, *args, **kwargs)
+            finally:
+                sent.append(command)
+        session.handle.send_command = record
+        self.runs.append((session, sent, target[:-len(".json")] + ".log"))
+        session.run_to_stop()
+        return session, sent
 
-    def backtrace(self):
-        return self.frames[:DEFAULT_FRAME_CAP]
+    def check(self) -> None:
+        runs, self.runs = self.runs, []
+        for session, sent, log in runs:
+            session.close()  # which sends -gdb-exit past the recorder
+            with open(log, encoding="utf-8") as fh:
+                counted = json.load(fh)["commands"]
+            assert counted == len(sent) + 1, (
+                f"the stand-in read {counted} commands, but {len(sent)} "
+                "were recorded before -gdb-exit")
 
-    def frame_variables(self, level):
-        self.calls.append(("frame_variables", level))
-        return self.variables.get(
-            level, [Binding(name="x", value=str(level), type="int")])
 
-    def global_variables(self, fullname, frame):
-        self.calls.append(("global_variables", frame))
-        return [Binding(name="g", value="7", type="int")]
+@pytest.fixture()
+def standin(tmp_path, monkeypatch):
+    """A StandIn whose ``gdb``, first on PATH, runs perfbench's stand-in
+    under ``-SE`` as perfbench does; its sessions are checked at
+    teardown."""
+    debugger = tmp_path / "gdb"
+    debugger.write_text(f"#!{sys.executable} -SE\n"
+                        f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
+                        "from gdb_standin import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n")
+    debugger.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    made = StandIn(tmp_path)
+    yield made
+    made.check()
 
-    def evaluate(self, expression, frame=None):
-        self.calls.append(("evaluate", frame))
-        return "0"
 
-    def levels(self, method):
-        """The frame levels of each recorded call to ``method``."""
-        return [level for name, level in self.calls if name == method]
+def frame_levels(sent, pattern: str) -> list[int]:
+    """The ``--frame`` level of each sent command that ``pattern`` matches
+    from its start."""
+    return [int(re.search(r" --thread 1 --frame (\d+) ", command).group(1))
+            for command in sent
+            if re.match(pattern, command) and " --frame " in command]
+
+
+def console_commands(sent) -> list[str]:
+    """The console commands among the sent MI commands."""
+    prefix = "-interpreter-exec console "
+    return [json.loads(command[len(prefix):]) for command in sent
+            if command.startswith(prefix)]
 
 
 # -- a stub chat-completions provider ---------------------------------------

@@ -73,7 +73,8 @@ def _bracket_depth(text):
     return best
 
 
-def test_criterion_2_enriched_stack_goldens(fixture_bins, fixtures_dir):
+def test_criterion_2_enriched_stack_goldens(standin, fixture_bins,
+                                            fixtures_dir):
     from test_enrich import _synthetic, build_fixture_stack
 
     for name in ("crash_segv", "crash_fpe", "crash_assert"):
@@ -86,7 +87,9 @@ def test_criterion_2_enriched_stack_goldens(fixture_bins, fixtures_dir):
         pattern = "".join(rng.choice("ul")
                           for _ in range(rng.randint(1, 40)))
         extra = rng.randint(0, 30)
-        stack = build_enriched_stack(_synthetic(pattern, extra), "/ws/src")
+        session, _ = standin(_synthetic(pattern + "l" * extra))
+        with session:
+            stack = build_enriched_stack(session, "/ws/src")
         assert stack.shown_count + stack.hidden_count == stack.total_frames
         assert stack.shown_count == pattern.count("u")
 
@@ -237,16 +240,16 @@ def test_criterion_6_stop_state_preservation(fixture_bins, fixtures_dir,
           "100 scripted chat turns")
 
 
-def test_criterion_7_definition_and_code_tools(fixtures_dir):
-    from test_source_nav import oracle_session
+def test_criterion_7_definition_and_code_tools(standin, fixtures_dir):
+    from test_source_nav import oracle_description
 
     main_c = str(fixtures_dir / "defproj" / "main.c")
     assert code_window(main_c, 7) == source_window(main_c, 7)
 
     generated = fixtures_dir / "generated"
+    session, _ = standin(oracle_description())
     with pytest.raises(DefinitionNotFound):
-        definition(str(generated / "parser.c"), 8, "yy_reduce",
-                   oracle_session(), 5)
+        definition(str(generated / "parser.c"), 8, "yy_reduce", session, 5)
     print("PASS criterion 7: code matches the shared renderer; generated "
           "code yields DefinitionNotFound")
 

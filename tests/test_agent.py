@@ -16,7 +16,7 @@ from dbgchat.agent import (
     is_debugger_command,
 )
 from dbgchat.enrich import source_window
-from dbgchat.errors import DebuggerExited, EvaluationError
+from dbgchat.errors import DebuggerExited
 from dbgchat.llm import (
     ASSISTANT,
     SYSTEM,
@@ -28,9 +28,16 @@ from dbgchat.llm import (
 )
 from dbgchat.prompts import estimate_tokens
 from dbgchat.sanitizer import native_strict
-from dbgchat.session import DebugSession, Frame, StopInfo
+from dbgchat.session import DebugSession, Frame
 
-from conftest import CUT_STREAM, FakeSession, sse
+from conftest import (
+    CUT_STREAM,
+    console_commands,
+    frame_levels,
+    sse,
+    stack_description,
+    var,
+)
 
 DATA = Path(__file__).parent / "data"
 REPLAY_SCRIPT = DATA / "replay_segv.json"
@@ -85,8 +92,15 @@ def _close_transcripts():
         _open_transcripts.pop().close()
 
 
-def make_agent(tmp_path, turns, session=None, transcript_name=None, **config):
-    session = session or FakeSession()
+def stopped_in_main(tmp_path, console=None) -> dict:
+    """A SIGSEGV in main, at app.c:3 under tmp_path, where x is 1."""
+    return stack_description(
+        [Frame(level=0, func="main", file="app.c",
+               fullname=str(tmp_path / "app.c"), line=3)],
+        {0: [var("x", "int", "1")]}, console=console)
+
+
+def make_agent(tmp_path, turns, session, transcript_name=None, **config):
     ui = RecordingUi()
     transcript = None
     if transcript_name:
@@ -96,7 +110,7 @@ def make_agent(tmp_path, turns, session=None, transcript_name=None, **config):
                   native_strict(),
                   AgentConfig(**{"workspace_root": str(tmp_path), **config}),
                   ui, transcript=transcript)
-    return agent, session, ui
+    return agent, ui
 
 
 def read_transcript(path):
@@ -137,56 +151,61 @@ def test_is_debugger_command(line, expected):
     assert is_debugger_command(line) is expected
 
 
-def test_blank_input_is_ignored(tmp_path):
-    agent, session, ui = make_agent(tmp_path, [[{"text": "unused"}]])
+def test_blank_input_is_ignored(standin, tmp_path):
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, [[{"text": "unused"}]], session)
     agent.handle_input("")
     agent.handle_input("   ")
     assert ui.events == []
-    assert session.commands == []
+    assert console_commands(sent) == []
     assert len(agent.history) == 0
 
 
-def test_debugger_command_routes_to_session(tmp_path):
-    agent, session, ui = make_agent(tmp_path, [[{"text": "unused"}]],
-                                    transcript_name="t.jsonl")
+def test_debugger_command_routes_to_session(standin, tmp_path):
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, [[{"text": "unused"}]], session,
+                           transcript_name="t.jsonl")
     agent.handle_input("p x")
-    assert session.commands == ["p x"]
-    assert ui.events == [("debugger", "p x", "ran p x")]
-    assert agent.history == [("p x", "ran p x")]
+    assert console_commands(sent) == ["p x"]
+    assert ui.events == [("debugger", "p x", "$1 = 1\n")]
+    assert agent.history == [("p x", "$1 = 1\n")]
     assert agent.messages == []
 
 
-def test_debugger_command_error_is_reported_not_raised(tmp_path):
-    session = FakeSession({"p bad": EvaluationError('No symbol "bad"')})
-    agent, _, ui = make_agent(tmp_path, [[{"text": "unused"}]],
-                              session=session)
+def test_debugger_command_error_is_reported_not_raised(standin, tmp_path):
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, [[{"text": "unused"}]], session)
     agent.handle_input("p bad")
-    assert ui.events == [("debugger", "p bad", 'error: No symbol "bad"')]
-    assert agent.history == [("p bad", 'error: No symbol "bad"')]
+    error = 'error: No symbol "bad" in current context.'
+    assert ui.events == [("debugger", "p bad", error)]
+    assert agent.history == [("p bad", error)]
 
 
 # -- history discipline -----------------------------------------------------
 
-def test_history_accumulates_then_clears_on_send(tmp_path):
-    agent, _, ui = make_agent(tmp_path, [[{"text": "because"}]])
+def test_history_accumulates_then_clears_on_send(standin, tmp_path):
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, [[{"text": "because"}]], session)
     for cmd in ["p a", "p b", "bt"]:
         agent.handle_input(cmd)
     assert len(agent.history) == 3
     assert [c for c, _ in agent.history] == ["p a", "p b", "bt"]
+    outputs = [output for _, output in agent.history]
 
     agent.handle_input("why is that?")
     assert len(agent.history) == 0
     user = [m for m in agent.messages if m.role == USER][-1]
-    for cmd in ["p a", "p b", "bt"]:
+    for cmd, output in zip(["p a", "p b", "bt"], outputs):
         assert f"{PROMPT}{cmd}\n" in user.content
-        assert f"ran {cmd}" in user.content
+        assert output in user.content
     assert user.content.endswith("why is that?")
     assert agent.messages
 
 
-def test_followup_prompt_after_first_chat(tmp_path):
+def test_followup_prompt_after_first_chat(standin, tmp_path):
     turns = [[{"text": "one"}], [{"text": "two"}], [{"text": "three"}]]
-    agent, _, ui = make_agent(tmp_path, turns)
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session)
 
     agent.handle_input("first question")
     systems = [m for m in agent.messages if m.role == SYSTEM]
@@ -201,23 +220,21 @@ def test_followup_prompt_after_first_chat(tmp_path):
     agent.handle_input("third question")
     user = [m for m in agent.messages if m.role == USER][-1]
     assert f"{PROMPT}p x" in user.content
-    assert "ran p x" in user.content
+    assert "$1 = 1" in user.content
     assert user.content.endswith("third question")
     assert len(agent.history) == 0
     validate_conversation(agent.messages)
 
 
-def test_first_request_over_budget_is_cut_to_fit(tmp_path):
+def test_first_request_over_budget_is_cut_to_fit(standin, tmp_path):
     frames = []
     for level in range(40):
         source = tmp_path / f"f{level}.c"
         source.write_text("int x;\n" * 12)
         frames.append(Frame(level=level, func=f"fn{level}", file=source.name,
                             fullname=str(source), line=3))
-    stop = StopInfo(kind="signal", signal_name="SIGSEGV", frame=frames[0])
-    session = FakeSession(frames=frames, stop=stop)
-    agent, _, _ = make_agent(tmp_path, [[{"text": "ok"}]], session=session,
-                             budget=1500)
+    session, sent = standin(stack_description(frames))
+    agent, _ = make_agent(tmp_path, [[{"text": "ok"}]], session, budget=1500)
     agent.handle_input("p x")
     agent.handle_input("why?")
 
@@ -236,16 +253,18 @@ def test_first_request_over_budget_is_cut_to_fit(tmp_path):
     assert body.endswith("User Text:\nwhy?")
     # Only the shown frames and the one that overflowed were fetched; the
     # outermost frame was cut, so its globals were never asked for.
-    assert session.levels("frame_variables") == list(range(shown + 1))
-    assert session.levels("evaluate") == []
-    assert session.levels("global_variables") == []
+    assert frame_levels(sent, "-stack-list-variables") == \
+        list(range(shown + 1))
+    assert frame_levels(sent, "-data-evaluate-expression") == []
+    assert "-symbol-info-variables" not in sent
 
 
 # -- plain chat turns -------------------------------------------------------
 
-def test_prose_turn_streams_and_commits(tmp_path):
-    agent, _, ui = make_agent(
-        tmp_path, [[{"text": "Hello "}, {"text": "there."}]],
+def test_prose_turn_streams_and_commits(standin, tmp_path):
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(
+        tmp_path, [[{"text": "Hello "}, {"text": "there."}]], session,
         transcript_name="t.jsonl")
     agent.handle_input("what happened?")
     assert [e[1] for e in ui.kind("prose")] == ["Hello ", "there."]
@@ -264,17 +283,18 @@ def test_prose_turn_streams_and_commits(tmp_path):
     validate_conversation(agent.messages)
 
 
-def test_tool_calls_execute_echo_and_reply(tmp_path):
-    session = FakeSession({"bt": "#0 main ()", "info locals": "   \n"})
+def test_tool_calls_execute_echo_and_reply(standin, tmp_path):
+    session, sent = standin(stopped_in_main(tmp_path, console={
+        "bt": "#0 main ()", "info locals": "   \n"}))
     turns = [
         [debug_call("bt"), debug_call("info locals")],
         [{"text": "All done."}],
     ]
-    agent, _, ui = make_agent(tmp_path, turns, session=session,
-                              transcript_name="t.jsonl")
+    agent, ui = make_agent(tmp_path, turns, session,
+                           transcript_name="t.jsonl")
     agent.handle_input("take a look around")
 
-    assert session.commands == ["bt", "info locals"]
+    assert console_commands(sent) == ["bt", "info locals"]
     echoes = ui.kind("echo")
     assert echoes == [("echo", "bt", "#0 main ()"),
                       ("echo", "info locals", "(no output)")]
@@ -286,16 +306,17 @@ def test_tool_calls_execute_echo_and_reply(tmp_path):
     assert [m.content for m in replies] == ["#0 main ()", "(no output)"]
 
 
-def test_denied_tool_calls_feed_reason_back(tmp_path):
+def test_denied_tool_calls_feed_reason_back(standin, tmp_path):
     turns = [
         [debug_call("continue"), debug_call('p system("x")')],
         [{"text": "done"}],
     ]
-    agent, session, ui = make_agent(tmp_path, turns,
-                                    transcript_name="t.jsonl")
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session,
+                           transcript_name="t.jsonl")
     agent.handle_input("poke at it")
 
-    assert session.commands == []
+    assert console_commands(sent) == []
     outputs = [e[2] for e in ui.kind("echo")]
     assert outputs[0].startswith("command not allowed: ")
     assert "resumes or alters target execution" in outputs[0]
@@ -313,12 +334,13 @@ def test_denied_tool_calls_feed_reason_back(tmp_path):
     ("nope.c:3", "error:"),
     ("garbage", "error:"),
 ])
-def test_code_tool_errors_become_outputs(tmp_path, loc, fragment):
+def test_code_tool_errors_become_outputs(standin, tmp_path, loc, fragment):
     turns = [
         [{"tool_call": {"name": "code", "arguments": {"loc": loc}}}],
         [{"text": "moving on"}],
     ]
-    agent, _, ui = make_agent(tmp_path, turns)
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session)
     agent.handle_input("read the crash site for me")
     (echo,) = ui.kind("echo")
     assert echo[1] == f"code {loc}"
@@ -334,7 +356,8 @@ def test_code_tool_errors_become_outputs(tmp_path, loc, fragment):
      "error: {outside}/hello.c is outside the workspace root {root}"),
     ("code", "{root}/hello.c:1", "---> 1 int foo;\n     2 int bar;"),
 ])
-def test_tool_locations_stay_inside_the_root(tmp_path, name, loc, reply):
+def test_tool_locations_stay_inside_the_root(standin, tmp_path, name, loc,
+                                             reply):
     root, outside = tmp_path / "ws", tmp_path / "other"
     for directory in (root, outside):
         directory.mkdir()
@@ -346,20 +369,22 @@ def test_tool_locations_stay_inside_the_root(tmp_path, name, loc, reply):
                         "arguments": {"loc": loc, "symbol": "foo"}}}],
         [{"text": "ok"}],
     ]
-    agent, _, ui = make_agent(tmp_path, turns, workspace_root=str(root))
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session, workspace_root=str(root))
     agent.handle_input("read it for me")
     (echo,) = ui.kind("echo")
     assert echo[2] == reply
 
 
-def test_definition_tool_not_found_becomes_output(tmp_path):
+def test_definition_tool_not_found_becomes_output(standin, tmp_path):
     (tmp_path / "hello.c").write_text("int foo;\nint bar;\n")
     turns = [
         [{"tool_call": {"name": "definition",
                         "arguments": {"loc": "hello.c:1", "symbol": "foo"}}}],
         [{"text": "ok"}],
     ]
-    agent, _, ui = make_agent(tmp_path, turns)
+    session, _ = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session)
     agent.handle_input("in which file is foo defined?")
     (echo,) = ui.kind("echo")
     assert echo[1] == "definition hello.c:1 foo"
@@ -369,14 +394,15 @@ def test_definition_tool_not_found_becomes_output(tmp_path):
 
 # -- caps and failures ------------------------------------------------------
 
-def test_tool_loop_cap_single_completion(tmp_path, monkeypatch):
+def test_tool_loop_cap_single_completion(standin, tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "TOOL_LOOP_CAP", 4)
     turns = [[debug_call(f"p v{i}") for i in range(5)], [{"text": "unused"}]]
-    agent, session, ui = make_agent(tmp_path, turns,
-                                    transcript_name="t.jsonl")
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session,
+                           transcript_name="t.jsonl")
     agent.handle_input("dig in")
 
-    assert session.commands == [f"p v{i}" for i in range(4)]
+    assert console_commands(sent) == [f"p v{i}" for i in range(4)]
     assert len(ui.kind("echo")) == 4
     notices = ui.kind("notice")
     assert len(notices) == 1
@@ -393,26 +419,28 @@ def test_tool_loop_cap_single_completion(tmp_path, monkeypatch):
     assert len([e for e in events if e["event"] == "tool_call"]) == 4
 
 
-def test_tool_loop_cap_spans_completions(tmp_path, monkeypatch):
+def test_tool_loop_cap_spans_completions(standin, tmp_path, monkeypatch):
     monkeypatch.setattr(agent_module, "TOOL_LOOP_CAP", 2)
     turns = [[debug_call("p a")], [debug_call("p b")], [debug_call("p c")],
              [{"text": "unused"}]]
-    agent, session, ui = make_agent(tmp_path, turns)
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session)
     agent.handle_input("dig in")
-    assert session.commands == ["p a", "p b"]
+    assert console_commands(sent) == ["p a", "p b"]
     assert len(ui.kind("echo")) == 2
     assert any("tool-call limit (2)" in e[1] for e in ui.kind("notice"))
     validate_conversation(agent.messages)
 
 
-def test_backend_failure_ends_turn_gracefully(tmp_path):
+def test_backend_failure_ends_turn_gracefully(standin, tmp_path):
     # One scripted completion of tool calls, then the script runs dry.
     turns = [[debug_call("bt")]]
-    agent, session, ui = make_agent(tmp_path, turns,
-                                    transcript_name="t.jsonl")
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session,
+                           transcript_name="t.jsonl")
     agent.handle_input("have a look")
 
-    assert session.commands == ["bt"]
+    assert console_commands(sent) == ["bt"]
     notices = ui.kind("notice")
     assert len(notices) == 1
     assert notices[0][1].startswith("chat turn ended: ")
@@ -426,13 +454,13 @@ def test_backend_failure_ends_turn_gracefully(tmp_path):
     assert agent.messages
 
 
-def test_stream_cut_ends_turn_not_session(tmp_path, stub_server):
+def test_stream_cut_ends_turn_not_session(standin, tmp_path, stub_server):
     stub_server.responses = [(None, CUT_STREAM), (200, sse(
         {"choices": [{"delta": {"content": "still here"}}]}))]
     backend = HttpBackend(
         f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
         "sk-test")
-    session, ui = FakeSession(), RecordingUi()
+    (session, sent), ui = standin(stopped_in_main(tmp_path)), RecordingUi()
     agent = Agent(session, backend, native_strict(),
                   AgentConfig(workspace_root=str(tmp_path)), ui)
 
@@ -443,7 +471,7 @@ def test_stream_cut_ends_turn_not_session(tmp_path, stub_server):
     assert notices[0][1].startswith("chat turn ended: ")
 
     agent.handle_input("p x")
-    assert session.commands == ["p x"]
+    assert console_commands(sent) == ["p x"]
     agent.handle_input("try again")
     assert ui.prose_text() == "Helstill here"
     assert len(ui.kind("notice")) == 1
@@ -470,8 +498,8 @@ def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
     })
     with DebugSession(target) as session:
         session.run_to_stop()
-        agent, _, ui = make_agent(tmp_path, [[{"text": "x is 1."}]],
-                                  session=session, transcript_name="t.jsonl")
+        agent, ui = make_agent(tmp_path, [[{"text": "x is 1."}]], session,
+                               transcript_name="t.jsonl")
         agent.handle_input("p x")
         agent.handle_input("why did it crash?")
         assert ui.events[-2:] == [
@@ -516,19 +544,19 @@ def test_a_debugger_that_exits_ends_the_session(fake_gdb, tmp_path, line):
     })
     with DebugSession(target) as session:
         session.run_to_stop()
-        agent, _, ui = make_agent(tmp_path, [[debug_call("bt")]],
-                                  session=session)
+        agent, ui = make_agent(tmp_path, [[debug_call("bt")]], session)
         with pytest.raises(DebuggerExited,
                            match="^debugger closed its output stream$"):
             agent.handle_input(line)
     assert ui.kind("debugger") == ui.kind("echo") == ui.kind("notice") == []
 
 
-def test_malformed_scripted_call_ends_turn(tmp_path):
+def test_malformed_scripted_call_ends_turn(standin, tmp_path):
     turns = [[{"tool_call": {"name": "debug", "arguments": {"cmd": "bt"}}}]]
-    agent, session, ui = make_agent(tmp_path, turns)
+    session, sent = standin(stopped_in_main(tmp_path))
+    agent, ui = make_agent(tmp_path, turns, session)
     agent.handle_input("have a look")
-    assert session.commands == []
+    assert console_commands(sent) == []
     assert len(ui.kind("notice")) == 1
     assert [m.role for m in agent.messages] == [SYSTEM, USER]
 

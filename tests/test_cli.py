@@ -31,9 +31,9 @@ from dbgchat.cli import (
     stop_report,
 )
 from dbgchat.mi import parse_mi_line
-from dbgchat.session import Frame, StopInfo
+from dbgchat.session import DebugSession, Frame
 
-from conftest import FakeSession
+from conftest import stack_description
 from mi_serialize import serialize
 
 DATA = Path(__file__).parent / "data"
@@ -282,7 +282,7 @@ def test_notice_and_debugger_output():
 
 # -- stop report ------------------------------------------------------------
 
-def test_stop_report_names_innermost_user_frame(tmp_path):
+def test_stop_report_names_innermost_user_frame(standin, tmp_path):
     user_file = str(tmp_path / "app.c")
     frames = [
         Frame(level=0, func="memcpy", file="memcpy.c", line=12,
@@ -290,24 +290,29 @@ def test_stop_report_names_innermost_user_frame(tmp_path):
         Frame(level=1, func="copy_all", file="app.c", line=40,
               fullname=user_file),
     ]
-    session = FakeSession(frames=frames, stop=StopInfo(
-        kind="signal", signal_name="SIGSEGV",
-        signal_meaning="Segmentation fault"))
+    session, _ = standin(stack_description(frames))
     report = stop_report(session, str(tmp_path))
     assert report == ("The program stopped on SIGSEGV "
                       "(Segmentation fault).\n"
                       "  at app.c:40 in copy_all()")
 
 
-def test_stop_report_exited_has_no_frame_line():
-    session = FakeSession(stop=StopInfo(kind="exited", exit_code=1))
-    assert stop_report(session, "/nowhere") == \
-        "The program exited with code 1."
+def test_stop_report_exited_has_no_frame_line(fake_gdb):
+    # gdb gives the exit code in octal.
+    target = fake_gdb({"-exec-run": [
+        "^running", "(gdb) ", '*stopped,reason="exited",exit-code="01"',
+        "(gdb) "]})
+    with DebugSession(target) as session:
+        session.run_to_stop()
+        assert stop_report(session, "/nowhere") == \
+            "The program exited with code 1."
 
 
-def test_stop_report_without_stop():
-    assert stop_report(FakeSession(), "/nowhere") == \
-        "The program did not stop."
+def test_stop_report_without_stop(standin):
+    target = standin.target(stack_description([Frame(level=0, func="main")]))
+    with DebugSession(target) as session:
+        assert stop_report(session, "/nowhere") == \
+            "The program did not stop."
 
 
 # -- repl loop --------------------------------------------------------------
@@ -426,6 +431,44 @@ def test_cli_missing_key_exits_before_repl(segv_binary):
     assert result.returncode == 1
     assert "no API key" in result.stderr
     assert PROMPT not in result.stdout
+
+
+@pytest.mark.parametrize("key", ["sk-\u20ac", "sk-a\r\nX-Injected: 1",
+                                 "sk-\x7f", "sk-\x85"])
+def test_a_key_no_header_can_carry_is_refused_before_the_spawn(
+        tmp_path, monkeypatch, capsys, key):
+    # No gdb on PATH: a spawn would fail with a message of its own.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", key)
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "dbgchat: the API key in DBGCHAT_TEST_KEY holds a control character "
+        "or a character outside Latin-1, which an HTTP header cannot "
+        "carry\n")
+    assert captured.out == ""
+
+
+def test_a_tool_argument_that_is_not_utf8_ends_only_that_turn(standin,
+                                                              tmp_path):
+    script = tmp_path / "turns.json"
+    script.write_text(json.dumps({"version": 1, "turns": [[{"tool_call": {
+        "name": "code", "arguments": {"loc": "\ud800.c:1"}}}]]}))
+    target = standin.target(stack_description(
+        [Frame(level=0, func="main", file="app.c",
+               fullname=str(tmp_path / "app.c"), line=3)]))
+    # A terminal's stdout, which cannot encode a lone surrogate.
+    raw, err = io.BytesIO(), io.StringIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    with mock.patch.object(sys, "stdin", io.StringIO("why?\np x\nquit\n")), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(["--script", str(script), "--root", str(tmp_path),
+                     target])
+    assert (code, err.getvalue()) == (0, "")
+    text = raw.getvalue().decode("utf-8")
+    assert ("[chat turn ended: code: argument 'loc' is not UTF-8 text: "
+            "'\\ud800.c:1']\n") in text
+    assert f"{PROMPT}p x\n$1 = 0\n" in text
 
 
 def test_cli_missing_target_exits_1():

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dbgchat import enrich
@@ -29,9 +29,9 @@ from dbgchat.prompts import (
     stack_room,
     truncate_bundle,
 )
-from dbgchat.session import DEFAULT_FRAME_CAP, Binding, DebugSession, Frame
+from dbgchat.session import DEFAULT_FRAME_CAP, DebugSession, Frame
 
-from conftest import FakeSession
+from conftest import frame_levels, stack_description, var
 from test_prompts import _minimal_stack
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,8 +155,9 @@ def test_user_frame_matches_pathlib(root, paths, use_file):
 
 # -- synthetic assembly properties ----------------------------------------
 
-def _synthetic(pattern: str, extra_hidden: int = 0) -> FakeSession:
-    """pattern: one char per frame innermost-first, 'u' user / 'l' library."""
+def _synthetic(pattern: str) -> dict:
+    """pattern: one char per frame innermost-first, 'u' user / 'l' library.
+    Each user frame's file defines one global."""
     frames = []
     for level, ch in enumerate(pattern):
         if ch == "u":
@@ -165,17 +166,23 @@ def _synthetic(pattern: str, extra_hidden: int = 0) -> FakeSession:
         else:
             frames.append(_frame(level, func=f"lib{level}",
                                  fullname="./lib/inner.c", line=1))
-    return FakeSession(frames=frames, total=len(frames) + extra_hidden)
+    return stack_description(frames, globals={
+        f.fullname: [var(f"g{f.level}", "int", "7")]
+        for f in frames if f.func.startswith("fn")})
 
 
-@settings(max_examples=1000, deadline=None)
+# standin is function-scoped, which is fine here: each example starts
+# sessions of its own.
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     pattern=st.text(alphabet="ul", min_size=1, max_size=40),
-    extra=st.integers(0, 30),
+    extra=st.integers(0, 30),  # outer library frames
 )
-def test_conservation_over_synthetic_backtraces(pattern, extra):
-    session = _synthetic(pattern, extra_hidden=extra)
-    stack = build_enriched_stack(session, "/ws/src")
+def test_conservation_over_synthetic_backtraces(standin, pattern, extra):
+    session, _ = standin(_synthetic(pattern + "l" * extra))
+    with session:
+        stack = build_enriched_stack(session, "/ws/src")
     assert stack.shown_count + stack.hidden_count == stack.total_frames
     assert stack.shown_count == pattern.count("u")
     assert stack.hidden_count == pattern.count("l") + extra
@@ -190,8 +197,9 @@ def test_conservation_over_synthetic_backtraces(pattern, extra):
                                 e.render())
 
 
-def test_marked_frame_is_innermost_user():
-    stack = build_enriched_stack(_synthetic("lluul"), "/ws/src")
+def test_marked_frame_is_innermost_user(standin):
+    session, _ = standin(_synthetic("lluul"))
+    stack = build_enriched_stack(session, "/ws/src")
     shown = [e for e in stack.entries if isinstance(e, EnrichedFrame)]
     # Render order is outermost-first, so the last shown frame is innermost.
     assert [e.frame.level for e in shown] == [3, 2]
@@ -199,19 +207,23 @@ def test_marked_frame_is_innermost_user():
     assert shown[0].globals and not shown[-1].globals
 
 
-def test_beyond_cap_frames_counted_outermost():
-    # The session lists only the 10 innermost of its 30 frames.
-    session = _synthetic("u" * 10, extra_hidden=20)
+def test_beyond_cap_frames_counted_outermost(standin):
+    # The session lists only the innermost DEFAULT_FRAME_CAP of its 230
+    # frames, and counts the other 30.
+    session, sent = standin(_synthetic("u" * (DEFAULT_FRAME_CAP + 30)))
     stack = build_enriched_stack(session, "/ws/src")
-    assert stack.total_frames == 30
-    assert stack.shown_count == 10
+    assert stack.total_frames == DEFAULT_FRAME_CAP + 30
+    assert stack.shown_count == DEFAULT_FRAME_CAP
     assert isinstance(stack.entries[0], ElisionMarker)
-    assert stack.entries[0].hidden_count == 20
+    assert stack.entries[0].hidden_count == 30
     shown = [e for e in stack.entries if isinstance(e, EnrichedFrame)]
-    assert [e.frame.level for e in shown] == list(range(9, -1, -1))
+    assert [e.frame.level for e in shown] == \
+        list(range(DEFAULT_FRAME_CAP - 1, -1, -1))
+    assert f"-stack-list-frames 0 {DEFAULT_FRAME_CAP - 1}" in sent
 
 
-def test_each_source_file_is_read_once_per_build(tmp_path, monkeypatch):
+def test_each_source_file_is_read_once_per_build(standin, tmp_path,
+                                                 monkeypatch):
     recursive = tmp_path / "rec.c"
     recursive.write_text("".join(f"line {i}\n" for i in range(1, 31)))
     (tmp_path / "main.c").write_text("int main(void)\n{\n}\n")
@@ -223,7 +235,7 @@ def test_each_source_file_is_read_once_per_build(tmp_path, monkeypatch):
     read_source = enrich._read_source
     monkeypatch.setattr(enrich, "_read_source",
                         lambda path: reads.append(path) or read_source(path))
-    session = FakeSession(frames=frames)
+    session, _ = standin(stack_description(frames))
 
     first = build_enriched_stack(session, str(tmp_path))
     assert sorted(reads) == [str(tmp_path / "main.c"), str(recursive)]
@@ -237,15 +249,15 @@ def test_each_source_file_is_read_once_per_build(tmp_path, monkeypatch):
     assert "edited 14" in second.render()
 
 
-def test_not_stopped_raises():
-    session = _synthetic("u")
-    session.stopped = False
-    with pytest.raises(NotStopped):
-        build_enriched_stack(session, "/ws/src")
+def test_not_stopped_raises(standin):
+    with DebugSession(standin.target(_synthetic("u"))) as session:
+        with pytest.raises(NotStopped):
+            build_enriched_stack(session, "/ws/src")
 
 
-def test_all_library_stack_renders_single_marker():
-    stack = build_enriched_stack(_synthetic("lll"), "/ws/src")
+def test_all_library_stack_renders_single_marker(standin):
+    session, _ = standin(_synthetic("lll"))
+    stack = build_enriched_stack(session, "/ws/src")
     assert stack.shown_count == 0
     assert stack.render() == "[... skipping 3 hidden frame(s)]"
 
@@ -279,9 +291,11 @@ _frame_specs = st.one_of(
 )
 
 
-def _budget_session(specs, extra, root) -> FakeSession:
+def _budget_stack(specs, extra, root) -> dict:
+    """specs innermost first, then ``extra`` library frames.  Every file
+    of a user or tiny frame defines the global ``g``."""
     frames, variables = [], {}
-    for level, spec in enumerate(specs):
+    for level, spec in enumerate([*specs, *[("lib",)] * extra]):
         if spec[0] == "lib":
             frames.append(_frame(level, func=f"lib{level}",
                                  fullname="./lib/inner.c"))
@@ -293,10 +307,16 @@ def _budget_session(specs, extra, root) -> FakeSession:
             _, lines, line, types = spec
             frames.append(_frame(level, func=f"fn{level}", file=f"s{lines}.c",
                                  fullname=f"{root}/s{lines}.c", line=line))
-            variables[level] = [Binding(f"v{i}", _TYPES[t], t)
+            variables[level] = [var(f"v{i}", t, _TYPES[t], deref="5")
                                 for i, t in enumerate(types)]
-    return FakeSession(frames=frames, total=len(frames) + extra,
-                       variables=variables)
+    return stack_description(frames, variables, globals={
+        f.fullname: [var("g", "int", "7")]
+        for f in frames if not f.func.startswith("lib")})
+
+
+def _globals_at(sent) -> list[int]:
+    """The levels whose file's globals were read."""
+    return frame_levels(sent, '-data-evaluate-expression .* "g"$')
 
 
 _texts = st.text(alphabet="abc xyz\n", max_size=60)
@@ -328,19 +348,24 @@ def _tokens(bundle: PromptBundle, stack: EnrichedStack) -> int:
     return sum(estimate_tokens(m.content) for m in render_messages(alone))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_budget_cases())
-def test_budgeted_enrichment_gives_the_same_first_request(source_root, case):
+def test_budgeted_enrichment_gives_the_same_first_request(standin, source_root,
+                                                          case):
     specs, extra, bundle, share = case
     root = str(source_root)
-    full_session = _budget_session(specs, extra, root)
-    full = bundle.replace(
-        enriched_stack=build_enriched_stack(full_session, root))
-    least = _tokens(bundle, _minimal_stack(full.enriched_stack))
-    budget = least + share * (_tokens(bundle, full.enriched_stack) - least) // 100
-    session = _budget_session(specs, extra, root)
-    budgeted = bundle.replace(enriched_stack=build_enriched_stack(
-        session, root, room=stack_room(bundle, budget)))
+    session, sent = standin(_budget_stack(specs, extra, root))
+    with session:
+        full = bundle.replace(
+            enriched_stack=build_enriched_stack(session, root))
+        least = _tokens(bundle, _minimal_stack(full.enriched_stack))
+        budget = least + share * (
+            _tokens(bundle, full.enriched_stack) - least) // 100
+        first = len(sent)
+        budgeted = bundle.replace(enriched_stack=build_enriched_stack(
+            session, root, room=stack_room(bundle, budget)))
+    sent = sent[first:]  # what the budgeted build sent
 
     user = [level for level, spec in enumerate(specs) if spec[0] != "lib"]
     try:
@@ -358,11 +383,11 @@ def test_budgeted_enrichment_gives_the_same_first_request(source_root, case):
         fits = True
 
     # Frames are fetched innermost-out, every kept frame among them.
-    fetched = session.levels("frame_variables")
+    fetched = frame_levels(sent, "-stack-list-variables")
     assert fetched == user[:len(fetched)]
     assert fetched[:len(kept)] == kept
-    assert set(session.levels("evaluate")) <= set(fetched)
-    globals_at = session.levels("global_variables")
+    assert set(frame_levels(sent, "-data-evaluate-expression")) <= set(fetched)
+    globals_at = _globals_at(sent)
     assert globals_at in ([], user[-1:])
     if kept == user:
         assert fetched == user
@@ -384,30 +409,31 @@ def test_budgeted_enrichment_gives_the_same_first_request(source_root, case):
 
 
 def test_tiny_frames_that_fit_only_without_the_note_are_all_fetched(
-        source_root):
+        standin, source_root):
     # Frames without source or variables are smaller than the note that
     # would replace them, so the walk cannot stop on the note.
     specs = [("user", 12, 2, ["int"])] + [("tiny",)] * 5
     root = str(source_root)
-    full = build_enriched_stack(_budget_session(specs, 0, root), root)
+    session, _ = standin(_budget_stack(specs, 0, root))
+    full = build_enriched_stack(session, root)
     note = ElisionMarker(1, budget_cut=True).render()
     assert all(len(e.render()) < len(note) for e in full.entries[1:-1])
     bundle = PromptBundle(instructions_text(), full, "", "err", [], "why?")
     budget = estimate_tokens(bundle.instructions) + estimate_tokens(
         render_messages(bundle)[1].content)
-    session = _budget_session(specs, 0, root)
+    session, sent = standin(_budget_stack(specs, 0, root))
     stack = build_enriched_stack(session, root,
                                  room=stack_room(bundle, budget))
     assert stack == full
-    assert session.levels("frame_variables") == list(range(6))
-    assert session.levels("global_variables") == [5]
+    assert frame_levels(sent, "-stack-list-variables") == list(range(6))
+    assert _globals_at(sent) == [5]
     # One token less and the note stands for the two outermost frames,
     # which only the outermost frame's globals could tell.
-    session = _budget_session(specs, 0, root)
+    session, sent = standin(_budget_stack(specs, 0, root))
     stack = build_enriched_stack(session, root,
                                  room=stack_room(bundle, budget - 1))
-    assert session.levels("frame_variables") == list(range(6))
-    assert session.levels("global_variables") == [5]
+    assert frame_levels(sent, "-stack-list-variables") == list(range(6))
+    assert _globals_at(sent) == [5]
     cut = make_initial_prompt(bundle.replace(enriched_stack=stack),
                               budget - 1)
     assert cut == make_initial_prompt(bundle, budget - 1)
@@ -415,24 +441,26 @@ def test_tiny_frames_that_fit_only_without_the_note_are_all_fetched(
 
 
 def test_single_user_frame_gets_its_globals_only_with_room_left(
-        source_root):
+        standin, source_root):
     specs = [("lib",), ("user", 40, 3, ["int *"]), ("lib",)]
     root = str(source_root)
     for room in (None, 10**6, 0):
-        session = _budget_session(specs, 0, root)
+        session, sent = standin(_budget_stack(specs, 0, root))
         stack = build_enriched_stack(session, root, room=room)
         assert stack.shown_count == 1
         expected = [] if room == 0 else [1]
-        assert session.levels("global_variables") == expected, room
-        assert session.levels("frame_variables") == [1]
-        assert session.levels("evaluate") == [1]
+        assert _globals_at(sent) == expected, room
+        assert frame_levels(sent, "-stack-list-variables") == [1]
+        # The pointer's dereference, then the global's value.
+        assert frame_levels(sent, "-data-evaluate-expression") == \
+            [1] + expected
 
 
-def test_unfetched_frames_render_as_nothing(source_root):
+def test_unfetched_frames_render_as_nothing(standin, source_root):
     specs = [("user", 12, 2, ["int"])] * 4
     root = str(source_root)
-    stack = build_enriched_stack(_budget_session(specs, 0, root), root,
-                                 room=0)
+    session, _ = standin(_budget_stack(specs, 0, root))
+    stack = build_enriched_stack(session, root, room=0)
     assert [type(e) for e in stack.entries] == [Frame] * 3 + [EnrichedFrame]
     assert stack.shown_count == 1 and stack.hidden_count == 0
     assert stack.render() == stack.entries[-1].render()

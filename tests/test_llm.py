@@ -234,6 +234,18 @@ def test_scripted_rejects_malformed_calls(tmp_path, call):
         list(backend.complete([], TOOLS))
 
 
+def test_scripted_call_that_is_not_utf8_is_malformed(tmp_path):
+    # JSON's \ud800 escape gives a lone surrogate, which no output can
+    # encode; the message shows it escaped.
+    call = {"name": "code", "arguments": {"loc": "\ud800.c:1"}}
+    backend = ScriptedBackend(write_script(tmp_path, [[{"tool_call": call}]]))
+    with pytest.raises(MalformedToolArgs) as raised:
+        list(backend.complete([], TOOLS))
+    assert str(raised.value) == \
+        "code: argument 'loc' is not UTF-8 text: '\\ud800.c:1'"
+    str(raised.value).encode("utf-8")
+
+
 def test_scripted_describe(tmp_path):
     backend = ScriptedBackend(write_script(tmp_path, [[{"text": "x"}]]))
     info = backend.describe()
@@ -639,6 +651,13 @@ def test_no_proxy_matches_as_urllib_matched(authority, no_proxy):
 def test_http_rejects_a_url_it_cannot_reach(url):
     with pytest.raises(ValueError):
         HttpBackend(url, "m", "sk-test")
+
+
+def test_http_key_latin1_cannot_encode_fails_at_construction():
+    # Before any request, and so never in a chat turn's error text.
+    with pytest.raises(UnicodeEncodeError) as raised:
+        HttpBackend("http://127.0.0.1:9/v1", "m", "sk-\u20ac")
+    assert "sk-" not in str(raised.value)
 
 
 def test_http_describe():

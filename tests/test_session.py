@@ -16,11 +16,15 @@ from dbgchat import session as session_module
 from dbgchat.cli import stop_report
 from dbgchat.enrich import build_enriched_stack
 from dbgchat.errors import EvaluationError, NotStopped
+from dbgchat.mi import DebuggerHandle
 from dbgchat.session import (
     DebugSession,
+    Frame,
     _frame_from_payload,
     _quote_mi_arg,
 )
+
+from conftest import stack_description
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +417,13 @@ def test_stdin_the_target_never_reads_does_not_block_the_stop(fake_gdb):
     except subprocess.TimeoutExpired:
         pytest.fail("run_to_stop blocked on stdin the target never read")
     assert (done.returncode, done.stdout) == (0, "signal\n"), done.stderr
+
+
+def test_the_stand_in_counts_what_the_recorder_missed(standin):
+    session, sent = standin(stack_description([Frame(level=0, func="main")]))
+    assert sent[1:] == ["-exec-run"]
+    assert sent[0].startswith("-inferior-tty-set ")
+    # A command sent around the recorder: the stand-in still counts it.
+    DebuggerHandle.send_command(session.handle, "-stack-info-depth")
+    with pytest.raises(AssertionError, match="read 4 commands, but 2 were"):
+        standin.check()

@@ -18,9 +18,9 @@ from dbgchat.errors import (
     SourceUnavailable,
     SymbolNotOnLine,
 )
-from dbgchat.session import DebugSession
+from dbgchat.session import DebugSession, Frame
 
-from conftest import FakeSession
+from conftest import stack_description
 
 HERE = Path(__file__).parent
 DEFPROJ = HERE / "fixtures" / "defproj"
@@ -113,10 +113,10 @@ def test_code_unreadable():
     ("nope.c", "No such file or directory"),
     ("", "Is a directory"),
 ])
-def test_unreadable_source_says_why(name, reason):
+def test_unreadable_source_says_why(oracle_session, name, reason):
     path = str(DEFPROJ / name)
     for read in (lambda: code_window(path, 5),
-                 lambda: definition(path, 5, "checksum", oracle_session(), 5)):
+                 lambda: definition(path, 5, "checksum", oracle_session, 5)):
         with pytest.raises(SourceUnavailable) as raised:
             read()
         assert str(raised.value) == f"{path}: {reason}"
@@ -124,13 +124,19 @@ def test_unreadable_source_says_why(name, reason):
 
 # -- definition ------------------------------------------------------------
 
-def oracle_session() -> FakeSession:
-    """A session whose debug info places each oracle symbol where the
+def oracle_description() -> dict:
+    """A stack whose debug info places each oracle symbol where the
     oracle records its definition."""
     symbols = {}
     for case in ORACLE:
         symbols[case["symbol"]] = parse_loc(case["def"], str(DEFPROJ))
-    return FakeSession(symbols=symbols)
+    return stack_description([Frame(level=0, func="main")], symbols=symbols)
+
+
+@pytest.fixture()
+def oracle_session(standin) -> DebugSession:
+    session, _ = standin(oracle_description())
+    return session
 
 
 def _define(case, session) -> str:
@@ -140,36 +146,36 @@ def _define(case, session) -> str:
 
 @pytest.mark.parametrize("case", ORACLE,
                          ids=[c["symbol"] for c in ORACLE])
-def test_definition_through_session(case):
+def test_definition_through_session(oracle_session, case):
     path, line = parse_loc(case["def"], str(DEFPROJ))
-    assert _define(case, oracle_session()) == \
+    assert _define(case, oracle_session) == \
         f"{path}:{line}\n{source_window(path, line, 5)}"
 
 
-def test_definition_symbol_not_on_line():
+def test_definition_symbol_not_on_line(oracle_session):
     with pytest.raises(SymbolNotOnLine):
         definition(str(DEFPROJ / "main.c"), 7, "table_size",
-                   oracle_session(), 5)
+                   oracle_session, 5)
 
 
-def test_definition_unreadable_source():
+def test_definition_unreadable_source(oracle_session):
     with pytest.raises(SourceUnavailable,
                        match=r"^nope\.c: No such file or directory$"):
-        definition("nope.c", 5, "checksum", oracle_session(), 5)
+        definition("nope.c", 5, "checksum", oracle_session, 5)
     with pytest.raises(SourceUnavailable):
         definition(str(DEFPROJ / "main.c"), 9999, "checksum",
-                   oracle_session(), 5)
+                   oracle_session, 5)
 
 
-def test_definition_generated_code_not_found():
+def test_definition_generated_code_not_found(oracle_session):
     with pytest.raises(DefinitionNotFound):
         definition(str(GENERATED / "parser.c"), 8, "yy_reduce",
-                   oracle_session(), 5)
+                   oracle_session, 5)
 
 
-def test_definition_is_deterministic():
-    session = oracle_session()
-    assert _define(ORACLE[0], session) == _define(ORACLE[0], session)
+def test_definition_is_deterministic(oracle_session):
+    assert _define(ORACLE[0], oracle_session) == \
+        _define(ORACLE[0], oracle_session)
 
 
 # -- through gdb's debug info ----------------------------------------------

@@ -17,7 +17,7 @@ from dbgchat.enrich import source_window
 from dbgchat.llm import ToolCallRequest
 from dbgchat.session import Frame
 
-from conftest import FakeSession
+from conftest import stack_description
 from test_agent import make_agent
 
 TRACED = Path(__file__).parent.parent / "perfbench" / "traced.py"
@@ -76,7 +76,7 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-def test_traced_hooks_keep_their_shapes():
+def test_traced_hooks_keep_their_shapes(standin):
     # traced.py reads ``shown_count`` off what agent.build_enriched_stack
     # returns, and calls ``_estimate_bundle(bundle, budget)`` with the
     # first two arguments of truncate_bundle, before and after the cut.
@@ -93,9 +93,9 @@ def test_traced_hooks_keep_their_shapes():
     bundle = prompts.PromptBundle(
         prompts.instructions_text(), None, "", "err", [], "why?")
     budget = 500
+    session, _ = standin(stack_description(frames))
     stack = agent.build_enriched_stack(
-        FakeSession(frames=frames), "/ws",
-        room=prompts.stack_room(bundle, budget))
+        session, "/ws", room=prompts.stack_room(bundle, budget))
     assert 0 < stack.shown_count < len(frames)
     # The bundle truncate_bundle gets still holds the unfetched frames.
     bundle = bundle.replace(enriched_stack=stack)
@@ -106,14 +106,15 @@ def test_traced_hooks_keep_their_shapes():
 
 
 def test_traced_tool_functions_are_looked_up_when_a_tool_runs(
-        tmp_path, monkeypatch):
+        standin, tmp_path, monkeypatch):
     # traced.py replaces agent.code_window and agent.definition by setattr.
     # A reference the agent took at import would keep calling the old
     # functions, and those layers would read zero without an error.
     app = tmp_path / "app.c"
     app.write_text("".join(f"int line_{i};\n" for i in range(1, 13)))
-    bot, _, _ = make_agent(
-        tmp_path, [], session=FakeSession(symbols={"line_3": (str(app), 3)}))
+    session, _ = standin(stack_description(
+        [Frame(level=0, func="main")], symbols={"line_3": (str(app), 3)}))
+    bot, _ = make_agent(tmp_path, [], session)
     calls = [ToolCallRequest("c1", "code", {"loc": "app.c:5"}),
              ToolCallRequest("c2", "definition",
                              {"loc": f"{app}:3", "symbol": "line_3"})]
