@@ -23,7 +23,7 @@ def _policy(case):
         return native_strict()
     if case["mode"] == "whitelist":
         return whitelist(case["functions"])
-    return unsafe_policy(True)
+    return unsafe_policy()
 
 
 def test_sanitize_verdict_table(benchmark):

@@ -22,9 +22,9 @@ import os
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack, \
     definition, source_window as code_window
-from .errors import BadLocSyntax, BudgetImpossible, DbgChatError, \
-    DebuggerError, DebuggerExited, EvaluationError, LlmError, NotStopped, \
-    ProtocolError, SourceUnavailable
+from .errors import BudgetImpossible, DbgChatError, DebuggerError, \
+    DebuggerExited, EvaluationError, LlmError, NotStopped, ProtocolError, \
+    SourceError, SourceUnavailable
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
@@ -80,18 +80,18 @@ def parse_loc(text: str, root: str) -> tuple[str, int]:
     file can be named, is refused."""
     file, sep, lineno = text.rpartition(":")
     if not sep or not file:
-        raise BadLocSyntax(f"expected filename:lineno, got {text!r}")
+        raise SourceError(f"expected filename:lineno, got {text!r}")
     try:
         line = int(lineno)
     except ValueError:
-        raise BadLocSyntax(f"line number is not an integer in {text!r}")
+        raise SourceError(f"line number is not an integer in {text!r}")
     if line < 1:
-        raise BadLocSyntax(f"line number must be positive in {text!r}")
+        raise SourceError(f"line number must be positive in {text!r}")
     path = os.path.join(root, file)
     try:
         base, full = os.path.realpath(root), os.path.realpath(path)
     except ValueError:  # raised for a NUL or a lone surrogate
-        raise BadLocSyntax(f"no file can be named as in {text!r}")
+        raise SourceError(f"no file can be named as in {text!r}")
     if full != base and not full.startswith(os.path.join(base, "")):
         raise SourceUnavailable(
             f"{file} is outside the workspace root {os.path.abspath(root)}")

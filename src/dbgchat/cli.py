@@ -12,7 +12,8 @@ and ``fnmatch``) does too.
 Startup runs in this order:
 
 1. Checks that need no child: the --stdin-file contents, the sanitizer
-   policy, the --script file or the API key's presence, the --log file.
+   policy, the --script file or the API key and --base-url, the --log
+   file.
 2. The debugger is spawned on the target and left to boot.
 3. Meanwhile the HTTP backend is built.  It loads ``socket``, and for an
    ``https:`` URL also ``ssl`` and the TLS context that all its requests
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import re
 import sys
@@ -41,7 +43,7 @@ import sys
 from . import PROMPT, __version__
 from .agent import Agent, AgentConfig, Transcript
 from .enrich import DEFAULT_RADIUS, user_frame_test
-from .errors import DbgChatError, DebuggerError, AuthError
+from .errors import DbgChatError, DebuggerError, LlmError
 from .llm import HttpBackend, ScriptedBackend
 from .prompts import DEFAULT_MAX_TOKENS
 from .sanitizer import (
@@ -122,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 class TerminalUi:
     """Prose streams flush-left; tool echoes are arrow-marked and indented."""
 
-    def __init__(self, out=None):
-        self.out = out or sys.stdout
+    def __init__(self, out):
+        self.out = out
         self._line_open = False
 
     def _write(self, text: str) -> None:
@@ -207,27 +209,31 @@ def run_repl(agent: Agent, in_stream, out) -> None:
 
 def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
     if ns.unsafe:
-        return unsafe_policy(True)
+        return unsafe_policy()
     if ns.whitelist:
         return whitelist(load_whitelist(ns.whitelist))
     return native_strict()
 
 
 def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
-    """The replay backend, or None after checking the API key is set and
-    fits in an HTTP header."""
+    """The replay backend, or None after checking that the API key is set
+    and that it and --base-url fit in an HTTP request's head."""
     if ns.script:
         return ScriptedBackend(ns.script)
     key = os.environ.get(ns.key_env)
     if not key:
-        raise AuthError(
+        raise LlmError(
             f"no API key: set the {ns.key_env} environment variable "
             "or pass --script")
     if _NOT_HEADER_TEXT.search(key):
         # The key itself is never quoted.
-        raise AuthError(
+        raise LlmError(
             f"the API key in {ns.key_env} holds a control character or a "
             "character outside Latin-1, which an HTTP header cannot carry")
+    if _NOT_HEADER_TEXT.search(ns.base_url):
+        raise LlmError(
+            f"--base-url {ns.base_url!r} holds a control character or a "
+            "character outside Latin-1, which an HTTP request cannot carry")
     return None
 
 
@@ -297,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.unsafe and ns.whitelist:
         parser.error("--unsafe and --whitelist are mutually exclusive")
+    # A typed byte that is not UTF-8 costs its own character, not the
+    # session.
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(errors="replace")
     try:
         return _run(ns, sys.stdin, sys.stdout)
     except (DbgChatError, OSError, ValueError) as exc:

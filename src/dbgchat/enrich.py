@@ -34,8 +34,7 @@ import os
 import re
 from collections.abc import Callable
 
-from .errors import DefinitionNotFound, NotStopped, SourceUnavailable, \
-    SymbolNotOnLine
+from .errors import NotStopped, Record, SourceError, SourceUnavailable
 from .session import Binding, Frame
 from .values import render_value
 
@@ -86,10 +85,10 @@ def definition(path: str, line: int, symbol: str, session,
     if line > len(lines):
         raise SourceUnavailable(f"{path} has only {len(lines)} lines")
     if not re.search(rf"\b{re.escape(symbol)}\b", lines[line - 1]):
-        raise SymbolNotOnLine(f"{symbol!r} does not occur at {path}:{line}")
+        raise SourceError(f"{symbol!r} does not occur at {path}:{line}")
     found = session.symbol_definition(symbol)
     if found is None:
-        raise DefinitionNotFound(f"no definition found for {symbol!r}")
+        raise SourceError(f"no definition found for {symbol!r}")
     def_path, def_line = found
     window = source_window(def_path, def_line, radius)
     return f"{def_path}:{def_line}\n{window}"
@@ -99,7 +98,7 @@ def _head(frame: Frame) -> str:
     return f"{frame.file}({frame.line}){frame.func}()"
 
 
-class EnrichedFrame:
+class EnrichedFrame(Record):
     __slots__ = ("frame", "window", "bindings", "globals", "marked")
 
     def __init__(self, frame: Frame, window: str | None,
@@ -111,14 +110,6 @@ class EnrichedFrame:
         self.bindings = bindings  # (name, type, rendered value)
         self.globals = [] if globals is None else globals
         self.marked = marked
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.frame, self.window, self.bindings, self.globals,
-                 self.marked)
-                == (other.frame, other.window, other.bindings, other.globals,
-                    other.marked))
 
     def render(self) -> str:
         head = _head(self.frame)
@@ -140,19 +131,13 @@ class EnrichedFrame:
         return body
 
 
-class ElisionMarker:
+class ElisionMarker(Record):
     __slots__ = ("hidden_count", "budget_cut")
 
     def __init__(self, hidden_count: int, budget_cut: bool = False):
         self.hidden_count = hidden_count
         # Dropped to fit the prompt, not hidden code.
         self.budget_cut = budget_cut
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.hidden_count, self.budget_cut)
-                == (other.hidden_count, other.budget_cut))
 
     def render(self) -> str:
         if self.budget_cut:
@@ -161,7 +146,7 @@ class ElisionMarker:
         return f"[... skipping {self.hidden_count} hidden frame(s)]"
 
 
-class EnrichedStack:
+class EnrichedStack(Record):
     """Entries outermost-first.  A bare Frame is a user frame the budget
     left unfetched; it renders as nothing and counts as neither shown nor
     hidden."""
@@ -172,12 +157,6 @@ class EnrichedStack:
                  total_frames: int):
         self.entries = entries
         self.total_frames = total_frames
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.entries, self.total_frames)
-                == (other.entries, other.total_frames))
 
     @property
     def shown_count(self) -> int:

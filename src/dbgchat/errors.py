@@ -1,5 +1,10 @@
-"""Exception hierarchy shared across the package, and the refusal that
-keeps an immutable record unchanged."""
+"""The package's exception classes, and the two helpers its records share.
+
+An exception class exists where code catches it, or where it is the base
+of one that code catches; its message says the rest.  A failure that no
+handler tells apart from its neighbours raises their common base with a
+message of its own.
+"""
 
 from __future__ import annotations
 
@@ -11,23 +16,12 @@ class DbgChatError(Exception):
 # --- debugger process / protocol ---
 
 class DebuggerError(DbgChatError):
-    pass
-
-
-class DebuggerNotFound(DebuggerError):
-    """The debugger binary could not be executed."""
-
-
-class TargetNotFound(DebuggerError):
-    """The target executable does not exist."""
+    """The debugger or its target could not be started, or a command went
+    unanswered."""
 
 
 class DebuggerExited(DebuggerError):
     """The debugger child process died while a command was outstanding."""
-
-
-class CommandTimeout(DebuggerError):
-    """A debugger command did not complete within its deadline."""
 
 
 class ProtocolError(DebuggerError):
@@ -47,7 +41,8 @@ class EvaluationError(DebuggerError):
 # --- source navigation ---
 
 class SourceError(DbgChatError):
-    pass
+    """A tool's location is malformed, or its symbol or definition was not
+    found."""
 
 
 class SourceUnavailable(SourceError):
@@ -55,50 +50,11 @@ class SourceUnavailable(SourceError):
     workspace root."""
 
 
-class BadLocSyntax(SourceError):
-    """A location string does not have the form filename:lineno."""
-
-
-class SymbolNotOnLine(SourceError):
-    """The symbol does not occur on the given source line."""
-
-
-class DefinitionNotFound(SourceError):
-    """No definition could be resolved for the symbol."""
-
-
 # --- LLM client ---
 
 class LlmError(DbgChatError):
-    pass
-
-
-class AuthError(LlmError):
-    """Missing or rejected API key."""
-
-
-class TransportError(LlmError):
-    """Network failure talking to the completion endpoint."""
-
-
-class RateLimited(LlmError):
-    """The provider throttled the request."""
-
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class MalformedToolArgs(LlmError):
-    """The provider produced a tool call whose arguments do not parse."""
-
-
-class ScriptParseError(LlmError):
-    """A scripted-dialog file is not valid."""
-
-
-class ScriptExhausted(LlmError):
-    """The scripted dialog has no entry for this turn."""
+    """The API key, the provider, the transport, a tool call or the --script
+    dialog failed."""
 
 
 # --- prompt assembly ---
@@ -107,7 +63,23 @@ class BudgetImpossible(DbgChatError):
     """The untruncatable prompt sections alone exceed the token budget."""
 
 
-# --- immutable records ---
+# --- records ---
+
+class Record:
+    """Equality by fields: a record equals another of its own class whose
+    fields, the values ``_fields`` gives, are equal.  Records are not
+    hashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
 
 def refuse_change(record, name: str, value=None):
     """``__setattr__`` and ``__delattr__`` of a record that never changes

@@ -1,4 +1,4 @@
-"""Chat-completion client with tool calling, plus a scripted test backend.
+"""Chat-completion client with tool calling, plus the --script backend.
 
 Speaks the de-facto chat-completions wire shape over HTTPS with streamed
 chunks.  The provider base URL and model name are configuration; nothing
@@ -24,15 +24,7 @@ from collections.abc import Iterator
 from contextlib import suppress
 from functools import cached_property
 
-from .errors import (
-    AuthError,
-    MalformedToolArgs,
-    RateLimited,
-    ScriptExhausted,
-    ScriptParseError,
-    TransportError,
-    refuse_change,
-)
+from .errors import LlmError, Record, refuse_change
 
 
 SYSTEM = "system"
@@ -43,7 +35,7 @@ TOOL = "tool"
 SCRIPT_VERSION = 1
 
 
-class ToolCallRequest:
+class ToolCallRequest(Record):
     __slots__ = ("id", "name", "arguments")
 
     def __init__(self, id: str, name: str, arguments: dict):
@@ -51,14 +43,8 @@ class ToolCallRequest:
         self.name = name
         self.arguments = arguments
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.id, self.name, self.arguments)
-                == (other.id, other.name, other.arguments))
 
-
-class ChatMessage:
+class ChatMessage(Record):
     """One message of the conversation.
 
     Immutable, because ``wire_json`` caches its encoding: the conversation
@@ -77,12 +63,9 @@ class ChatMessage:
             tool_call_id=tool_call_id,  # Tool role only
             tool_calls=[] if tool_calls is None else tool_calls)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.role, self.content, self.tool_call_id, self.tool_calls)
-                == (other.role, other.content, other.tool_call_id,
-                    other.tool_calls))
+    def _fields(self) -> tuple:
+        # wire_json, cached beside the fields, is not one of them.
+        return (self.role, self.content, self.tool_call_id, self.tool_calls)
 
     @cached_property
     def wire_json(self) -> str:
@@ -140,7 +123,7 @@ class ToolDef:
         }
 
 
-class CompletionEvent:
+class CompletionEvent(Record):
     __slots__ = ("kind", "text", "tool_call", "finish_reason")
 
     def __init__(self, kind: str, text: str = "",
@@ -151,33 +134,26 @@ class CompletionEvent:
         self.tool_call = tool_call
         self.finish_reason = finish_reason
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.text, self.tool_call, self.finish_reason)
-                == (other.kind, other.text, other.tool_call,
-                    other.finish_reason))
-
 
 def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
     spec = next((t for t in tools if t.name == call.name), None)
     if spec is None:
-        raise MalformedToolArgs(f"unknown tool {call.name!r}")
+        raise LlmError(f"unknown tool {call.name!r}")
     if not isinstance(call.arguments, dict):
-        raise MalformedToolArgs(f"{call.name}: arguments are not an object")
+        raise LlmError(f"{call.name}: arguments are not an object")
     for name, _ in spec.parameters:
         if name not in call.arguments:
-            raise MalformedToolArgs(f"{call.name}: missing argument {name!r}")
+            raise LlmError(f"{call.name}: missing argument {name!r}")
         value = call.arguments[name]
         if not isinstance(value, str):
-            raise MalformedToolArgs(f"{call.name}: argument {name!r} is not text")
+            raise LlmError(f"{call.name}: argument {name!r} is not text")
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
             # A lone surrogate, from a JSON \ud800 escape: no output could
             # show it, so the message quotes it escaped.
-            raise MalformedToolArgs(f"{call.name}: argument {name!r} is not "
-                                    f"UTF-8 text: {ascii(value)}") from None
+            raise LlmError(f"{call.name}: argument {name!r} is not UTF-8 "
+                           f"text: {ascii(value)}") from None
 
 
 def validate_conversation(messages: list[ChatMessage]) -> None:
@@ -296,7 +272,7 @@ def _exactly(file, size: int) -> Iterator[bytes]:
 
 def _lines(blocks: Iterator[bytes]) -> Iterator[str]:
     """The body's lines, without their newlines, decoded as UTF-8; a line
-    may span blocks.  A read that fails part-way becomes a TransportError,
+    may span blocks.  A read that fails part-way becomes an LlmError,
     which ends the chat turn only."""
     pieces: list[bytes] = []
     try:
@@ -313,7 +289,7 @@ def _lines(blocks: Iterator[bytes]) -> Iterator[str]:
         if pieces:
             yield b"".join(pieces).decode("utf-8")
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise TransportError(f"stream read failed: {exc!r}") from exc
+        raise LlmError(f"stream read failed: {exc!r}") from exc
 
 
 class HttpBackend:
@@ -398,7 +374,7 @@ class HttpBackend:
             yield from self._stream_events(lines, tools)
             # What follows [DONE] ends the body; reading it frees the
             # connection for the next request, and a cut there loses nothing.
-            with suppress(TransportError):
+            with suppress(LlmError):
                 for _ in lines:
                     pass
         finally:
@@ -483,7 +459,7 @@ class HttpBackend:
                 self.close()
                 attempt += 1
                 if attempt > RETRY_CAP:
-                    raise TransportError(str(exc)) from exc
+                    raise LlmError(str(exc)) from exc
                 time.sleep(min(2.0, 0.2 * attempt))
                 continue
             except BaseException:  # Ctrl-C while the answer is awaited
@@ -507,11 +483,10 @@ class HttpBackend:
                 continue
             self.close()
             if status == 401:
-                raise AuthError("provider rejected the API key")
+                raise LlmError("provider rejected the API key")
             if status != 429:
-                raise TransportError(f"HTTP {status}: {detail[:400]}")
-            raise RateLimited("provider throttled the request",
-                              retry_after=retry_after)
+                raise LlmError(f"HTTP {status}: {detail[:400]}")
+            raise LlmError("provider throttled the request")
         yield from self._body(version, status, headers)
 
     def _stream_events(self, lines: Iterator[str],
@@ -527,7 +502,7 @@ class HttpBackend:
             try:
                 chunk = json.loads(data)
             except json.JSONDecodeError as exc:
-                raise TransportError(f"bad stream chunk: {data[:200]}") from exc
+                raise LlmError(f"bad stream chunk: {data[:200]}") from exc
             choices = chunk.get("choices") or []
             if not choices:
                 continue
@@ -552,7 +527,7 @@ class HttpBackend:
             try:
                 arguments = json.loads(slot["args"] or "{}")
             except json.JSONDecodeError as exc:
-                raise MalformedToolArgs(
+                raise LlmError(
                     f"{slot['name']}: undecodable arguments "
                     f"{slot['args'][:200]!r}") from exc
             call = ToolCallRequest(id=slot["id"] or f"call_{index}",
@@ -582,20 +557,19 @@ class ScriptedBackend:
             with open(script_path, encoding="utf-8") as fh:
                 script = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ScriptParseError(f"{script_path}: {exc}") from exc
+            raise LlmError(f"{script_path}: {exc}") from exc
         if not isinstance(script, dict) or script.get("version") != SCRIPT_VERSION:
-            raise ScriptParseError(
-                f"{script_path}: expected version {SCRIPT_VERSION}")
+            raise LlmError(f"{script_path}: expected version {SCRIPT_VERSION}")
         turns = script.get("turns")
         if not isinstance(turns, list):
-            raise ScriptParseError(f"{script_path}: turns must be a list")
+            raise LlmError(f"{script_path}: turns must be a list")
         for i, turn in enumerate(turns):
             if not isinstance(turn, list):
-                raise ScriptParseError(f"{script_path}: turn {i} not a list")
+                raise LlmError(f"{script_path}: turn {i} not a list")
             for item in turn:
                 if not isinstance(item, dict) or not (
                         "text" in item or "tool_call" in item):
-                    raise ScriptParseError(
+                    raise LlmError(
                         f"{script_path}: turn {i} has a bad item: {item!r}")
         self.turns: list[list[dict]] = turns
         self.turn_index = 0
@@ -607,8 +581,7 @@ class ScriptedBackend:
     def complete(self, messages: list[ChatMessage],
                  tools: list[ToolDef]) -> Iterator[CompletionEvent]:
         if self.turn_index >= len(self.turns):
-            raise ScriptExhausted(
-                f"script has only {len(self.turns)} turn(s)")
+            raise LlmError(f"script has only {len(self.turns)} turn(s)")
         turn = self.turns[self.turn_index]
         index = self.turn_index
         self.turn_index += 1

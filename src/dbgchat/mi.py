@@ -3,7 +3,7 @@ r"""GDB machine-interface (MI) driver.
 Spawns ``gdb``, as found on PATH, with ``--interpreter=mi`` and
 serializes commands one at a time.  A ``gdb`` that cannot be started,
 whether missing, not executable or missing its ``#!`` interpreter,
-raises DebuggerNotFound.  Each answer's lines are kept as text and
+raises DebuggerError.  Each answer's lines are kept as text and
 parsed into structured records when first read; ``MIOutput.result``
 decides whether an answer is usable.  ``file_symbols`` reads one
 file's entries of a symbol table without parsing the rest.  The
@@ -46,14 +46,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
 
-from .errors import (
-    CommandTimeout,
-    DebuggerError,
-    DebuggerExited,
-    DebuggerNotFound,
-    ProtocolError,
-    TargetNotFound,
-)
+from .errors import DebuggerError, DebuggerExited, ProtocolError, Record
 
 DEFAULT_COMMAND_TIMEOUT = 30.0
 HANDSHAKE_TIMEOUT = 15.0
@@ -82,7 +75,7 @@ _STREAM_KINDS = {
 }
 
 
-class MIRecord:
+class MIRecord(Record):
     """One parsed record of the MI output stream."""
 
     __slots__ = ("kind", "token", "klass", "payload", "positional", "text",
@@ -102,15 +95,6 @@ class MIRecord:
         self.text = text  # stream records only
         # LogStream fallback for lines outside the grammar
         self.unparsed = unparsed
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.token, self.klass, self.payload,
-                self.positional, self.text, self.unparsed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __repr__(self) -> str:
         return ("MIRecord(kind={!r}, token={!r}, klass={!r}, payload={!r}, "
@@ -452,7 +436,7 @@ class DebuggerHandle:
     """
 
     def __init__(self, proc: subprocess.Popen, tty_master: int,
-                 tty_slave: int = -1):
+                 tty_slave: int):
         self._proc = proc
         assert proc.stdout is not None
         self._stdout = proc.stdout.fileno()
@@ -564,7 +548,7 @@ class DebuggerHandle:
             if self._eof:
                 raise DebuggerExited("debugger closed its output stream")
             if not self._pump(deadline, feed):
-                raise CommandTimeout(
+                raise DebuggerError(
                     f"no prompt within {timeout:g}s ({len(lines)} records so far)"
                 )
 
@@ -631,8 +615,6 @@ class DebuggerHandle:
             except OSError:
                 pass
         for fd in (self._tty_master, self._tty_slave):
-            if fd < 0:
-                continue
             try:
                 os.close(fd)
             except OSError:
@@ -647,7 +629,7 @@ def spawn_debugger(executable: str,
     work while the debugger reads the target's symbols.
     """
     if not os.path.exists(executable):
-        raise TargetNotFound(f"target executable not found: {executable}")
+        raise DebuggerError(f"target executable not found: {executable}")
 
     master, slave = pty.openpty()
     argv = ["gdb", "--nx", "--quiet", "--interpreter=mi",
@@ -663,6 +645,6 @@ def spawn_debugger(executable: str,
     except OSError as exc:
         os.close(master)
         os.close(slave)
-        raise DebuggerNotFound("debugger not found on PATH: gdb") from exc
+        raise DebuggerError("debugger not found on PATH: gdb") from exc
 
     return DebuggerHandle(proc, tty_master=master, tty_slave=slave)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import PROMPT
 from .enrich import ElisionMarker, EnrichedFrame, EnrichedStack
-from .errors import BudgetImpossible
+from .errors import BudgetImpossible, Record
 from .llm import SYSTEM, USER, ChatMessage
 from .session import Frame, StopInfo
 
@@ -35,7 +35,7 @@ def estimate_tokens(text: str) -> int:
     return (len(text.encode("utf-8")) + 3) // 4
 
 
-class PromptBundle:
+class PromptBundle(Record):
     __slots__ = ("instructions", "enriched_stack", "inputs", "error",
                  "history", "user_text")
 
@@ -49,17 +49,10 @@ class PromptBundle:
         self.history = history
         self.user_text = user_text
 
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in PromptBundle.__slots__}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     def replace(self, **changes) -> PromptBundle:
         """A copy with the named fields changed."""
-        return PromptBundle(**(self._fields() | changes))
+        fields = {name: getattr(self, name) for name in PromptBundle.__slots__}
+        return PromptBundle(**(fields | changes))
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Three policies: NativeStrict allows read-only inspection commands and
 rejects anything containing a function call, an assignment or an
 increment; Whitelist additionally permits calls to an explicit set of
-function names; Unsafe allows everything and can only be constructed when
-the user passed --unsafe.
+function names; Unsafe allows everything.
 Call detection is lexical and deliberately conservative: over-denial is
 acceptable, silent execution of target code is not.
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 
-from .errors import refuse_change
+from .errors import Record, refuse_change
 
 
 class Mode(enum.Enum):
@@ -43,19 +42,13 @@ RESUME_COMMANDS = frozenset({
 _FRAME_APPLY = frozenset({"ap", "app", "appl", "apply"})
 
 
-class Verdict:
+class Verdict(Record):
     __slots__ = ("allowed", "reason")
     __setattr__ = __delattr__ = refuse_change
 
     def __init__(self, allowed: bool, reason: str = ""):
         object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.allowed, self.reason)
-                == (other.allowed, other.reason))
 
 
 _ALLOW = Verdict(True)
@@ -66,16 +59,12 @@ def _deny(reason: str) -> Verdict:
 
 
 class SanitizerPolicy:
-    __slots__ = ("mode", "functions", "unsafe_ack")
+    __slots__ = ("mode", "functions")
     __setattr__ = __delattr__ = refuse_change
 
-    def __init__(self, mode: Mode, functions: frozenset[str] = frozenset(),
-                 unsafe_ack: bool = False):
-        if mode is Mode.UNSAFE and not unsafe_ack:
-            raise ValueError("unsafe mode requires the --unsafe flag")
+    def __init__(self, mode: Mode, functions: frozenset[str] = frozenset()):
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "unsafe_ack", unsafe_ack)
 
 
 def native_strict() -> SanitizerPolicy:
@@ -86,10 +75,8 @@ def whitelist(functions) -> SanitizerPolicy:
     return SanitizerPolicy(Mode.WHITELIST, functions=frozenset(functions))
 
 
-def unsafe_policy(flag_given: bool) -> SanitizerPolicy:
-    if not flag_given:
-        raise ValueError("unsafe mode requires the --unsafe flag")
-    return SanitizerPolicy(Mode.UNSAFE, unsafe_ack=True)
+def unsafe_policy() -> SanitizerPolicy:
+    return SanitizerPolicy(Mode.UNSAFE)
 
 
 # An identifier directly before "(" is a call; sizeof and friends are

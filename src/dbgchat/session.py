@@ -18,6 +18,7 @@ from .errors import (
     EvaluationError,
     NotStopped,
     ProtocolError,
+    Record,
 )
 from .mi import (
     MIRecord,
@@ -62,7 +63,7 @@ class Binding:
         return self.type.rstrip().endswith("*")
 
 
-class Frame:
+class Frame(Record):
     __slots__ = ("level", "func", "file", "fullname", "line", "shared_lib")
 
     def __init__(self, level: int, func: str, file: str = "",
@@ -74,14 +75,6 @@ class Frame:
         self.fullname = fullname
         self.line = line
         self.shared_lib = shared_lib
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.level, self.func, self.file, self.fullname, self.line,
-                 self.shared_lib)
-                == (other.level, other.func, other.file, other.fullname,
-                    other.line, other.shared_lib))
 
     @property
     def has_source(self) -> bool:
@@ -95,7 +88,7 @@ class Frame:
         return "at unknown location"
 
 
-class StopInfo:
+class StopInfo(Record):
     """Why execution stopped.
 
     An assertion failure is a derived reason: an abort signal whose captured
@@ -115,14 +108,6 @@ class StopInfo:
         self.exit_code = exit_code
         self.frame = frame
         self.assertion_text = assertion_text
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.signal_name, self.signal_meaning,
-                 self.exit_code, self.frame, self.assertion_text)
-                == (other.kind, other.signal_name, other.signal_meaning,
-                    other.exit_code, other.frame, other.assertion_text))
 
     def describe(self) -> str:
         if self.kind == "assertion":

@@ -17,7 +17,7 @@ import pytest
 
 from dbgchat.agent import Agent, AgentConfig, code_window, parse_loc
 from dbgchat.enrich import build_enriched_stack, definition, source_window
-from dbgchat.errors import BudgetImpossible, DefinitionNotFound
+from dbgchat.errors import BudgetImpossible, SourceError
 from dbgchat.llm import ScriptedBackend
 from dbgchat.mi import parse_mi_line
 from dbgchat.prompts import (
@@ -173,7 +173,7 @@ def test_criterion_4_sanitizer_table_and_monotonicity():
 
     names = ["strlen", "strnlen", "checksum", "helper", "reader", "fp"]
     rng = random.Random(99)
-    unsafe = unsafe_policy(True)
+    unsafe = unsafe_policy()
     for _ in range(10000):
         command = _random_command(rng)
         small = frozenset(n for n in names if rng.random() < 0.4)
@@ -248,10 +248,11 @@ def test_criterion_7_definition_and_code_tools(standin, fixtures_dir):
 
     generated = fixtures_dir / "generated"
     session, _ = standin(oracle_description())
-    with pytest.raises(DefinitionNotFound):
+    with pytest.raises(SourceError,
+                       match="^no definition found for 'yy_reduce'$"):
         definition(str(generated / "parser.c"), 8, "yy_reduce", session, 5)
     print("PASS criterion 7: code matches the shared renderer; generated "
-          "code yields DefinitionNotFound")
+          "code yields no definition")
 
 
 def test_criterion_7_definition_oracle(fixture_bins, fixtures_dir):

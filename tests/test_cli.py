@@ -449,6 +449,42 @@ def test_a_key_no_header_can_carry_is_refused_before_the_spawn(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("url", ["http://\u4f8b\u3048.jp/v1",
+                                 "http://127.0.0.1:9/v1\r\nX-Injected: 1"])
+def test_a_base_url_no_request_can_carry_is_refused_before_the_spawn(
+        tmp_path, monkeypatch, capsys, url):
+    # No gdb on PATH: a spawn would fail with a message of its own.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", "--base-url", url,
+                 sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"dbgchat: --base-url {url!r} holds a control character or a "
+        "character outside Latin-1, which an HTTP request cannot carry\n")
+    assert captured.out == ""
+
+
+def test_a_typed_line_that_is_not_utf8_costs_only_its_character(standin,
+                                                                tmp_path):
+    script = tmp_path / "turns.json"
+    script.write_text(json.dumps({"version": 1, "turns": []}))
+    target = standin.target(stack_description(
+        [Frame(level=0, func="main", file="app.c",
+               fullname=str(tmp_path / "app.c"), line=3)]))
+    stdin = io.TextIOWrapper(io.BytesIO(b"p x\np \xff\np x\nquit\n"),
+                             encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = main(["--script", str(script), "--root", str(tmp_path),
+                     target])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().endswith(
+        f'{PROMPT}p \ufffd\nerror: No symbol "\ufffd" in current context.\n'
+        f"{PROMPT}p x\n$1 = 0\n{PROMPT}quit\n")
+
+
 def test_a_tool_argument_that_is_not_utf8_ends_only_that_turn(standin,
                                                               tmp_path):
     script = tmp_path / "turns.json"

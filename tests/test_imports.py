@@ -1,5 +1,6 @@
-"""No Python file in the repository imports a name it never uses, and
-the program defines nothing that only tests use.
+"""No Python file in the repository imports a name it never uses, the
+program defines nothing that only tests use, and it defines no exception
+class that nothing catches.
 
 Every ``.py`` file under ``src/``, ``tests/``, ``tools/`` and ``bench/`` is
 read with ``ast``: each name an import binds must be read somewhere in the
@@ -9,6 +10,9 @@ Each function, class, method and module-level constant defined under
 ``src/dbgchat/`` must be read somewhere in ``src/`` outside its own
 definition, by name or as an attribute; importing it counts.  Names are
 matched without regard to their owner.  Dunder names are exempt.
+
+Each exception class defined in ``src/dbgchat/errors.py`` must be named by
+an ``except`` clause under ``src/``, or be the base of one that is.
 """
 
 from __future__ import annotations
@@ -129,3 +133,48 @@ def test_src_defines_nothing_it_never_reads():
             if name not in UNREAD_ALLOWED] == []
     # An entry that src/ has come to read leaves the list.
     assert {name for _, _, name in unread} >= UNREAD_ALLOWED
+
+
+def uncaught_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """The exception classes errors_source defines that no ``except``
+    clause in the sources names and that are no base of one named."""
+    base = {node.name: node.bases[0].id
+            for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.bases}
+
+    def lineage(name: str) -> list[str]:
+        """The class, then its bases in errors_source."""
+        out = []
+        while name in base:
+            out.append(name)
+            name = base[name]
+        return out
+
+    caught: set[str] = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                for named in types:
+                    caught.update(lineage(getattr(named, "id", None)
+                                          or getattr(named, "attr", "")))
+    return sorted(name for name in base
+                  if base[lineage(name)[-1]] == "Exception"
+                  and name not in caught)
+
+
+def test_scanner_finds_an_uncaught_error():
+    errors = ("class Base(Exception): pass\nclass Caught(Base): pass\n"
+              "class Spare(Base): pass\nclass Other(dict): pass\n"
+              "class Record: pass\n")
+    sources = {"a.py": "try:\n    pass\nexcept (errors.Caught, OSError):\n"
+                       "    pass\n"}
+    assert uncaught_errors(errors, sources) == ["Spare"]
+
+
+def test_src_catches_every_error_class():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    errors = sources[str(Path("src", "dbgchat", "errors.py"))]
+    assert uncaught_errors(errors, sources) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import urllib.request
 
@@ -11,14 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbgchat import llm
-from dbgchat.errors import (
-    AuthError,
-    MalformedToolArgs,
-    RateLimited,
-    ScriptExhausted,
-    ScriptParseError,
-    TransportError,
-)
+from dbgchat.errors import LlmError
 from dbgchat.llm import (
     ASSISTANT,
     SYSTEM,
@@ -176,7 +170,7 @@ def test_scripted_turns_advance_and_exhaust(tmp_path):
     backend = ScriptedBackend(write_script(tmp_path, turns))
     assert list(backend.complete([], TOOLS))[0].text == "one"
     assert list(backend.complete([], TOOLS))[0].text == "two"
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^script has only 2 turn\(s\)$"):
         list(backend.complete([], TOOLS))
 
 
@@ -202,35 +196,46 @@ def test_scripted_replay_is_deterministic(tmp_path):
     assert run() == run()
 
 
-@pytest.mark.parametrize("bad", [
-    "not json at all",
-    json.dumps({"version": 2, "turns": []}),
-    json.dumps({"turns": []}),
-    json.dumps({"version": 1, "turns": {"0": []}}),
-    json.dumps({"version": 1, "turns": [{"text": "flat, not nested"}]}),
-    json.dumps({"version": 1, "turns": [[{"neither": 1}]]}),
-])
+#: Each bad script, and what the message says after the script's path.
+BAD_SCRIPTS = {
+    "not json at all": "Expecting value: line 1 column 1 (char 0)",
+    json.dumps({"version": 2, "turns": []}): "expected version 1",
+    json.dumps({"turns": []}): "expected version 1",
+    json.dumps({"version": 1, "turns": {"0": []}}): "turns must be a list",
+    json.dumps({"version": 1, "turns": [{"text": "flat, not nested"}]}):
+        "turn 0 not a list",
+    json.dumps({"version": 1, "turns": [[{"neither": 1}]]}):
+        "turn 0 has a bad item: {'neither': 1}",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SCRIPTS))
 def test_scripted_rejects_bad_scripts(tmp_path, bad):
     path = tmp_path / "bad.json"
     path.write_text(bad)
-    with pytest.raises(ScriptParseError):
+    with pytest.raises(LlmError,
+                       match=f"^{re.escape(f'{path}: {BAD_SCRIPTS[bad]}')}$"):
         ScriptedBackend(str(path))
 
 
 def test_scripted_missing_file():
-    with pytest.raises(ScriptParseError):
+    with pytest.raises(LlmError, match=r"^/nonexistent/script\.json: "
+                       r"\[Errno 2\] No such file or directory: "):
         ScriptedBackend("/nonexistent/script.json")
 
 
-@pytest.mark.parametrize("call", [
-    {"name": "launch", "arguments": {"command": "bt"}},
-    {"name": "debug", "arguments": {}},
-    {"name": "debug", "arguments": {"command": 7}},
-    {"name": "debug", "arguments": "p x"},
-])
-def test_scripted_rejects_malformed_calls(tmp_path, call):
+@pytest.mark.parametrize("call, message", [
+    ({"name": "launch", "arguments": {"command": "bt"}},
+     "unknown tool 'launch'"),
+    ({"name": "debug", "arguments": {}}, "debug: missing argument 'command'"),
+    ({"name": "debug", "arguments": {"command": 7}},
+     "debug: argument 'command' is not text"),
+    ({"name": "debug", "arguments": "p x"},
+     "debug: arguments are not an object"),
+], ids=["call0", "call1", "call2", "call3"])
+def test_scripted_rejects_malformed_calls(tmp_path, call, message):
     backend = ScriptedBackend(write_script(tmp_path, [[{"tool_call": call}]]))
-    with pytest.raises(MalformedToolArgs):
+    with pytest.raises(LlmError, match=f"^{re.escape(message)}$"):
         list(backend.complete([], TOOLS))
 
 
@@ -239,10 +244,9 @@ def test_scripted_call_that_is_not_utf8_is_malformed(tmp_path):
     # encode; the message shows it escaped.
     call = {"name": "code", "arguments": {"loc": "\ud800.c:1"}}
     backend = ScriptedBackend(write_script(tmp_path, [[{"tool_call": call}]]))
-    with pytest.raises(MalformedToolArgs) as raised:
+    message = "code: argument 'loc' is not UTF-8 text: '\\ud800.c:1'"
+    with pytest.raises(LlmError, match=f"^{re.escape(message)}$") as raised:
         list(backend.complete([], TOOLS))
-    assert str(raised.value) == \
-        "code: argument 'loc' is not UTF-8 text: '\\ud800.c:1'"
     str(raised.value).encode("utf-8")
 
 
@@ -341,7 +345,8 @@ def test_http_undecodable_arguments(stub_server, backend):
             {"index": 0, "id": "c", "function": {"name": "debug",
                                                  "arguments": "{broken"}}]}}]},
     ))]
-    with pytest.raises(MalformedToolArgs):
+    with pytest.raises(LlmError,
+                       match=r"^debug: undecodable arguments '\{broken'$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
@@ -352,13 +357,13 @@ def test_http_unknown_tool_rejected(stub_server, backend):
              "function": {"name": "erase_disk",
                           "arguments": "{}"}}]}}]},
     ))]
-    with pytest.raises(MalformedToolArgs):
+    with pytest.raises(LlmError, match="^unknown tool 'erase_disk'$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
 def test_http_401_is_auth_error(stub_server, backend):
     stub_server.responses = [(401, "nope")]
-    with pytest.raises(AuthError):
+    with pytest.raises(LlmError, match="^provider rejected the API key$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
@@ -366,9 +371,8 @@ def test_http_429_retries_then_raises(stub_server, backend, monkeypatch):
     stub_server.extra_headers = {"Retry-After": "0"}
     stub_server.responses = [(429, ""), (429, "")]
     monkeypatch.setattr("dbgchat.llm.RETRY_CAP", 1)
-    with pytest.raises(RateLimited) as info:
+    with pytest.raises(LlmError, match="^provider throttled the request$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
-    assert info.value.retry_after == 0.0
     assert len(stub_server.requests_seen) == 2
 
 
@@ -386,7 +390,7 @@ def test_http_429_then_success(stub_server, backend, monkeypatch):
 
 def test_http_other_4xx_is_transport_error(stub_server, backend):
     stub_server.responses = [(400, "bad request")]
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError, match="^HTTP 400: bad request$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
@@ -414,7 +418,7 @@ def test_http_connect_failures_capped(connect, monkeypatch):
     attempts = counting_connects(monkeypatch)
     monkeypatch.setattr("dbgchat.llm.time.sleep", lambda s: None)
     backend = connect(f"http://127.0.0.1:{port}")
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError, match=r"^\[Errno 111\] Connection refused$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert len(attempts) == 4
 
@@ -435,7 +439,8 @@ def test_http_stream_cut_midway_is_transport_error(stub_server, backend,
     stub_server.responses = [(None, CUT_STREAM), (200, sse(TEXT_OK))]
     events = backend.complete([ChatMessage(USER, "hi")], TOOLS)
     assert next(events).text == "Hel"
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError,
+                       match=r"^stream read failed: ConnectionError\("):
         list(events)
     # The next request opens a new connection, and that is not a retry.
     monkeypatch.setattr("dbgchat.llm.time.sleep", no_sleep)
@@ -449,7 +454,8 @@ def test_http_stalled_stream_times_out_and_drops_the_connection(
     # read times out, and the next request must not reuse that connection.
     monkeypatch.setattr("dbgchat.llm.TIMEOUT_S", 0.2)
     stub_server.responses = [("raw", CUT_STREAM), (200, sse(TEXT_OK))]
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError, match=r"^stream read failed: "
+                       r"TimeoutError\('timed out'\)$"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert texts(backend) == ["ok"]
     first, second = stub_server.ports_seen
@@ -469,7 +475,8 @@ def test_http_abandoned_stream_drops_the_connection(stub_server, backend):
 def test_http_invalid_utf8_is_transport_error(stub_server, backend):
     stub_server.responses = [(200, b'data: {"choices": [{"delta": '
                                    b'{"content": "\xff"}}]}\n\n')]
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError, match=r"^stream read failed: "
+                       r"UnicodeDecodeError\('utf-8', "):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
 
 
@@ -592,7 +599,8 @@ def test_https_untrusted_certificate_fails(tls_stub_server, connect,
     monkeypatch.delenv("SSL_CERT_FILE")
     monkeypatch.setattr("dbgchat.llm.time.sleep", lambda s: None)
     backend = connect(url_of(tls_stub_server, "https", "localhost"))
-    with pytest.raises(TransportError):
+    with pytest.raises(LlmError, match=r"^\[SSL: CERTIFICATE_VERIFY_FAILED\] "
+                       "certificate verify failed"):
         list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
     assert tls_stub_server.requests_seen == []
 

@@ -22,13 +22,10 @@ from hypothesis import strategies as st
 
 from dbgchat import mi
 from dbgchat.errors import (
-    CommandTimeout,
     DebuggerError,
     DebuggerExited,
-    DebuggerNotFound,
     EvaluationError,
     ProtocolError,
-    TargetNotFound,
 )
 from dbgchat.mi import (
     DebuggerHandle,
@@ -606,7 +603,7 @@ def test_a_long_line_written_in_pieces_reads_as_before(fake_gdb):
 def test_command_timeout_reports_the_records_so_far(fake_gdb):
     target = fake_gdb({"-slow": ['~"one"', '~"two"']})
     with contextlib.closing(spawn_debugger(target)) as dbg:
-        with pytest.raises(CommandTimeout,
+        with pytest.raises(DebuggerError,
                            match=r"no prompt within 0\.3s \(2 records so far\)"):
             dbg.send_command("-slow", timeout=0.3)
 
@@ -725,7 +722,8 @@ def test_closing_before_the_handshake_reaps_the_child(fake_gdb):
 # -- live debugger sessions ------------------------------------------------
 
 def test_spawn_missing_target_raises():
-    with pytest.raises(TargetNotFound):
+    with pytest.raises(DebuggerError,
+                       match="^target executable not found: /no/such/binary$"):
         spawn_debugger("/no/such/binary")
 
 
@@ -746,7 +744,7 @@ def test_spawn_without_a_runnable_gdb_raises_and_leaks_nothing(
     fds = set(os.listdir("/proc/self/fd"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        with pytest.raises(DebuggerNotFound,
+        with pytest.raises(DebuggerError,
                            match="^debugger not found on PATH: gdb$"):
             spawn_debugger(sys.executable)
         gc.collect()

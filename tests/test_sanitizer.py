@@ -31,7 +31,7 @@ def _policy(case) -> SanitizerPolicy:
         return native_strict()
     if mode == "whitelist":
         return whitelist(case["functions"])
-    return unsafe_policy(True)
+    return unsafe_policy()
 
 
 def test_table_has_sixty_three_cases():
@@ -57,12 +57,8 @@ def test_verdicts_are_pure():
 
 # -- policy construction ---------------------------------------------------
 
-def test_unsafe_requires_flag():
-    with pytest.raises(ValueError):
-        unsafe_policy(False)
-    with pytest.raises(ValueError):
-        SanitizerPolicy(mode=Mode.UNSAFE)
-    assert unsafe_policy(True).mode is Mode.UNSAFE
+def test_unsafe_policy_mode():
+    assert unsafe_policy().mode is Mode.UNSAFE
 
 
 def test_allowed_prefixes_native():
@@ -116,7 +112,7 @@ def _random_command(rng: random.Random) -> str:
 def test_monotonicity_and_unsafe_ten_thousand_trials():
     rng = random.Random(42)
     native = native_strict()
-    unsafe = unsafe_policy(True)
+    unsafe = unsafe_policy()
     for _ in range(10_000):
         command = _random_command(rng)
         small = set(rng.sample(_FUNCS, rng.randint(0, 3)))
@@ -134,7 +130,7 @@ def test_monotonicity_and_unsafe_ten_thousand_trials():
 @given(st.text(max_size=80))
 def test_sanitize_total_and_deterministic(command):
     for policy in (native_strict(), whitelist({"strlen"}),
-                   unsafe_policy(True)):
+                   unsafe_policy()):
         verdict = sanitize(command, policy)
         assert verdict == sanitize(command, policy)
         if not verdict.allowed:

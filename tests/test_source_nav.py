@@ -4,6 +4,7 @@ definition lookup."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,7 @@ from hypothesis import strategies as st
 
 from dbgchat.agent import code_window, parse_loc
 from dbgchat.enrich import definition, source_window
-from dbgchat.errors import (
-    BadLocSyntax,
-    DefinitionNotFound,
-    SourceUnavailable,
-    SymbolNotOnLine,
-)
+from dbgchat.errors import SourceError, SourceUnavailable
 from dbgchat.session import DebugSession, Frame
 
 from conftest import stack_description
@@ -75,11 +71,24 @@ def test_parse_loc_keeps_path_colons():
     assert parse_loc("dir/od:d.c:7", "") == ("dir/od:d.c", 7)
 
 
-@pytest.mark.parametrize("bad", ["fixture.c", ":5", "a.c:", "a.c:x",
-                                 "a.c:0", "a.c:-3", "", "a\0.c:1",
-                                 "\ud800.c:1"])
+#: Each location parse_loc refuses, and the start of its message.
+BAD_LOCS = {
+    "fixture.c": "expected filename:lineno, got",
+    ":5": "expected filename:lineno, got",
+    "a.c:": "line number is not an integer in",
+    "a.c:x": "line number is not an integer in",
+    "a.c:0": "line number must be positive in",
+    "a.c:-3": "line number must be positive in",
+    "": "expected filename:lineno, got",
+    "a\0.c:1": "no file can be named as in",
+    "\ud800.c:1": "no file can be named as in",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_LOCS))
 def test_parse_loc_rejects(bad):
-    with pytest.raises(BadLocSyntax):
+    with pytest.raises(SourceError,
+                       match=f"^{re.escape(f'{BAD_LOCS[bad]} {bad!r}')}$"):
         parse_loc(bad, "/ws")
 
 
@@ -153,7 +162,8 @@ def test_definition_through_session(oracle_session, case):
 
 
 def test_definition_symbol_not_on_line(oracle_session):
-    with pytest.raises(SymbolNotOnLine):
+    with pytest.raises(SourceError, match=r"^'table_size' does not occur at "
+                       rf"{re.escape(str(DEFPROJ / 'main.c'))}:7$"):
         definition(str(DEFPROJ / "main.c"), 7, "table_size",
                    oracle_session, 5)
 
@@ -168,7 +178,8 @@ def test_definition_unreadable_source(oracle_session):
 
 
 def test_definition_generated_code_not_found(oracle_session):
-    with pytest.raises(DefinitionNotFound):
+    with pytest.raises(SourceError,
+                       match="^no definition found for 'yy_reduce'$"):
         definition(str(GENERATED / "parser.c"), 8, "yy_reduce",
                    oracle_session, 5)
 
@@ -203,6 +214,7 @@ def test_symbol_definition_from_debug_info(defproj_session, symbol, file,
 
 
 def test_definition_not_in_debug_info(defproj_session):
-    with pytest.raises(DefinitionNotFound):
+    with pytest.raises(SourceError,
+                       match="^no definition found for 'yy_reduce'$"):
         definition(str(GENERATED / "parser.c"), 8, "yy_reduce",
                    defproj_session, 5)
