@@ -230,7 +230,7 @@ class Agent:
             return bundle
         return bundle.replace(enriched_stack=stack)
 
-    def _run_chat_turn(self) -> str:
+    def _run_chat_turn(self) -> None:
         final_parts: list[str] = []
         calls_made = 0
         while True:
@@ -255,7 +255,7 @@ class Agent:
             except LlmError as exc:
                 self._commit(text_parts, calls)
                 self._end_turn(exc)
-                return "".join(final_parts + text_parts)
+                return
             self._commit(text_parts, calls)
             final_parts.extend(text_parts)
             if finish == "tool_calls":
@@ -266,13 +266,13 @@ class Agent:
                     self.ui.on_turn_end()
                     self.transcript.write({"event": "turn_aborted",
                                            "calls": calls_made})
-                    return "".join(final_parts)
+                    return
                 continue
             final = "".join(final_parts)
             if final:
                 self.transcript.write({"event": "prose", "text": final})
             self.ui.on_turn_end()
-            return final
+            return
 
     def _end_turn(self, exc: DbgChatError) -> None:
         self.ui.on_notice(f"chat turn ended: {exc}")

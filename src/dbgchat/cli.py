@@ -65,6 +65,9 @@ _TTY_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 #: What an HTTP header line cannot carry: control characters, which
 #: could end the line early, and anything outside Latin-1.
 _NOT_HEADER_TEXT = re.compile(r"[^\x20-\x7e\xa0-\xff]")
+#: What --base-url may not hold besides: whitespace, which would split the
+#: request line, and a fragment, which a request does not send.
+_NOT_URL_TEXT = re.compile(r"[\s#]")
 
 
 def positive_int(text: str) -> int:
@@ -217,7 +220,8 @@ def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
 
 def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
     """The replay backend, or None after checking that the API key is set
-    and that it and --base-url fit in an HTTP request's head."""
+    and that it and --base-url, without whitespace or a fragment, fit in
+    an HTTP request's head."""
     if ns.script:
         return ScriptedBackend(ns.script)
     key = os.environ.get(ns.key_env)
@@ -234,6 +238,10 @@ def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
         raise LlmError(
             f"--base-url {ns.base_url!r} holds a control character or a "
             "character outside Latin-1, which an HTTP request cannot carry")
+    if _NOT_URL_TEXT.search(ns.base_url):
+        raise LlmError(
+            f"--base-url {ns.base_url!r} holds whitespace or a fragment "
+            "('#'), which a request line cannot carry")
     return None
 
 

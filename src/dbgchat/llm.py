@@ -303,9 +303,11 @@ class HttpBackend:
     ``https:`` URLs one TLS context, verifying against the system CA store,
     is built here, so the debugger's boot hides its cost.  ``https_proxy``,
     ``http_proxy`` and ``no_proxy`` are honoured as urllib honoured them;
-    redirects are not followed.  Every request carries ``key`` as its
-    bearer token; the request head is encoded once, here, so a key that
-    Latin-1 cannot encode fails before any request, never in one.
+    redirects are not followed.  Requests go to ``base_url``'s path with
+    ``/chat/completions`` joined on, its query after that; a fragment is
+    not sent.  Every request carries ``key`` as its bearer token; the
+    request head is encoded once, here, so a key that Latin-1 cannot
+    encode fails before any request, never in one.
     """
 
     def __init__(self, base_url: str, model: str, key: str):
@@ -314,7 +316,7 @@ class HttpBackend:
         from urllib.parse import urlsplit
         self.base_url = base_url
         self.model = model
-        url = urlsplit(base_url.rstrip("/") + "/chat/completions")
+        url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"not an http: or https: URL: {base_url!r}")
         self._tls = None
@@ -326,7 +328,8 @@ class HttpBackend:
         port = url.port or default_port
         host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
         authority = host if port == default_port else f"{host}:{port}"
-        target = url.path + (f"?{url.query}" if url.query else "")
+        target = (url.path.rstrip("/") + "/chat/completions"
+                  + (f"?{url.query}" if url.query else ""))
         proxy = _proxy(url.scheme, authority)
         self._address = (url.hostname, port)
         self._tunnel = b""

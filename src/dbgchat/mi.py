@@ -10,26 +10,31 @@ file's entries of a symbol table without parsing the rest.  The
 inferior's own stdin/stdout/stderr are routed through a pty so that
 target output never interleaves with protocol traffic.
 
-Record grammar (one line each, mirroring the MI output syntax):
+Record grammar (one line each, after gdb's MI output syntax):
 
-    (gdb)                prompt
-    [token]^class,...    result record
-    [token]*class,...    exec async record
-    [token]=class,...    notify async record
-    [token]+class,...    status async record (normalized to notify)
-    ~"text"              console stream
-    @"text"              target stream
-    &"text"              log stream
+    (gdb)                      prompt
+    [token]^class[,results]    result record
+    [token]*class[,results]    exec async record
+    [token]=class[,results]    notify async record
+    [token]+class[,results]    status async record (normalized to notify)
+    ~"text"                    console stream
+    @"text"                    target stream
+    &"text"                    log stream
+
+results are ``name=value`` members separated by commas.  A value is a
+c-string, a ``{...}`` tuple of such members, or a ``[...]`` list whose
+elements are all values or all members.
 
 Any line matching none of these degrades to a LogStream record tagged
 ``unparsed`` so that raw target chatter or future protocol extensions can
-never break a session.
+never break a session.  That includes an unnamed value among a record's
+results, as in ``+download,{...}``.
 
 C-strings decode ``\n \t \r \f \v \a \b \e \" \' \\``, ``\x`` with one
 or two hex digits and ``\`` with one to three octal digits.  Any other
 escaped character, ``x`` included, stands for itself, except that ``\8``,
-``\9`` or another non-octal digit leaves the line unparsed, as an
-unterminated string does.
+``\9`` or a decimal digit of another script leaves the line unparsed, as
+an unterminated string does.
 """
 
 from __future__ import annotations
@@ -68,38 +73,26 @@ class RecordKind(Enum):
 
 _PROMPTS = ("(gdb) ", "(gdb)")
 
-_STREAM_KINDS = {
-    "~": RecordKind.CONSOLE_STREAM,
-    "@": RecordKind.TARGET_STREAM,
-    "&": RecordKind.LOG_STREAM,
-}
-
 
 class MIRecord(Record):
     """One parsed record of the MI output stream."""
 
-    __slots__ = ("kind", "token", "klass", "payload", "positional", "text",
-                 "unparsed")
+    __slots__ = ("kind", "token", "klass", "payload", "text", "unparsed")
 
     def __init__(self, kind: RecordKind, token: int | None = None,
                  klass: str = "", payload: dict | None = None,
-                 positional: list | None = None, text: str = "",
-                 unparsed: bool = False):
+                 text: str = "", unparsed: bool = False):
         self.kind = kind
         self.token = token
         self.klass = klass
         self.payload = {} if payload is None else payload
-        # Unnamed payload values, as emitted by legacy records like
-        # +download,{...}.
-        self.positional = [] if positional is None else positional
         self.text = text  # stream records only
         # LogStream fallback for lines outside the grammar
         self.unparsed = unparsed
 
     def __repr__(self) -> str:
         return ("MIRecord(kind={!r}, token={!r}, klass={!r}, payload={!r}, "
-                "positional={!r}, text={!r}, unparsed={!r})"
-                ).format(*self._fields())
+                "text={!r}, unparsed={!r})").format(*self._fields())
 
 
 class MIOutput:
@@ -140,19 +133,36 @@ class MIOutput:
 # Parsing
 # --------------------------------------------------------------------------
 
+_SIGILS = {
+    "^": RecordKind.RESULT,
+    "*": RecordKind.ASYNC_EXEC,
+    "=": RecordKind.ASYNC_NOTIFY,
+    "+": RecordKind.ASYNC_NOTIFY,
+    "~": RecordKind.CONSOLE_STREAM,
+    "@": RecordKind.TARGET_STREAM,
+    "&": RecordKind.LOG_STREAM,
+}
+
 _C_UNESCAPE = {
     "n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v",
     "a": "\a", "b": "\b", "e": "\x1b", '"': '"', "'": "'", "\\": "\\",
 }
 
-# A c-string is a run of plain characters and backslash pairs up to the
-# closing quote; the body is group 1.
-_CSTRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+# The body of a c-string: plain characters and backslash pairs up to the
+# closing quote.  A backslash before a decimal digit that is not octal
+# ends it, so that the line is left unparsed.
+_CSTRING_BODY = r'[^"\\]*(?:\\[0-7\D][^"\\]*)*'
+_CSTRING = re.compile(rf'"({_CSTRING_BODY})"')
 _ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]{1,2})|([0-7]{1,3})|(.))", re.DOTALL)
-_NAME = re.compile(r"[\w-]+")
-# A tuple member name="value" whose value holds no escape, with the
-# separator after it: most members of most records.
-_PLAIN_PAIR = re.compile(r'([\w-]+)="([^"\\]*)"([,}]?)')
+_NAME = r"[\w-]+"
+# A record's head: a stream sigil and its whole c-string, or the token,
+# sigil, class and the comma before the results.  [^\W_] is str.isalnum.
+_HEAD = re.compile(rf'([~@&])"({_CSTRING_BODY})"\Z'
+                   r'|(\d*)([\^*=+])((?:[^\W_]|-)+)(?:(,)|\Z)')
+# A member's name and "=", then, when its value is a c-string without
+# escapes and a separator or the line's end follows, that value and the
+# separator: most members of most records.
+_MEMBER = re.compile(rf'({_NAME})=(?:"([^"\\]*)"([,}}]|\Z))?')
 
 
 def _unescape(m: re.Match) -> str:
@@ -162,8 +172,6 @@ def _unescape(m: re.Match) -> str:
         return chr(int(hex_digits, 16))
     if octal_digits:
         return chr(int(octal_digits, 8))
-    if char.isdigit():
-        raise ValueError(f"bad octal escape {char!r}")
     return _C_UNESCAPE.get(char, char)
 
 
@@ -174,53 +182,46 @@ def _decode(body: str) -> str:
     return body
 
 
-def _parse_cstring(line: str, pos: int) -> tuple[str, int]:
-    """Decode the c-string starting at line[pos] (must be '\"')."""
-    m = _CSTRING.match(line, pos)
-    if m is None:
-        raise ValueError("unterminated c-string")
-    return _decode(m.group(1)), m.end()
-
-
 def _parse_mi_value(line: str, pos: int) -> tuple[MIValue, int]:
+    """The value starting at line[pos], and the position after it."""
     ch = line[pos]
     if ch == '"':
-        return _parse_cstring(line, pos)
+        m = _CSTRING.match(line, pos)
+        if m is None:
+            raise ValueError("unterminated c-string")
+        return _decode(m.group(1)), m.end()
     if ch == "{":
-        return _parse_tuple(line, pos)
+        return _parse_tuple(line, pos + 1, "}")
     if ch == "[":
-        return _parse_list(line, pos)
+        return _parse_list(line, pos + 1)
     raise ValueError(f"expected value at column {pos}")
 
 
-def _parse_tuple(line: str, pos: int) -> tuple[dict, int]:
-    assert line[pos] == "{"
-    pos += 1
+def _parse_tuple(line: str, pos: int, close: str) -> tuple[dict, int]:
+    """The name=value members from line[pos] up to close, "}" for a tuple
+    or "" for the end of the line, and the position after them."""
     out: dict = {}
-    if line.startswith("}", pos):
+    if close and line.startswith(close, pos):
         return out, pos + 1
     while True:
-        m = _PLAIN_PAIR.match(line, pos)
-        if m:
-            name, value, sep = m.groups()
-            out[name] = value
-            pos = m.end()
-        else:
-            name, pos = _parse_name(line, pos)
-            if not line.startswith("=", pos):
-                raise ValueError(f"expected '=' at column {pos}")
-            out[name], pos = _parse_mi_value(line, pos + 1)
+        m = _MEMBER.match(line, pos)
+        if m is None:
+            raise ValueError(f"expected name at column {pos}")
+        name, value, sep = m.groups()
+        pos = m.end()
+        if value is None:
+            value, pos = _parse_mi_value(line, pos)
             sep = line[pos:pos + 1]
             pos += 1
-        if sep == "}":
+        out[name] = value
+        if sep == close:
             return out, pos
         if sep != ",":
-            raise ValueError(f"expected ',' or '}}' at column {pos - 1}")
+            raise ValueError(f"expected ',' or {close!r} at column {pos - 1}")
 
 
 def _parse_list(line: str, pos: int) -> tuple[list, int]:
-    assert line[pos] == "["
-    pos += 1
+    """The elements from line[pos] up to "]", and the position after it."""
     out: list = []
     if line.startswith("]", pos):
         return out, pos + 1
@@ -231,11 +232,11 @@ def _parse_list(line: str, pos: int) -> tuple[list, int]:
         if line[pos] in '"{[':
             value, pos = _parse_mi_value(line, pos)
         else:
-            name, pos = _parse_name(line, pos)
-            if not line.startswith("=", pos):
-                raise ValueError(f"expected '=' at column {pos}")
-            inner, pos = _parse_mi_value(line, pos + 1)
-            value = {name: inner}
+            m = _MEMBER.match(line, pos)
+            if m is None:
+                raise ValueError(f"expected name at column {pos}")
+            inner, pos = _parse_mi_value(line, m.end(1) + 1)
+            value = {m.group(1): inner}
         out.append(value)
         sep = line[pos:pos + 1]
         if sep == "]":
@@ -243,33 +244,6 @@ def _parse_list(line: str, pos: int) -> tuple[list, int]:
         if sep != ",":
             raise ValueError(f"expected ',' or ']' at column {pos}")
         pos += 1
-
-
-def _parse_name(line: str, pos: int) -> tuple[str, int]:
-    m = _NAME.match(line, pos)
-    if m is None:
-        raise ValueError(f"expected name at column {pos}")
-    return m.group(), m.end()
-
-
-def _parse_results(line: str, pos: int) -> tuple[dict, list]:
-    named: dict = {}
-    positional: list = []
-    while pos < len(line):
-        if line[pos] in '"{[':
-            value, pos = _parse_mi_value(line, pos)
-            positional.append(value)
-        else:
-            name, pos = _parse_name(line, pos)
-            if pos >= len(line) or line[pos] != "=":
-                raise ValueError(f"expected '=' at column {pos}")
-            value, pos = _parse_mi_value(line, pos + 1)
-            named[name] = value
-        if pos < len(line):
-            if line[pos] != ",":
-                raise ValueError(f"expected ',' at column {pos}")
-            pos += 1
-    return named, positional
 
 
 def parse_mi_line(line: str) -> MIRecord:
@@ -287,77 +261,29 @@ def parse_mi_line(line: str) -> MIRecord:
 def _parse_mi_line_strict(line: str) -> MIRecord:
     if line in _PROMPTS:
         return MIRecord(kind=RecordKind.PROMPT)
-    if not line:
-        raise ValueError("empty line")
-
-    stream = _STREAM_KINDS.get(line[0])
-    if stream is not None:
-        return MIRecord(kind=stream, text=_parse_whole_cstring(line, 1))
-
-    pos = 0
-    token: int | None = None
-    while pos < len(line) and line[pos].isdigit():
-        pos += 1
-    if pos > 0:
-        token = int(line[:pos])
-    if pos >= len(line):
-        raise ValueError("token with no record")
-
-    sigil = line[pos]
-    if sigil == "^":
-        kind = RecordKind.RESULT
-    elif sigil == "*":
-        kind = RecordKind.ASYNC_EXEC
-    elif sigil in "=+":
-        kind = RecordKind.ASYNC_NOTIFY
-    else:
-        raise ValueError(f"unknown sigil {sigil!r}")
-    pos += 1
-
-    klass, pos = _parse_class(line, pos)
-    payload: dict = {}
-    positional: list = []
-    if pos < len(line):
-        if line[pos] != ",":
-            raise ValueError(f"expected ',' after class at column {pos}")
-        payload, positional = _parse_results(line, pos + 1)
-    return MIRecord(kind=kind, token=token, klass=klass, payload=payload,
-                    positional=positional)
-
-
-def _parse_class(line: str, pos: int) -> tuple[str, int]:
-    start = pos
-    while pos < len(line) and (line[pos].isalnum() or line[pos] == "-"):
-        pos += 1
-    if pos == start:
-        raise ValueError("empty class")
-    return line[start:pos], pos
-
-
-def _parse_whole_cstring(line: str, pos: int) -> str:
-    if pos >= len(line) or line[pos] != '"':
-        raise ValueError("stream record without c-string")
-    text, end = _parse_cstring(line, pos)
-    if end != len(line):
-        raise ValueError("trailing bytes after c-string")
-    return text
+    m = _HEAD.match(line)
+    if m is None:
+        raise ValueError("no record head")
+    stream, text, token, sigil, klass, comma = m.groups()
+    if stream:
+        return MIRecord(kind=_SIGILS[stream], text=_decode(text))
+    payload = _parse_tuple(line, m.end(), "")[0] if comma else {}
+    return MIRecord(kind=_SIGILS[sigil], token=int(token) if token else None,
+                    klass=klass, payload=payload)
 
 
 # --------------------------------------------------------------------------
 # Symbol tables
 # --------------------------------------------------------------------------
 
-# A c-string body whose escapes _unescape decodes: a backslash before any
-# digit but 0-7 leaves a line unparsed.
-_CSTRING_BODY = r'[^"\\]*(?:\\[0-7\D][^"\\]*)*'
-_STRING_MEMBER = rf'[\w-]+="{_CSTRING_BODY}"'
+_STRING_MEMBER = rf'{_NAME}="{_CSTRING_BODY}"'
 _STRINGS_TUPLE = rf'\{{(?:{_STRING_MEMBER}(?:,{_STRING_MEMBER})*)?\}}'
 # One debug entry of a -symbol-info-* answer whose members hold strings or
 # lists of tuples of strings, such as
 # {filename="a.c",fullname="/src/a.c",symbols=[{line="3",name="g"}]}.
 # Group 1 is the body of its last fullname, the one a parsed tuple keeps.
 _SYMBOL_ENTRY = re.compile(
-    rf'\{{(?:(?:fullname="({_CSTRING_BODY})"|(?!fullname=)[\w-]+='
+    rf'\{{(?:(?:fullname="({_CSTRING_BODY})"|(?!fullname=){_NAME}='
     rf'(?:"{_CSTRING_BODY}"|\[(?:{_STRINGS_TUPLE}(?:,{_STRINGS_TUPLE})*)?\]))'
     rf'(?:,(?!\}})|(?=\}})))*\}}')
 _RESULT_HEAD = re.compile(r"\d*\^")
@@ -371,10 +297,12 @@ def file_symbols(out: MIOutput, fullname: str) -> list:
 
     Only those entries are parsed: _SYMBOL_ENTRY steps over the others
     without decoding them, and a line holding an entry of another shape
-    is parsed whole.  The answer's result line is the first that starts
-    like one.  [] unless it is ``^done`` whose ``symbols`` begin with a
-    non-empty debug list, and [] when the list's separators or the entries
-    parsed are outside the grammar.  What follows the list is not read.
+    is parsed whole.  _SYMBOL_ENTRY is built from the parser's own
+    c-string and name patterns, so every entry it matches parses.  The
+    answer's result line is the first that starts like one.  [] unless it
+    is ``^done`` whose ``symbols`` begin with a non-empty debug list, and
+    [] when the list's separators are outside the grammar.  What follows
+    the list is not read.
     """
     line = next((text for text in out.lines if _RESULT_HEAD.match(text)), "")
     m = _SYMBOLS_HEAD.match(line)
@@ -382,22 +310,20 @@ def file_symbols(out: MIOutput, fullname: str) -> list:
         return []
     symbols: list = []
     pos = m.end()
-    try:
-        while True:
-            m = _SYMBOL_ENTRY.match(line, pos)
-            if m is None:
-                return _parsed_file_symbols(line, fullname)
-            if m.group(1) is not None and _decode(m.group(1)) == fullname:
-                symbols.extend(_parse_tuple(line, pos)[0].get("symbols", []))
-            pos = m.end()
-            sep = line[pos:pos + 1]
-            if sep == "]":
-                return symbols
-            if sep != ",":
-                return []
-            pos += 1
-    except ValueError:
-        return []
+    while True:
+        m = _SYMBOL_ENTRY.match(line, pos)
+        if m is None:
+            return _parsed_file_symbols(line, fullname)
+        if m.group(1) is not None and _decode(m.group(1)) == fullname:
+            symbols.extend(
+                _parse_tuple(line, pos + 1, "}")[0].get("symbols", []))
+        pos = m.end()
+        sep = line[pos:pos + 1]
+        if sep == "]":
+            return symbols
+        if sep != ",":
+            return []
+        pos += 1
 
 
 def _parsed_file_symbols(line: str, fullname: str) -> list:

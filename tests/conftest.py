@@ -273,8 +273,9 @@ class _ProviderHandler(BaseHTTPRequestHandler):
     sends it and keeps the connection open.  The server's ``closing`` is
     ``""`` to keep connections open, ``"announced"`` to send
     ``Connection: close`` and close, and ``"silent"`` to close without
-    saying so.  Each request's client port goes to ``ports_seen``, so
-    requests that share a connection share a port."""
+    saying so.  Each request's target goes to ``targets_seen`` and its
+    client port to ``ports_seen``, so requests that share a connection
+    share a port."""
 
     protocol_version = "HTTP/1.1"
 
@@ -282,6 +283,7 @@ class _ProviderHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         self.server.requests_seen.append(json.loads(self.rfile.read(length)))
         self.server.auth_seen.append(self.headers.get("Authorization"))
+        self.server.targets_seen.append(self.path)
         self.server.ports_seen.append(self.client_address[1])
         status, body = self.server.responses.pop(0)
         payload = body if isinstance(body, bytes) else body.encode()
@@ -316,6 +318,7 @@ def start_provider(tls=None) -> ThreadingHTTPServer:
     server.closing = ""
     server.requests_seen = []
     server.auth_seen = []
+    server.targets_seen = []
     server.ports_seen = []
     threading.Thread(target=server.serve_forever,
                      kwargs={"poll_interval": 0.05}, daemon=True).start()

@@ -32,8 +32,7 @@ def serialize(record: MIRecord) -> str:
         return _SIGILS[record.kind] + _escape_cstring(record.text)
     head = "" if record.token is None else str(record.token)
     out = f"{head}{_SIGILS[record.kind]}{record.klass}"
-    parts = [_serialize_value(v) for v in record.positional]
-    parts += [f"{k}={_serialize_value(v)}" for k, v in record.payload.items()]
+    parts = [f"{k}={_serialize_value(v)}" for k, v in record.payload.items()]
     if parts:
         out += "," + ",".join(parts)
     return out

@@ -465,6 +465,24 @@ def test_a_base_url_no_request_can_carry_is_refused_before_the_spawn(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1#frag",
+                                 "http://127.0.0.1:9/v 1",
+                                 "http://127.0.0.1:9/v1?a b",
+                                 "http://127.0.0.1:9/v1\xa0"])
+def test_a_base_url_with_whitespace_or_a_fragment_is_refused_before_the_spawn(
+        tmp_path, monkeypatch, capsys, url):
+    # No gdb on PATH: a spawn would fail with a message of its own.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", "--base-url", url,
+                 sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"dbgchat: --base-url {url!r} holds whitespace or a fragment "
+        "('#'), which a request line cannot carry\n")
+    assert captured.out == ""
+
+
 def test_a_typed_line_that_is_not_utf8_costs_only_its_character(standin,
                                                                 tmp_path):
     script = tmp_path / "turns.json"

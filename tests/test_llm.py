@@ -654,6 +654,23 @@ def test_no_proxy_matches_as_urllib_matched(authority, no_proxy):
         urllib.request.proxy_bypass_environment(authority, {"no": no_proxy})
 
 
+@pytest.mark.parametrize("suffix, target", [
+    ("/v1", "/v1/chat/completions"),
+    ("/v1/", "/v1/chat/completions"),
+    ("", "/chat/completions"),
+    ("/v1?api-version=1", "/v1/chat/completions?api-version=1"),
+    ("/v1/?a=1&b=2", "/v1/chat/completions?a=1&b=2"),
+    ("/v1#frag", "/v1/chat/completions"),
+])
+def test_http_posts_to_the_endpoint_joined_onto_the_base_path(
+        stub_server, connect, suffix, target):
+    stub_server.responses = [(200, sse(TEXT_OK))]
+    backend = connect(f"http://127.0.0.1:{stub_server.server_address[1]}"
+                      f"{suffix}")
+    assert texts(backend) == ["ok"]
+    assert stub_server.targets_seen == [target]
+
+
 @pytest.mark.parametrize("url", ["ftp://example.com/v1", "https:///v1",
                                  "api.example.com/v1"])
 def test_http_rejects_a_url_it_cannot_reach(url):

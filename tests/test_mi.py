@@ -91,9 +91,10 @@ def test_notify_async_record():
 
 
 def test_status_async_normalizes_to_notify():
-    rec = parse_mi_line('+download,{section=".text",section-size="6668"}')
+    rec = parse_mi_line('+download,section=".text",section-size="6668"')
     assert rec.kind is RecordKind.ASYNC_NOTIFY
     assert rec.klass == "download"
+    assert rec.payload == {"section": ".text", "section-size": "6668"}
 
 
 def test_nested_tuple_payload():
@@ -162,6 +163,12 @@ def _unparsed(line):
      MIRecord(kind=RecordKind.RESULT, klass="done",
               payload={"gr\u00f6\u00dfe": "1", "t": {"n\u0663": "2"}})),
     ('^done,a\u00b7b="1"', _unparsed('^done,a\u00b7b="1"')),
+    # gdb's load progress line: an unnamed value among the results.
+    ('+download,{section=".text",section-size="6668"}',
+     _unparsed('+download,{section=".text",section-size="6668"}')),
+    ('^done,', _unparsed('^done,')),            # a comma and no result
+    ('^done,a="1",', _unparsed('^done,a="1",')),
+    ('~"\\\u00b2"', _stream("\u00b2")),       # a digit, but not decimal
 ])
 def test_escape_and_name_edge_cases(line, record):
     assert parse_mi_line(line) == record
@@ -169,9 +176,9 @@ def test_escape_and_name_edge_cases(line, record):
 
 CORPUS = Path(__file__).parent / "data" / "mi_corpus.txt"
 # sha256 of the records' reprs, one a line, as an earlier character-at-a-
-# time parser produced them for the corpus.
+# time parser produced them for the corpus, less their positional=[] field.
 CORPUS_RECORDS_SHA256 = \
-    "06327c5a27f56e8ae79cee25cf1afaa21592c2c5016a9df1e9299c002f86d61e"
+    "70f7d527d9d116b48f4b71ad16288416560a0ba80d0fb956655bc02c57968df0"
 
 
 def test_corpus_parses_to_pinned_records():
@@ -415,6 +422,12 @@ def test_corpus_holds_six_symbol_answers():
                  id="trailing-comma"),
     pytest.param('^done,symbols={debug=[{fullname="a",symbols=["s"]}{}]}',
                  [], id="missing-comma"),
+    # A backslash before a digit that is not decimal stands for the digit.
+    pytest.param('^done,symbols={debug=[{fullname="b",'
+                 'symbols=[{type="x\\\u00b2"}]},{fullname="a",'
+                 'symbols=[{line="3",name="g",type="int"}]}]}',
+                 [{"line": "3", "name": "g", "type": "int"}],
+                 id="escaped-superscript-elsewhere"),
 ])
 def test_file_symbols_edge_cases(line, expected):
     assert file_symbols(MIOutput([line, "(gdb) "]), "a") == expected
@@ -573,6 +586,16 @@ def test_records_after_a_prompt_wait_for_the_next_read(fake_gdb):
         out = dbg.send_command("-data-evaluate-expression 1")
         with pytest.raises(EvaluationError, match="^not recorded$"):
             out.result(EvaluationError)
+
+
+def test_an_unparsed_download_line_leaves_the_result_readable(fake_gdb):
+    download = '+download,{section=".text",section-size="6668"}'
+    target = fake_gdb({"-target-download": [
+        download, '^done,address="0x401000"', "(gdb) "]})
+    with contextlib.closing(spawn_debugger(target)) as dbg:
+        out = dbg.send_command("-target-download")
+    assert out.records[0].unparsed and out.records[0].text == download
+    assert out.result(EvaluationError).payload == {"address": "0x401000"}
 
 
 def _lines_of_the_old_reader(data: bytes, size: int) -> list[str]:

@@ -16,7 +16,7 @@ from dbgchat.session import Frame, StopInfo
 #: One record of each class whose constructor takes its fields in
 #: ``__slots__`` order, every field set.
 RECORDS = [
-    MIRecord(RecordKind.RESULT, 7, "done", {"value": "1"}, ["x"], "t", True),
+    MIRecord(RecordKind.RESULT, 7, "done", {"value": "1"}, "t", True),
     ToolCallRequest("call_0_0", "debug", {"command": "bt"}),
     CompletionEvent("tool_call", "hi", ToolCallRequest("c", "code", {}),
                     "tool_calls"),
@@ -72,4 +72,4 @@ def test_tool_defs_and_policies_keep_identity():
 def test_a_record_repr_is_unchanged():
     assert repr(RECORDS[0]) == (
         "MIRecord(kind=<RecordKind.RESULT: 'result'>, token=7, klass='done', "
-        "payload={'value': '1'}, positional=['x'], text='t', unparsed=True)")
+        "payload={'value': '1'}, text='t', unparsed=True)")
