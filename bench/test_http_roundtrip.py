@@ -13,9 +13,9 @@ serves every round of a case, as one serves a whole session.  Cases:
   appended, so that a client context loads a real store.
 
 The server runs on a thread of this process.  Only ``HttpBackend``'s
-constructor and ``complete`` are used, so the file runs unchanged on
-older trees.  ``extra_info`` holds the body size.  Nothing here asserts
-on timing.
+constructor and ``complete`` are used; ``complete`` yields prose as
+``str`` and a tool call as a ``ToolCallRequest``.  ``extra_info`` holds
+the body size.  Nothing here asserts on timing.
 """
 
 from __future__ import annotations
@@ -128,10 +128,11 @@ def test_chat_request(benchmark, servers, scheme):
     messages, size = request_messages()
 
     def request():
-        return [e.kind for e in backend.complete(messages, TOOLS)]
+        return list(backend.complete(messages, TOOLS))
 
-    kinds = benchmark.pedantic(request, rounds=40, warmup_rounds=2)
-    assert kinds == ["text"] * 6 + ["tool_call", "done"]
+    items = benchmark.pedantic(request, rounds=40, warmup_rounds=2)
+    assert [isinstance(item, str) for item in items] == [True] * 6 + [False]
+    assert items[-1].id == "call_0"
     benchmark.extra_info["body_bytes"] = size
     close = getattr(backend, "close", None)  # older trees have none
     if close is not None:

@@ -2,14 +2,15 @@
 
 User input is either a debugger command (executed directly, recorded in
 the session history) or free text (sent to the model).  During a chat
-turn the model may call the debug/code/definition tools; every executed
-call is echoed to the user once and returned to the model once.  The
-"filename:lineno" of a code or definition call is parsed here, a relative
-filename taken from the workspace root and a file outside that root
-refused.  The history accumulates between sends and is cleared exactly
-when a prompt goes out.  A debugger answer that fails or is malformed
-while the first prompt is built ends that chat turn only, as a model
-failure does, and so does a first prompt that cannot fit the token
+turn the model may call the debug/code/definition tools, TOOL_LOOP_CAP
+times at most, and its first answer that calls none ends the turn; every
+executed call is echoed to the user once and returned to the model once.
+The "filename:lineno" of a code or definition call is parsed here, a
+relative filename taken from the workspace root and a file outside that
+root refused.  The history accumulates between sends and is cleared
+exactly when a prompt goes out.  A debugger answer that fails or is
+malformed while the first prompt is built ends that chat turn only, as a
+model failure does, and so does a first prompt that cannot fit the token
 budget.  A debugger that has exited ends the session, whoever ran the
 command; that command goes to the log with its error, but not to the
 screen.
@@ -98,16 +99,6 @@ def parse_loc(text: str, root: str) -> tuple[str, int]:
     return path, line
 
 
-class Ui:
-    """What the agent shows the user; cli.TerminalUi is the one in use."""
-
-    def on_prose(self, chunk: str) -> None: ...
-    def on_echo(self, command: str, output: str) -> None: ...
-    def on_debugger(self, command: str, output: str) -> None: ...
-    def on_notice(self, text: str) -> None: ...
-    def on_turn_end(self) -> None: ...
-
-
 class Transcript:
     """Line-delimited structured log of the dialog, for replay audits."""
 
@@ -125,9 +116,6 @@ class Transcript:
 
 class _NoTranscript:
     def write(self, event: dict) -> None:
-        pass
-
-    def close(self) -> None:
         pass
 
 
@@ -150,11 +138,13 @@ class Agent:
 
     ``history`` holds the (command, output) pairs the user ran since the
     last send; ``messages`` is the conversation, empty until the first
-    chat line.
+    chat line.  ``ui``, a cli.TerminalUi in use, has five callbacks:
+    ``on_prose(chunk)``, ``on_echo(command, output)``,
+    ``on_debugger(command, output)``, ``on_notice(text)``, ``on_turn_end()``.
     """
 
     def __init__(self, session, backend, policy: SanitizerPolicy,
-                 config: AgentConfig, ui: Ui,
+                 config: AgentConfig, ui,
                  transcript: Transcript | None = None):
         self.session = session
         self.backend = backend
@@ -231,48 +221,44 @@ class Agent:
         return bundle.replace(enriched_stack=stack)
 
     def _run_chat_turn(self) -> None:
+        """Ask the model again while its last answer called a tool."""
         final_parts: list[str] = []
         calls_made = 0
         while True:
             text_parts: list[str] = []
             calls: list[tuple[ToolCallRequest, str]] = []
-            finish = "stop"
             try:
-                for event in self.backend.complete(self.messages, TOOLS):
-                    if event.kind == "text":
-                        text_parts.append(event.text)
-                        self.ui.on_prose(event.text)
-                    elif event.kind == "tool_call":
-                        calls_made += 1
-                        if calls_made > TOOL_LOOP_CAP:
-                            output = ("Tool-call limit reached for this "
-                                      "turn; the command was not executed.")
-                        else:
-                            output = self._dispatch(event.tool_call)
-                        calls.append((event.tool_call, output))
+                for item in self.backend.complete(self.messages, TOOLS):
+                    if isinstance(item, str):
+                        text_parts.append(item)
+                        self.ui.on_prose(item)
+                        continue
+                    calls_made += 1
+                    if calls_made > TOOL_LOOP_CAP:
+                        output = ("Tool-call limit reached for this "
+                                  "turn; the command was not executed.")
                     else:
-                        finish = event.finish_reason
+                        output = self._dispatch(item)
+                    calls.append((item, output))
             except LlmError as exc:
                 self._commit(text_parts, calls)
                 self._end_turn(exc)
                 return
             self._commit(text_parts, calls)
             final_parts.extend(text_parts)
-            if finish == "tool_calls":
-                if calls_made > TOOL_LOOP_CAP:
-                    self.ui.on_notice(
-                        f"tool-call limit ({TOOL_LOOP_CAP}) "
-                        "reached; turn aborted")
-                    self.ui.on_turn_end()
-                    self.transcript.write({"event": "turn_aborted",
-                                           "calls": calls_made})
-                    return
-                continue
-            final = "".join(final_parts)
-            if final:
-                self.transcript.write({"event": "prose", "text": final})
-            self.ui.on_turn_end()
-            return
+            if not calls:
+                break
+            if calls_made > TOOL_LOOP_CAP:
+                self.ui.on_notice(
+                    f"tool-call limit ({TOOL_LOOP_CAP}) reached; turn aborted")
+                self.ui.on_turn_end()
+                self.transcript.write({"event": "turn_aborted",
+                                       "calls": calls_made})
+                return
+        final = "".join(final_parts)
+        if final:
+            self.transcript.write({"event": "prose", "text": final})
+        self.ui.on_turn_end()
 
     def _end_turn(self, exc: DbgChatError) -> None:
         self.ui.on_notice(f"chat turn ended: {exc}")

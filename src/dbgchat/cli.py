@@ -68,6 +68,11 @@ _NOT_HEADER_TEXT = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 #: What --base-url may not hold besides: whitespace, which would split the
 #: request line, and a fragment, which a request does not send.
 _NOT_URL_TEXT = re.compile(r"[\s#]")
+#: The --base-url HttpBackend can split: an http: or https: scheme, a host
+#: (bracketed if IPv6) after any user info, and a port of digits if any.
+_BASE_URL = re.compile(
+    r"(?i:https?)://(?:[^][/?]*@)?(?:[^][:/?@]+|\[[^]/?@]*\])(?::([0-9]*))?"
+    r"(?:[/?]|\Z)")
 
 
 def positive_int(text: str) -> int:
@@ -221,7 +226,8 @@ def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
 def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
     """The replay backend, or None after checking that the API key is set
     and that it and --base-url, without whitespace or a fragment, fit in
-    an HTTP request's head."""
+    an HTTP request's head, and that --base-url names an http: or https:
+    host and a port that can be reached."""
     if ns.script:
         return ScriptedBackend(ns.script)
     key = os.environ.get(ns.key_env)
@@ -242,6 +248,11 @@ def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
         raise LlmError(
             f"--base-url {ns.base_url!r} holds whitespace or a fragment "
             "('#'), which a request line cannot carry")
+    url = _BASE_URL.match(ns.base_url)
+    if not url or int(url[1] or 0) > 65535:
+        raise LlmError(
+            f"--base-url {ns.base_url!r} is not an http: or https: URL "
+            "naming a host and, if any, a port up to 65535")
     return None
 
 

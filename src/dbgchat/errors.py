@@ -1,4 +1,5 @@
-"""The package's exception classes, and the two helpers its records share.
+"""The package's exception classes, the two helpers its records share,
+and the line splitter its two stream readers share.
 
 An exception class exists where code catches it, or where it is the base
 of one that code catches; its message says the rest.  A failure that no
@@ -85,3 +86,17 @@ def refuse_change(record, name: str, value=None):
     """``__setattr__`` and ``__delattr__`` of a record that never changes
     once built."""
     raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def split_lines(chunk: bytes, pieces: list[bytes]) -> list[bytes]:
+    """The lines, without newlines, that ``chunk`` completes.  ``pieces``
+    keeps the unfinished line's pieces between calls, so that only the new
+    chunk is split and a line is joined once, when its newline arrives."""
+    *lines, rest = chunk.split(b"\n")
+    if lines and pieces:
+        pieces.append(lines[0])
+        lines[0] = b"".join(pieces)
+        pieces.clear()
+    if rest:
+        pieces.append(rest)
+    return lines

@@ -9,6 +9,12 @@ library's HTTP and mail modules never load.  The scripted backend
 replays pre-authored turns from a JSON file for deterministic,
 network-free runs.
 
+A backend's ``complete`` yields the model's answer as it comes: each
+piece of prose as a ``str`` and each tool call, validated against the
+tools offered, as a ``ToolCallRequest``.  An answer that makes no call
+is the model's last in its chat turn; how the provider labels its end
+is not read.
+
 Every request re-sends the whole conversation, and a message never
 changes once the agent has appended it.  So messages are immutable, each
 is encoded to JSON once, the first time a request carries it, and a
@@ -24,7 +30,7 @@ from collections.abc import Iterator
 from contextlib import suppress
 from functools import cached_property
 
-from .errors import LlmError, Record, refuse_change
+from .errors import LlmError, Record, refuse_change, split_lines
 
 
 SYSTEM = "system"
@@ -121,18 +127,6 @@ class ToolDef:
                 },
             },
         }
-
-
-class CompletionEvent(Record):
-    __slots__ = ("kind", "text", "tool_call", "finish_reason")
-
-    def __init__(self, kind: str, text: str = "",
-                 tool_call: ToolCallRequest | None = None,
-                 finish_reason: str = ""):
-        self.kind = kind  # "text" | "tool_call" | "done"
-        self.text = text
-        self.tool_call = tool_call
-        self.finish_reason = finish_reason
 
 
 def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
@@ -277,14 +271,7 @@ def _lines(blocks: Iterator[bytes]) -> Iterator[str]:
     pieces: list[bytes] = []
     try:
         for block in blocks:
-            *lines, rest = block.split(b"\n")
-            if lines and pieces:
-                pieces.append(lines[0])
-                lines[0] = b"".join(pieces)
-                pieces.clear()
-            if rest:
-                pieces.append(rest)
-            for raw in lines:
+            for raw in split_lines(block, pieces):
                 yield raw.decode("utf-8")
         if pieces:
             yield b"".join(pieces).decode("utf-8")
@@ -360,8 +347,10 @@ class HttpBackend:
             self._sock.close()
             self._sock = self._file = None
 
-    def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
+    def complete(self, messages: list[ChatMessage], tools: list[ToolDef]
+                 ) -> Iterator[str | ToolCallRequest]:
+        """Stream the model's answer: each piece of prose as it arrives,
+        then each tool call, validated, once the stream has ended."""
         # Byte for byte what json.dumps gives for the same dict, with its
         # default separators and ensure_ascii.
         body = ('{"model": ' + json.dumps(self.model)
@@ -492,10 +481,9 @@ class HttpBackend:
             raise LlmError("provider throttled the request")
         yield from self._body(version, status, headers)
 
-    def _stream_events(self, lines: Iterator[str],
-                       tools: list[ToolDef]) -> Iterator[CompletionEvent]:
+    def _stream_events(self, lines: Iterator[str], tools: list[ToolDef]
+                       ) -> Iterator[str | ToolCallRequest]:
         partial: dict[int, dict] = {}
-        finish = ""
         for line in lines:
             if not line.startswith("data:"):
                 continue
@@ -506,25 +494,17 @@ class HttpBackend:
                 chunk = json.loads(data)
             except json.JSONDecodeError as exc:
                 raise LlmError(f"bad stream chunk: {data[:200]}") from exc
-            choices = chunk.get("choices") or []
-            if not choices:
-                continue
-            choice = choices[0]
-            delta = choice.get("delta") or {}
+            delta = (chunk.get("choices") or [{}])[0].get("delta") or {}
             if delta.get("content"):
-                yield CompletionEvent(kind="text", text=delta["content"])
+                yield delta["content"]
             for piece in delta.get("tool_calls") or []:
                 slot = partial.setdefault(piece.get("index", 0),
                                           {"id": "", "name": "", "args": ""})
                 if piece.get("id"):
                     slot["id"] = piece["id"]
                 fn = piece.get("function") or {}
-                if fn.get("name"):
-                    slot["name"] += fn["name"]
-                if fn.get("arguments"):
-                    slot["args"] += fn["arguments"]
-            if choice.get("finish_reason"):
-                finish = choice["finish_reason"]
+                slot["name"] += fn.get("name") or ""
+                slot["args"] += fn.get("arguments") or ""
         for index in sorted(partial):
             slot = partial[index]
             try:
@@ -536,8 +516,7 @@ class HttpBackend:
             call = ToolCallRequest(id=slot["id"] or f"call_{index}",
                                    name=slot["name"], arguments=arguments)
             _validate_tool_call(call, tools)
-            yield CompletionEvent(kind="tool_call", tool_call=call)
-        yield CompletionEvent(kind="done", finish_reason=finish or "stop")
+            yield call
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +550,8 @@ class ScriptedBackend:
                 raise LlmError(f"{script_path}: turn {i} not a list")
             for item in turn:
                 if not isinstance(item, dict) or not (
-                        "text" in item or "tool_call" in item):
+                        isinstance(item["text"], str) if "text" in item
+                        else "tool_call" in item):
                     raise LlmError(
                         f"{script_path}: turn {i} has a bad item: {item!r}")
         self.turns: list[list[dict]] = turns
@@ -581,25 +561,21 @@ class ScriptedBackend:
         return {"backend": "script", "script": os.path.basename(self.path),
                 "turns": len(self.turns)}
 
-    def complete(self, messages: list[ChatMessage],
-                 tools: list[ToolDef]) -> Iterator[CompletionEvent]:
+    def complete(self, messages: list[ChatMessage], tools: list[ToolDef]
+                 ) -> Iterator[str | ToolCallRequest]:
+        """Yield the next turn's items in order: each text as a ``str``,
+        each tool call, validated, as a ``ToolCallRequest``."""
         if self.turn_index >= len(self.turns):
             raise LlmError(f"script has only {len(self.turns)} turn(s)")
-        turn = self.turns[self.turn_index]
         index = self.turn_index
         self.turn_index += 1
-        had_tool_call = False
-        for i, item in enumerate(turn):
+        for i, item in enumerate(self.turns[index]):
             if "text" in item:
-                yield CompletionEvent(kind="text", text=item["text"])
+                yield item["text"]
                 continue
             spec = item["tool_call"]
             call = ToolCallRequest(id=f"call_{index}_{i}",
                                    name=spec.get("name", ""),
                                    arguments=spec.get("arguments", {}))
             _validate_tool_call(call, tools)
-            had_tool_call = True
-            yield CompletionEvent(kind="tool_call", tool_call=call)
-        yield CompletionEvent(
-            kind="done",
-            finish_reason="tool_calls" if had_tool_call else "stop")
+            yield call

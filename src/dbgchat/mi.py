@@ -51,7 +51,8 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
 
-from .errors import DebuggerError, DebuggerExited, ProtocolError, Record
+from .errors import DebuggerError, DebuggerExited, ProtocolError, Record, \
+    split_lines
 
 DEFAULT_COMMAND_TIMEOUT = 30.0
 HANDSHAKE_TIMEOUT = 15.0
@@ -405,16 +406,7 @@ class DebuggerHandle:
                 break
         chunk = os.read(self._stdout, 65536)
         self._eof = not chunk
-        # Only the new chunk is split; a line written in many pieces is
-        # joined once, when its newline arrives.
-        *lines, rest = chunk.split(b"\n")
-        if lines and self._partial:
-            self._partial.append(lines[0])
-            lines[0] = b"".join(self._partial)
-            self._partial.clear()
-        if rest:
-            self._partial.append(rest)
-        for raw in lines:
+        for raw in split_lines(chunk, self._partial):
             self._lines.append(raw.decode("utf-8", "replace").rstrip("\r"))
         return True
 

@@ -479,6 +479,62 @@ def test_stream_cut_ends_turn_not_session(standin, tmp_path, stub_server):
     backend.close()
 
 
+def http_agent(standin, tmp_path, stub_server):
+    """An agent over the stand-in, asking the stub provider."""
+    backend = HttpBackend(
+        f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
+        "sk-test")
+    (session, _), ui = standin(stopped_in_main(tmp_path)), RecordingUi()
+    return Agent(session, backend, native_strict(),
+                 AgentConfig(workspace_root=str(tmp_path)), ui), ui
+
+
+def test_an_answer_without_a_call_ends_the_turn_whatever_its_finish_reason(
+        standin, tmp_path, stub_server):
+    # The provider says "tool_calls" but sends none: nothing is left to run,
+    # so the model is not asked again.
+    stub_server.responses = [(200, sse(
+        {"choices": [{"delta": {"content": "All done."}}]},
+        {"choices": [{"delta": {}, "finish_reason": "tool_calls"}]},
+    ))] + [(500, "asked again")] * 4
+    agent, ui = http_agent(standin, tmp_path, stub_server)
+    agent.handle_input("why did it crash?")
+    assert len(stub_server.requests_seen) == 1
+    assert ui.prose_text() == "All done."
+    assert ui.kind("notice") == []
+    assert ui.kind("end") == [("end",)]
+    assert [m.role for m in agent.messages] == [SYSTEM, USER, ASSISTANT]
+    agent.backend.close()
+
+
+def test_an_answer_with_a_call_is_answered_whatever_its_finish_reason(
+        standin, tmp_path, stub_server):
+    # The provider says "stop" after a call: the call's reply still goes
+    # back to the model, whose next answer ends the turn.
+    (tmp_path / "app.c").write_text("int x;\nint y;\nint z = x / y;\n")
+    stub_server.responses = [(200, sse(
+        {"choices": [{"delta": {"tool_calls": [{
+            "index": 0, "id": "call_9", "type": "function",
+            "function": {"name": "code",
+                         "arguments": json.dumps({"loc": "app.c:3"})}}]}}]},
+        {"choices": [{"delta": {}, "finish_reason": "stop"}]},
+    )), (200, sse(
+        {"choices": [{"delta": {"content": "y is 0 on line 3."}}]},
+        {"choices": [{"delta": {}, "finish_reason": "stop"}]},
+    ))]
+    agent, ui = http_agent(standin, tmp_path, stub_server)
+    agent.handle_input("why did it crash?")
+    assert len(stub_server.requests_seen) == 2
+    reply = stub_server.requests_seen[1]["messages"][-1]
+    assert reply == {"role": "tool", "tool_call_id": "call_9",
+                     "content": source_window(str(tmp_path / "app.c"), 3)}
+    assert [e[1] for e in ui.kind("echo")] == ["code app.c:3"]
+    assert ui.prose_text() == "y is 0 on line 3."
+    assert ui.kind("notice") == []
+    validate_conversation(agent.messages)
+    agent.backend.close()
+
+
 def test_a_failed_answer_to_the_first_chat_line_ends_only_that_turn(
         fake_gdb, tmp_path):
     frame = (f'frame={{level="0",func="main",file="app.c",'

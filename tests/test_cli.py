@@ -483,6 +483,23 @@ def test_a_base_url_with_whitespace_or_a_fragment_is_refused_before_the_spawn(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("url", ["http://127.0.0.1:99999/v1",
+                                 "http://127.0.0.1:x/v1",
+                                 "ftp://127.0.0.1/v1"])
+def test_a_base_url_without_an_http_host_and_port_is_refused_before_the_spawn(
+        tmp_path, monkeypatch, capsys, url):
+    # No gdb on PATH: a spawn would fail with a message of its own.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", "--base-url", url,
+                 sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"dbgchat: --base-url {url!r} is not an http: or https: URL naming "
+        "a host and, if any, a port up to 65535\n")
+    assert captured.out == ""
+
+
 def test_a_typed_line_that_is_not_utf8_costs_only_its_character(standin,
                                                                 tmp_path):
     script = tmp_path / "turns.json"

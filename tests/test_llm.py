@@ -19,7 +19,6 @@ from dbgchat.llm import (
     TOOL,
     USER,
     ChatMessage,
-    CompletionEvent,
     HttpBackend,
     ScriptedBackend,
     ToolCallRequest,
@@ -134,21 +133,15 @@ def write_script(tmp_path, turns, version=1):
 
 def test_scripted_text_turn(tmp_path):
     backend = ScriptedBackend(write_script(tmp_path, [[{"text": "hello"}]]))
-    events = list(backend.complete([], TOOLS))
-    assert events == [CompletionEvent(kind="text", text="hello"),
-                      CompletionEvent(kind="done", finish_reason="stop")]
+    assert list(backend.complete([], TOOLS)) == ["hello"]
 
 
 def test_scripted_tool_call_turn(tmp_path):
     turns = [[{"tool_call": {"name": "debug",
                              "arguments": {"command": "p x"}}}]]
     backend = ScriptedBackend(write_script(tmp_path, turns))
-    events = list(backend.complete([], TOOLS))
-    assert events[0].kind == "tool_call"
-    assert events[0].tool_call == ToolCallRequest("call_0_0", "debug",
-                                                  {"command": "p x"})
-    assert events[1] == CompletionEvent(kind="done",
-                                        finish_reason="tool_calls")
+    assert list(backend.complete([], TOOLS)) == [
+        ToolCallRequest("call_0_0", "debug", {"command": "p x"})]
 
 
 def test_scripted_three_calls_one_turn(tmp_path):
@@ -159,17 +152,16 @@ def test_scripted_three_calls_one_turn(tmp_path):
                        "arguments": {"loc": "a.c:3", "symbol": "x"}}},
     ]]
     backend = ScriptedBackend(write_script(tmp_path, turns))
-    events = list(backend.complete([], TOOLS))
-    assert [e.kind for e in events] == ["tool_call"] * 3 + ["done"]
-    assert [e.tool_call.id for e in events[:3]] == [
-        "call_0_0", "call_0_1", "call_0_2"]
+    calls = list(backend.complete([], TOOLS))
+    assert [type(c) for c in calls] == [ToolCallRequest] * 3
+    assert [c.id for c in calls] == ["call_0_0", "call_0_1", "call_0_2"]
 
 
 def test_scripted_turns_advance_and_exhaust(tmp_path):
     turns = [[{"text": "one"}], [{"text": "two"}]]
     backend = ScriptedBackend(write_script(tmp_path, turns))
-    assert list(backend.complete([], TOOLS))[0].text == "one"
-    assert list(backend.complete([], TOOLS))[0].text == "two"
+    assert list(backend.complete([], TOOLS)) == ["one"]
+    assert list(backend.complete([], TOOLS)) == ["two"]
     with pytest.raises(LlmError, match=r"^script has only 2 turn\(s\)$"):
         list(backend.complete([], TOOLS))
 
@@ -179,8 +171,8 @@ def test_scripted_ids_depend_on_turn(tmp_path):
              [{"tool_call": {"name": "debug", "arguments": {"command": "c"}}}]]
     backend = ScriptedBackend(write_script(tmp_path, turns))
     list(backend.complete([], TOOLS))
-    events = list(backend.complete([], TOOLS))
-    assert events[0].tool_call.id == "call_1_0"
+    [call] = backend.complete([], TOOLS)
+    assert call.id == "call_1_0"
 
 
 def test_scripted_replay_is_deterministic(tmp_path):
@@ -206,6 +198,8 @@ BAD_SCRIPTS = {
         "turn 0 not a list",
     json.dumps({"version": 1, "turns": [[{"neither": 1}]]}):
         "turn 0 has a bad item: {'neither': 1}",
+    json.dumps({"version": 1, "turns": [[{"text": 5}]]}):
+        "turn 0 has a bad item: {'text': 5}",
 }
 
 
@@ -264,8 +258,8 @@ TEXT_OK = {"choices": [{"delta": {"content": "ok"}}]}
 
 def texts(backend) -> list[str]:
     """The text pieces of one completion."""
-    return [e.text for e in backend.complete([ChatMessage(USER, "hi")], TOOLS)
-            if e.kind == "text"]
+    return [item for item in backend.complete([ChatMessage(USER, "hi")], TOOLS)
+            if isinstance(item, str)]
 
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy")
@@ -303,10 +297,8 @@ def test_http_text_stream(stub_server, backend):
         {"choices": [{"delta": {"content": "lo"}}]},
         {"choices": [{"delta": {}, "finish_reason": "stop"}]},
     ))]
-    events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
-    assert [e.kind for e in events] == ["text", "text", "done"]
-    assert "".join(e.text for e in events[:2]) == "Hello"
-    assert events[-1].finish_reason == "stop"
+    assert list(backend.complete([ChatMessage(USER, "hi")], TOOLS)) == [
+        "Hel", "lo"]
 
 
 def test_http_request_body_and_auth_header(stub_server, backend):
@@ -332,11 +324,8 @@ def test_http_tool_call_assembled_from_split_deltas(stub_server, backend):
             {"index": 0, "function": {"arguments": "and\": \"p x\"}"}}]}}]},
         {"choices": [{"delta": {}, "finish_reason": "tool_calls"}]},
     ))]
-    events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
-    assert [e.kind for e in events] == ["tool_call", "done"]
-    assert events[0].tool_call == ToolCallRequest("call_abc", "debug",
-                                                  {"command": "p x"})
-    assert events[1].finish_reason == "tool_calls"
+    assert list(backend.complete([ChatMessage(USER, "hi")], TOOLS)) == [
+        ToolCallRequest("call_abc", "debug", {"command": "p x"})]
 
 
 def test_http_undecodable_arguments(stub_server, backend):
@@ -382,8 +371,7 @@ def test_http_429_then_success(stub_server, backend, monkeypatch):
         {"choices": [{"delta": {"content": "ok"}}]},
     ))]
     monkeypatch.setattr("dbgchat.llm.RETRY_CAP", 2)
-    events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
-    assert events[0].text == "ok"
+    assert texts(backend) == ["ok"]
     # The 429's body was read to its end, so the retry reused its socket.
     assert len(set(stub_server.ports_seen)) == 1
 
@@ -430,15 +418,14 @@ def test_http_utf8_stream_without_charset(stub_server, backend):
     stub_server.responses = [(200, sse(
         *[{"choices": [{"delta": {"content": p}}]} for p in pieces],
         ensure_ascii=False))]
-    events = list(backend.complete([ChatMessage(USER, "hi")], TOOLS))
-    assert [e.text for e in events if e.kind == "text"] == pieces
+    assert list(backend.complete([ChatMessage(USER, "hi")], TOOLS)) == pieces
 
 
 def test_http_stream_cut_midway_is_transport_error(stub_server, backend,
                                                    monkeypatch):
     stub_server.responses = [(None, CUT_STREAM), (200, sse(TEXT_OK))]
     events = backend.complete([ChatMessage(USER, "hi")], TOOLS)
-    assert next(events).text == "Hel"
+    assert next(events) == "Hel"
     with pytest.raises(LlmError,
                        match=r"^stream read failed: ConnectionError\("):
         list(events)
@@ -465,7 +452,7 @@ def test_http_stalled_stream_times_out_and_drops_the_connection(
 def test_http_abandoned_stream_drops_the_connection(stub_server, backend):
     stub_server.responses = [("raw", CUT_STREAM), (200, sse(TEXT_OK))]
     events = backend.complete([ChatMessage(USER, "hi")], TOOLS)
-    assert next(events).text == "Hel"
+    assert next(events) == "Hel"
     events.close()  # as a Ctrl-C in the middle of the stream would
     assert texts(backend) == ["ok"]
     first, second = stub_server.ports_seen

@@ -26,6 +26,7 @@ from dbgchat.errors import (
     DebuggerExited,
     EvaluationError,
     ProtocolError,
+    split_lines,
 )
 from dbgchat.mi import (
     DebuggerHandle,
@@ -596,6 +597,22 @@ def test_an_unparsed_download_line_leaves_the_result_readable(fake_gdb):
         out = dbg.send_command("-target-download")
     assert out.records[0].unparsed and out.records[0].text == download
     assert out.result(EvaluationError).payload == {"address": "0x401000"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\xc3\xa9"])
+                ).map(b"".join),
+       st.lists(st.integers(0, 40)))
+def test_split_lines_gives_the_same_lines_however_the_bytes_are_cut(data,
+                                                                   cuts):
+    bounds = sorted({0, len(data), *(c for c in cuts if c < len(data))})
+    pieces: list[bytes] = []
+    lines = []
+    for start, end in zip(bounds, bounds[1:]):
+        lines += split_lines(data[start:end], pieces)
+    *whole, rest = data.split(b"\n")
+    assert lines == whole
+    assert b"".join(pieces) == rest
 
 
 def _lines_of_the_old_reader(data: bytes, size: int) -> list[str]:

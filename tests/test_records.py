@@ -6,8 +6,7 @@ from __future__ import annotations
 import pytest
 
 from dbgchat.enrich import ElisionMarker, EnrichedFrame, EnrichedStack
-from dbgchat.llm import USER, ChatMessage, CompletionEvent, ToolCallRequest, \
-    ToolDef
+from dbgchat.llm import USER, ChatMessage, ToolCallRequest, ToolDef
 from dbgchat.mi import MIRecord, RecordKind
 from dbgchat.prompts import PromptBundle
 from dbgchat.sanitizer import Verdict, native_strict
@@ -18,8 +17,6 @@ from dbgchat.session import Frame, StopInfo
 RECORDS = [
     MIRecord(RecordKind.RESULT, 7, "done", {"value": "1"}, "t", True),
     ToolCallRequest("call_0_0", "debug", {"command": "bt"}),
-    CompletionEvent("tool_call", "hi", ToolCallRequest("c", "code", {}),
-                    "tool_calls"),
     Frame(1, "main", "app.c", "/src/app.c", 3, "libc.so.6"),
     StopInfo("assertion", "SIGABRT", "Aborted", 134, Frame(0, "main"),
              "n > 0"),
