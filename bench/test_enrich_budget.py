@@ -67,7 +67,7 @@ def _stack(root: Path) -> dict:
 
 BUNDLE = PromptBundle(
     instructions=instructions_text(),
-    enriched_stack=EnrichedStack([], 0),
+    enriched_stack=EnrichedStack([]),
     inputs="Command-line arguments: 200",
     error="The program stopped on SIGSEGV in walk at walk.c:20.",
     history=[("bt 3", "#0 walk\n#1 walk\n#2 walk")],

@@ -23,15 +23,14 @@ import os
 
 from .enrich import DEFAULT_RADIUS, EnrichedStack, build_enriched_stack, \
     definition, source_window as code_window
-from .errors import BudgetImpossible, DbgChatError, DebuggerError, \
-    DebuggerExited, EvaluationError, LlmError, NotStopped, ProtocolError, \
-    SourceError, SourceUnavailable
+from .errors import BudgetImpossible, DbgChatError, DebuggerExited, \
+    EvaluationError, LlmError, NotStopped, ProtocolError, SourceError, \
+    SourceUnavailable
 from .llm import ASSISTANT, TOOL, ChatMessage, ToolCallRequest, ToolDef
 from .prompts import (
     DEFAULT_MAX_TOKENS,
     PromptBundle,
     error_section,
-    format_inputs,
     instructions_text,
     make_followup_prompt,
     make_initial_prompt,
@@ -119,38 +118,30 @@ class _NoTranscript:
         pass
 
 
-class AgentConfig:
-    __slots__ = ("workspace_root", "argv", "stdin_text", "budget", "radius")
-
-    def __init__(self, workspace_root: str, argv: list[str] | None = None,
-                 stdin_text: str | None = None,
-                 budget: int = DEFAULT_MAX_TOKENS,
-                 radius: int = DEFAULT_RADIUS):
-        self.workspace_root = workspace_root
-        self.argv = [] if argv is None else argv
-        self.stdin_text = stdin_text
-        self.budget = budget
-        self.radius = radius
-
-
 class Agent:
     """Wires one debugger session, one model backend, and one policy.
 
-    ``history`` holds the (command, output) pairs the user ran since the
-    last send; ``messages`` is the conversation, empty until the first
-    chat line.  ``ui``, a cli.TerminalUi in use, has five callbacks:
-    ``on_prose(chunk)``, ``on_echo(command, output)``,
+    ``root`` is the workspace root; ``inputs`` is the first prompt's Inputs
+    section, ``budget`` its token budget and ``radius`` the source lines
+    shown around a location.  ``ui``, a cli.TerminalUi in use, has five
+    callbacks: ``on_prose(chunk)``, ``on_echo(command, output)``,
     ``on_debugger(command, output)``, ``on_notice(text)``, ``on_turn_end()``.
+    ``history`` holds the user's (command, output) pairs since the last
+    send, ``messages`` the conversation, empty until the first chat line.
     """
 
-    def __init__(self, session, backend, policy: SanitizerPolicy,
-                 config: AgentConfig, ui,
+    def __init__(self, session, backend, policy: SanitizerPolicy, ui,
+                 root: str, inputs: str = "", budget: int = DEFAULT_MAX_TOKENS,
+                 radius: int = DEFAULT_RADIUS,
                  transcript: Transcript | None = None):
         self.session = session
         self.backend = backend
         self.policy = policy
-        self.config = config
         self.ui = ui
+        self.root = root
+        self.inputs = inputs
+        self.budget = budget
+        self.radius = radius
         self.transcript = transcript or _NoTranscript()
         self.history: list[tuple[str, str]] = []
         self.messages: list[ChatMessage] = []
@@ -169,17 +160,8 @@ class Agent:
         if not is_debugger_command(line):
             self._chat(line)
             return
-        exited = None
-        try:
-            output = self.session.execute_console(line)
-        except DebuggerExited as exc:
-            output, exited = f"error: {exc}", exc
-        except DebuggerError as exc:
-            output = f"error: {exc}"
-        self.transcript.write({"event": "debugger", "command": line,
-                               "output": output})
-        if exited is not None:
-            raise exited  # logged, not shown: the session ends with it
+        output = self._logged(lambda: self.session.execute_console(line),
+                              {"event": "debugger", "command": line})
         self.ui.on_debugger(line, output)
         self.history.append((line, output))
 
@@ -191,7 +173,7 @@ class Agent:
         else:
             try:
                 messages = make_initial_prompt(self._initial_bundle(line),
-                                               self.config.budget)
+                                               self.budget)
             except (EvaluationError, ProtocolError, BudgetImpossible) as exc:
                 # The debugger still runs; the next chat line tries again.
                 self._end_turn(exc)
@@ -205,17 +187,16 @@ class Agent:
     def _initial_bundle(self, line: str) -> PromptBundle:
         bundle = PromptBundle(
             instructions=instructions_text(),
-            enriched_stack=EnrichedStack(entries=[], total_frames=0),
-            inputs=format_inputs(self.config.argv, self.config.stdin_text),
+            enriched_stack=EnrichedStack(entries=[]),
+            inputs=self.inputs,
             error=error_section(self.session.stop),
             history=self.history,
             user_text=line,
         )
         try:
-            stack = build_enriched_stack(
-                self.session, self.config.workspace_root,
-                radius=self.config.radius,
-                room=stack_room(bundle, self.config.budget))
+            stack = build_enriched_stack(self.session, self.root,
+                                         radius=self.radius,
+                                         room=stack_room(bundle, self.budget))
         except NotStopped:
             return bundle
         return bundle.replace(enriched_stack=stack)
@@ -280,20 +261,22 @@ class Agent:
     # -- tool dispatch -----------------------------------------------------
 
     def _dispatch(self, call: ToolCallRequest) -> str:
-        exited = None
+        output = self._logged(lambda: self._execute_tool(call), {
+            "event": "tool_call", "id": call.id, "name": call.name,
+            "arguments": call.arguments})
+        self.ui.on_echo(self._render_call(call), output)
+        return output
+
+    def _logged(self, run, event: dict) -> str:
+        """run()'s output, or "error: ..." if it fails, logged in the event."""
         try:
-            output = self._execute_tool(call)
+            output = run()
         except DebuggerExited as exc:
-            output, exited = f"error: {exc}", exc
+            self.transcript.write({**event, "output": f"error: {exc}"})
+            raise  # logged, not shown: the session ends with it
         except DbgChatError as exc:
             output = f"error: {exc}"
-        self.transcript.write({
-            "event": "tool_call", "id": call.id, "name": call.name,
-            "arguments": call.arguments, "output": output,
-        })
-        if exited is not None:
-            raise exited  # logged, not echoed: the session ends with it
-        self.ui.on_echo(self._render_call(call), output)
+        self.transcript.write({**event, "output": output})
         return output
 
     def _render_call(self, call: ToolCallRequest) -> str:
@@ -312,9 +295,8 @@ class Agent:
                 return f"command not allowed: {verdict.reason}"
             output = self.session.execute_console(command)
             return output if output.strip() else "(no output)"
-        path, line = parse_loc(call.arguments["loc"],
-                               self.config.workspace_root)
+        path, line = parse_loc(call.arguments["loc"], self.root)
         if call.name == "code":
-            return code_window(path, line, self.config.radius)
+            return code_window(path, line, self.radius)
         return definition(path, line, call.arguments["symbol"], self.session,
-                          self.config.radius)
+                          self.radius)

@@ -41,11 +41,11 @@ import re
 import sys
 
 from . import PROMPT, __version__
-from .agent import Agent, AgentConfig, Transcript
+from .agent import Agent, Transcript
 from .enrich import DEFAULT_RADIUS, user_frame_test
 from .errors import DbgChatError, DebuggerError, LlmError
-from .llm import HttpBackend, ScriptedBackend
-from .prompts import DEFAULT_MAX_TOKENS
+from .llm import _BASE_URL, HttpBackend, ScriptedBackend
+from .prompts import DEFAULT_MAX_TOKENS, format_inputs
 from .sanitizer import (
     SanitizerPolicy,
     load_whitelist,
@@ -68,11 +68,6 @@ _NOT_HEADER_TEXT = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 #: What --base-url may not hold besides: whitespace, which would split the
 #: request line, and a fragment, which a request does not send.
 _NOT_URL_TEXT = re.compile(r"[\s#]")
-#: The --base-url HttpBackend can split: an http: or https: scheme, a host
-#: (bracketed if IPv6) after any user info, and a port of digits if any.
-_BASE_URL = re.compile(
-    r"(?i:https?)://(?:[^][/?]*@)?(?:[^][:/?@]+|\[[^]/?@]*\])(?::([0-9]*))?"
-    r"(?:[/?]|\Z)")
 
 
 def positive_int(text: str) -> int:
@@ -248,8 +243,7 @@ def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
         raise LlmError(
             f"--base-url {ns.base_url!r} holds whitespace or a fragment "
             "('#'), which a request line cannot carry")
-    url = _BASE_URL.match(ns.base_url)
-    if not url or int(url[1] or 0) > 65535:
+    if not _BASE_URL.fullmatch(ns.base_url):
         raise LlmError(
             f"--base-url {ns.base_url!r} is not an http: or https: URL "
             "naming a host and, if any, a port up to 65535")
@@ -292,14 +286,9 @@ def _run(ns: argparse.Namespace, in_stream, out) -> int:
                                   os.environ[ns.key_env])
         session.run_to_stop(stdin_text)
         out.write(stop_report(session, root) + "\n")
-        agent = Agent(
-            session, backend, policy,
-            AgentConfig(workspace_root=root,
-                        argv=ns.target_args,
-                        stdin_text=stdin_text,
-                        budget=ns.budget,
-                        radius=ns.radius),
-            TerminalUi(out), transcript=transcript)
+        agent = Agent(session, backend, policy, TerminalUi(out), root,
+                      format_inputs(ns.target_args, stdin_text), ns.budget,
+                      ns.radius, transcript)
         gc.freeze()
         run_repl(agent, in_stream, out)
     except DbgChatError as exc:
@@ -331,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DbgChatError, OSError, ValueError) as exc:
         print(f"dbgchat: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # at startup; run_repl handles its own
+        print("dbgchat: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -148,24 +148,16 @@ class ElisionMarker(Record):
 
 class EnrichedStack(Record):
     """Entries outermost-first.  A bare Frame is a user frame the budget
-    left unfetched; it renders as nothing and counts as neither shown nor
-    hidden."""
+    left unfetched; it renders as nothing and is not counted as shown."""
 
-    __slots__ = ("entries", "total_frames")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: list[EnrichedFrame | ElisionMarker | Frame],
-                 total_frames: int):
+    def __init__(self, entries: list[EnrichedFrame | ElisionMarker | Frame]):
         self.entries = entries
-        self.total_frames = total_frames
 
     @property
     def shown_count(self) -> int:
         return sum(1 for e in self.entries if isinstance(e, EnrichedFrame))
-
-    @property
-    def hidden_count(self) -> int:
-        return sum(e.hidden_count for e in self.entries
-                   if isinstance(e, ElisionMarker))
 
     def render(self) -> str:
         return "\n\n".join(e.render() for e in self.entries
@@ -273,7 +265,7 @@ def build_enriched_stack(session, workspace_root: str,
                 outermost.frame.fullname, frame=outermost.frame.level)
             outermost.globals = _render_bindings(
                 raw_globals, _evaluator_for(session, outermost.frame.level))
-    return EnrichedStack(entries=entries, total_frames=total)
+    return EnrichedStack(entries=entries)
 
 
 def _evaluator_for(session, level: int):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from collections.abc import Iterator
 from contextlib import suppress
@@ -150,28 +151,6 @@ def _validate_tool_call(call: ToolCallRequest, tools: list[ToolDef]) -> None:
                            f"text: {ascii(value)}") from None
 
 
-def validate_conversation(messages: list[ChatMessage]) -> None:
-    """Check tool-call pairing: every issued call id gets exactly one
-    Tool reply before any other non-Tool message appears."""
-    pending: list[str] = []
-    for msg in messages:
-        if msg.role == TOOL:
-            if msg.tool_call_id is None:
-                raise ValueError("Tool message without tool_call_id")
-            if not pending or pending[0] != msg.tool_call_id:
-                raise ValueError(
-                    f"Tool reply {msg.tool_call_id!r} does not match the "
-                    f"pending call order {pending!r}")
-            pending.pop(0)
-            continue
-        if pending:
-            raise ValueError(f"unanswered tool calls: {pending!r}")
-        if msg.role == ASSISTANT and msg.tool_calls:
-            pending = [c.id for c in msg.tool_calls]
-    if pending:
-        raise ValueError(f"conversation ends with unanswered calls: {pending!r}")
-
-
 # --------------------------------------------------------------------------
 # HTTP backend
 # --------------------------------------------------------------------------
@@ -180,6 +159,23 @@ TIMEOUT_S = 120.0  # for the connect and for each read
 RETRY_CAP = 3      # retries after a throttle or a failed connection
 _MAX_LINE = 65536  # longest status, header or chunk-size line accepted
 _BLOCK = 65536     # most bytes of a body taken in one read
+
+
+#: RFC 3986's IPv6address, H standing for h16 and L for ls32.
+_IPV6 = (r"(?:(?:H:){6}|::(?:H:){5}|(?:H)?::(?:H:){4}|(?:(?:H:)?H)?::(?:H:){3}"
+         r"|(?:(?:H:){0,2}H)?::(?:H:){2}|(?:(?:H:){0,3}H)?::H:"
+         r"|(?:(?:H:){0,4}H)?::)L|(?:(?:H:){0,5}H)?::H|(?:(?:H:){0,6}H)?::"
+         ).replace("L", r"(?:H:H|(?:D\.){3}D)").replace(
+    "D", "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])").replace(
+    "H", "[0-9a-fA-F]{1,4}")
+#: The base URLs HttpBackend takes: http: or https:, a host after any user
+#: info, in brackets an IPv6 address, a port up to 65535, path and query.
+_BASE_URL = re.compile(
+    r"(?P<scheme>(?i:https?))://(?:[^][/?#]*@)?"
+    rf"(?:(?P<name>[^][:/?#@]+)|\[(?P<ipv6>{_IPV6})(?P<zone>%[^]%/?#@]+)?\])"
+    r"(?::0*(?P<port>[0-9]{1,4}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
+    r"|655[0-2][0-9]|6553[0-5])?)?(?P<path>/[^?#]*)?(?:\?(?P<query>[^#]*))?"
+    r"(?:#.*)?")
 
 
 def _env(name: str) -> str:
@@ -290,8 +286,9 @@ class HttpBackend:
     ``https:`` URLs one TLS context, verifying against the system CA store,
     is built here, so the debugger's boot hides its cost.  ``https_proxy``,
     ``http_proxy`` and ``no_proxy`` are honoured as urllib honoured them;
-    redirects are not followed.  Requests go to ``base_url``'s path with
-    ``/chat/completions`` joined on, its query after that; a fragment is
+    redirects are not followed.  ``base_url`` must match ``_BASE_URL``, as
+    the CLI checks --base-url before the spawn; requests go to its path with
+    ``/chat/completions`` joined on, its query after that, and a fragment is
     not sent.  Every request carries ``key`` as its bearer token; the
     request head is encoded once, here, so a key that Latin-1 cannot
     encode fails before any request, never in one.
@@ -300,25 +297,24 @@ class HttpBackend:
     def __init__(self, base_url: str, model: str, key: str):
         # Load the socket module now rather than in the first chat turn.
         import socket  # noqa: F401
-        from urllib.parse import urlsplit
         self.base_url = base_url
         self.model = model
-        url = urlsplit(base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        url = _BASE_URL.fullmatch(base_url)
+        if url is None:
             raise ValueError(f"not an http: or https: URL: {base_url!r}")
         self._tls = None
-        if url.scheme == "https":
+        if url["scheme"].lower() == "https":
             import ssl
             self._tls = ssl.create_default_context()
-        self._host = url.hostname
+        self._host = (url["name"] or url["ipv6"]).lower() + (url["zone"] or "")
         default_port = 443 if self._tls else 80
-        port = url.port or default_port
-        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        port = int(url["port"] or 0) or default_port
+        host = f"[{self._host}]" if url["ipv6"] else self._host
         authority = host if port == default_port else f"{host}:{port}"
-        target = (url.path.rstrip("/") + "/chat/completions"
-                  + (f"?{url.query}" if url.query else ""))
-        proxy = _proxy(url.scheme, authority)
-        self._address = (url.hostname, port)
+        target = ((url["path"] or "").rstrip("/") + "/chat/completions"
+                  + (f"?{url['query']}" if url["query"] else ""))
+        proxy = _proxy("https" if self._tls else "http", authority)
+        self._address = (self._host, port)
         self._tunnel = b""
         auth = ""
         if proxy is not None and self._tls:

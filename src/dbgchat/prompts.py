@@ -205,7 +205,7 @@ def _room(bundle: PromptBundle, budget: int) -> int:
     """Bytes `budget` tokens leave for the Stack, Inputs and History
     sections once Instructions, Error and User Text are in."""
     fixed = _bytes(_user_sections(bundle.replace(
-        enriched_stack=EnrichedStack([], 0), inputs="", history=[])))
+        enriched_stack=EnrichedStack([]), inputs="", history=[])))
     # ceil(bytes / 4) <= n exactly when bytes <= 4 * n.
     return 4 * (budget - estimate_tokens(bundle.instructions)) - fixed
 
@@ -260,10 +260,8 @@ def truncate_bundle(bundle: PromptBundle, budget: int) -> PromptBundle:
             gone = set(droppable[:count])
             kept_entries = [e for i, e in enumerate(entries) if i not in gone]
             kept_entries.insert(droppable[0], note)
-            stack_left = EnrichedStack(kept_entries,
-                                       bundle.enriched_stack.total_frames)
-            return bundle.replace(enriched_stack=stack_left, inputs="",
-                                  history=[])
+            return bundle.replace(enriched_stack=EnrichedStack(kept_entries),
+                                  inputs="", history=[])
 
     raise BudgetImpossible(
         f"cannot fit the prompt in {budget} tokens: instructions, "

@@ -1,5 +1,6 @@
 """Shared fixtures: compile the C crashers once per session; the two
-stand-ins for gdb; a stub provider."""
+stand-ins for gdb; a stub provider; the benchmark provider's tool-pairing
+check."""
 
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from dbgchat.enrich import ElisionMarker
 from dbgchat.session import DebugSession
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FAKE_GDB = Path(__file__).parent / "fake_gdb.py"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
-STANDIN = PERFBENCH / "gdb_standin.py"
 BUILD = FIXTURES / "build"
 
 CRASHERS = ["crash_segv", "crash_assert", "crash_fpe", "recurse", "libframe"]
@@ -96,9 +97,16 @@ def fake_gdb(tmp_path, monkeypatch):
 
 # -- perfbench's gdb stand-in, answering from a stack description ----------
 
-_spec = importlib.util.spec_from_file_location("gdb_standin", STANDIN)
-gdb_standin = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gdb_standin)
+def _perfbench(name: str):
+    """A module of perfbench/, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name,
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gdb_standin = _perfbench("gdb_standin")
 
 
 def var(name, type_, value, aggregate=False, deref=None) -> dict:
@@ -236,6 +244,12 @@ def frame_levels(sent, pattern: str) -> list[int]:
             if re.match(pattern, command) and " --frame " in command]
 
 
+def hidden_frames(stack) -> int:
+    """The frames that an EnrichedStack's markers say are hidden."""
+    return sum(e.hidden_count for e in stack.entries
+               if isinstance(e, ElisionMarker))
+
+
 def console_commands(sent) -> list[str]:
     """The console commands among the sent MI commands."""
     prefix = "-interpreter-exec console "
@@ -244,6 +258,16 @@ def console_commands(sent) -> list[str]:
 
 
 # -- a stub chat-completions provider ---------------------------------------
+
+_provider = _perfbench("provider")
+
+
+def pairing_error(messages) -> str:
+    """The benchmark provider's tool-pairing check on a conversation of
+    ChatMessages: "" when every tool call is answered once, in order,
+    before any other message; else what is wrong."""
+    return _provider.pairing_error([m.to_wire() for m in messages])
+
 
 def sse(*chunks, ensure_ascii=True):
     """A server-sent-event body: one ``data:`` line per chunk, then [DONE]."""

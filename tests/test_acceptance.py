@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dbgchat.agent import Agent, AgentConfig, code_window, parse_loc
+from dbgchat.agent import Agent, code_window, parse_loc
 from dbgchat.enrich import build_enriched_stack, definition, source_window
 from dbgchat.errors import BudgetImpossible, SourceError
 from dbgchat.llm import ScriptedBackend
@@ -75,6 +75,7 @@ def _bracket_depth(text):
 
 def test_criterion_2_enriched_stack_goldens(standin, fixture_bins,
                                             fixtures_dir):
+    from conftest import hidden_frames
     from test_enrich import _synthetic, build_fixture_stack
 
     for name in ("crash_segv", "crash_fpe", "crash_assert"):
@@ -90,7 +91,8 @@ def test_criterion_2_enriched_stack_goldens(standin, fixture_bins,
         session, _ = standin(_synthetic(pattern + "l" * extra))
         with session:
             stack = build_enriched_stack(session, "/ws/src")
-        assert stack.shown_count + stack.hidden_count == stack.total_frames
+            depth = session.stack_depth()
+        assert stack.shown_count + hidden_frames(stack) == depth
         assert stack.shown_count == pattern.count("u")
 
         tree = _random_tree(rng, 5)
@@ -229,8 +231,7 @@ def test_criterion_6_stop_state_preservation(fixture_bins, fixtures_dir,
     with DebugSession(str(fixture_bins["crash_segv"])) as session:
         session.run_to_stop()
         agent = Agent(session, ScriptedBackend(script), native_strict(),
-                      AgentConfig(workspace_root=str(fixtures_dir)),
-                      RecordingUi())
+                      RecordingUi(), str(fixtures_dir))
         baseline = copy.deepcopy(session.stop)
         for i in range(100):
             agent.handle_input(f"round {i}?")
@@ -293,8 +294,8 @@ def test_criterion_8_live_smoke(fixture_bins, fixtures_dir):
         ui = RecordingUi()
         backend = HttpBackend(ns.base_url, ns.model,
                               os.environ[ns.key_env])
-        agent = Agent(session, backend, native_strict(),
-                      AgentConfig(workspace_root=str(fixtures_dir)), ui)
+        agent = Agent(session, backend, native_strict(), ui,
+                      str(fixtures_dir))
         start = time.monotonic()
         agent.handle_input("Why did this program crash? Take the wheel "
                            "and investigate.")

@@ -9,12 +9,7 @@ import pytest
 
 from dbgchat import PROMPT
 from dbgchat import agent as agent_module
-from dbgchat.agent import (
-    Agent,
-    AgentConfig,
-    Transcript,
-    is_debugger_command,
-)
+from dbgchat.agent import Agent, Transcript, is_debugger_command
 from dbgchat.enrich import source_window
 from dbgchat.errors import DebuggerExited
 from dbgchat.llm import (
@@ -24,7 +19,6 @@ from dbgchat.llm import (
     USER,
     HttpBackend,
     ScriptedBackend,
-    validate_conversation,
 )
 from dbgchat.prompts import estimate_tokens
 from dbgchat.sanitizer import native_strict
@@ -34,6 +28,7 @@ from conftest import (
     CUT_STREAM,
     console_commands,
     frame_levels,
+    pairing_error,
     sse,
     stack_description,
     var,
@@ -107,9 +102,8 @@ def make_agent(tmp_path, turns, session, transcript_name=None, **config):
         transcript = Transcript(str(tmp_path / transcript_name))
         _open_transcripts.append(transcript)
     agent = Agent(session, ScriptedBackend(write_script(tmp_path, turns)),
-                  native_strict(),
-                  AgentConfig(**{"workspace_root": str(tmp_path), **config}),
-                  ui, transcript=transcript)
+                  native_strict(), ui, **{"root": str(tmp_path), **config},
+                  transcript=transcript)
     return agent, ui
 
 
@@ -128,7 +122,7 @@ def audit_tool_flow(ui, messages, events):
     reply_ids = [m.tool_call_id for m in messages if m.role == TOOL]
     for call_id in ids:
         assert reply_ids.count(call_id) == 1
-    validate_conversation(messages)
+    assert pairing_error(messages) == ""
 
 
 # -- input routing ----------------------------------------------------------
@@ -223,7 +217,7 @@ def test_followup_prompt_after_first_chat(standin, tmp_path):
     assert "$1 = 1" in user.content
     assert user.content.endswith("third question")
     assert len(agent.history) == 0
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
 
 
 def test_first_request_over_budget_is_cut_to_fit(standin, tmp_path):
@@ -280,7 +274,7 @@ def test_prose_turn_streams_and_commits(standin, tmp_path):
     roles = [m.role for m in agent.messages]
     assert roles == [SYSTEM, USER, ASSISTANT]
     assert agent.messages[-1].content == "Hello there."
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
 
 
 def test_tool_calls_execute_echo_and_reply(standin, tmp_path):
@@ -370,7 +364,7 @@ def test_tool_locations_stay_inside_the_root(standin, tmp_path, name, loc,
         [{"text": "ok"}],
     ]
     session, _ = standin(stopped_in_main(tmp_path))
-    agent, ui = make_agent(tmp_path, turns, session, workspace_root=str(root))
+    agent, ui = make_agent(tmp_path, turns, session, root=str(root))
     agent.handle_input("read it for me")
     (echo,) = ui.kind("echo")
     assert echo[2] == reply
@@ -412,7 +406,7 @@ def test_tool_loop_cap_single_completion(standin, tmp_path, monkeypatch):
     replies = [m for m in agent.messages if m.role == TOOL]
     assert len(replies) == 5
     assert "was not executed" in replies[-1].content
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
 
     events = read_transcript(tmp_path / "t.jsonl")
     assert events[-1] == {"event": "turn_aborted", "calls": 5}
@@ -429,7 +423,7 @@ def test_tool_loop_cap_spans_completions(standin, tmp_path, monkeypatch):
     assert console_commands(sent) == ["p a", "p b"]
     assert len(ui.kind("echo")) == 2
     assert any("tool-call limit (2)" in e[1] for e in ui.kind("notice"))
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
 
 
 def test_backend_failure_ends_turn_gracefully(standin, tmp_path):
@@ -448,7 +442,7 @@ def test_backend_failure_ends_turn_gracefully(standin, tmp_path):
 
     events = read_transcript(tmp_path / "t.jsonl")
     assert events[-1]["event"] == "turn_error"
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
     assert [m.role for m in agent.messages] == \
         [SYSTEM, USER, ASSISTANT, TOOL]
     assert agent.messages
@@ -461,8 +455,7 @@ def test_stream_cut_ends_turn_not_session(standin, tmp_path, stub_server):
         f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
         "sk-test")
     (session, sent), ui = standin(stopped_in_main(tmp_path)), RecordingUi()
-    agent = Agent(session, backend, native_strict(),
-                  AgentConfig(workspace_root=str(tmp_path)), ui)
+    agent = Agent(session, backend, native_strict(), ui, str(tmp_path))
 
     agent.handle_input("why did it crash?")
     assert ui.prose_text() == "Hel"
@@ -485,8 +478,7 @@ def http_agent(standin, tmp_path, stub_server):
         f"http://127.0.0.1:{stub_server.server_address[1]}/v1", "test-model",
         "sk-test")
     (session, _), ui = standin(stopped_in_main(tmp_path)), RecordingUi()
-    return Agent(session, backend, native_strict(),
-                 AgentConfig(workspace_root=str(tmp_path)), ui), ui
+    return Agent(session, backend, native_strict(), ui, str(tmp_path)), ui
 
 
 def test_an_answer_without_a_call_ends_the_turn_whatever_its_finish_reason(
@@ -531,7 +523,7 @@ def test_an_answer_with_a_call_is_answered_whatever_its_finish_reason(
     assert [e[1] for e in ui.kind("echo")] == ["code app.c:3"]
     assert ui.prose_text() == "y is 0 on line 3."
     assert ui.kind("notice") == []
-    validate_conversation(agent.messages)
+    assert pairing_error(agent.messages) == ""
     agent.backend.close()
 
 
@@ -631,9 +623,8 @@ def run_replay(segv_binary, fixtures_dir, tmp_path, name):
         ui = RecordingUi()
         transcript = Transcript(str(tmp_path / name))
         agent = Agent(session, ScriptedBackend(str(REPLAY_SCRIPT)),
-                      native_strict(),
-                      AgentConfig(workspace_root=str(fixtures_dir)),
-                      ui, transcript=transcript)
+                      native_strict(), ui, str(fixtures_dir),
+                      transcript=transcript)
         agent.handle_input("p total_runs")
         history_size = len(agent.history)
         stop_before = copy.deepcopy(session.stop)
@@ -710,13 +701,13 @@ def test_stop_state_preserved_across_hundred_turns(segv_binary, fixtures_dir,
     with DebugSession(str(segv_binary)) as session:
         session.run_to_stop()
         ui = RecordingUi()
-        agent = Agent(session, ScriptedBackend(script), native_strict(),
-                      AgentConfig(workspace_root=str(fixtures_dir)), ui)
+        agent = Agent(session, ScriptedBackend(script), native_strict(), ui,
+                      str(fixtures_dir))
         baseline = copy.deepcopy(session.stop)
         for i in range(100):
             agent.handle_input(f"tell me about round {i}")
             assert session.stop == baseline
             assert session.stopped
-        validate_conversation(agent.messages)
+        assert pairing_error(agent.messages) == ""
     assert len(ui.kind("echo")) == 100
     assert len(ui.kind("end")) == 100

@@ -8,8 +8,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -485,7 +487,8 @@ def test_a_base_url_with_whitespace_or_a_fragment_is_refused_before_the_spawn(
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:99999/v1",
                                  "http://127.0.0.1:x/v1",
-                                 "ftp://127.0.0.1/v1"])
+                                 "ftp://127.0.0.1/v1",
+                                 "http://[1]/v1"])
 def test_a_base_url_without_an_http_host_and_port_is_refused_before_the_spawn(
         tmp_path, monkeypatch, capsys, url):
     # No gdb on PATH: a spawn would fail with a message of its own.
@@ -497,6 +500,18 @@ def test_a_base_url_without_an_http_host_and_port_is_refused_before_the_spawn(
     assert captured.err == (
         f"dbgchat: --base-url {url!r} is not an http: or https: URL naming "
         "a host and, if any, a port up to 65535\n")
+    assert captured.out == ""
+
+
+def test_a_base_url_with_an_ipv6_host_gets_past_the_check(tmp_path,
+                                                          monkeypatch, capsys):
+    # No gdb on PATH: the spawn's own message shows the check let it by.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", "--base-url",
+                 "http://[::1]:9/v1", sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "dbgchat: debugger not found on PATH: gdb\n"
     assert captured.out == ""
 
 
@@ -577,6 +592,36 @@ def test_cli_leaves_no_debugger_behind(segv_binary, tmp_path):
     assert result.returncode == 0, result.stderr
     scan = subprocess.run(["pgrep", "-f", "hygiene_target"],
                           capture_output=True, text=True)
+    assert scan.stdout.strip() == ""
+
+
+def test_an_interrupt_before_the_first_stop_ends_with_one_line(fake_gdb,
+                                                               tmp_path):
+    log = tmp_path / "gdb.out"
+    target = fake_gdb({"-exec-run": ["^running", "(gdb) ", {"sleep": 30}]},
+                      log=str(log))
+    script = tmp_path / "turns.json"
+    script.write_text(json.dumps({"version": 1, "turns": []}))
+    # SIGINT raises KeyboardInterrupt, as at a terminal, even where the
+    # test runner's own parent ignores it.
+    code = ("import signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from dbgchat.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(dbgchat.__file__).parent.parent)
+    cli = subprocess.Popen(
+        [sys.executable, "-c", code, "--script", str(script), target],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": src})
+    deadline = time.monotonic() + 30
+    while not (log.exists() and "^running" in log.read_text()):
+        assert cli.poll() is None and time.monotonic() < deadline
+        time.sleep(0.05)
+    cli.send_signal(signal.SIGINT)
+    out, err = cli.communicate(timeout=30)
+    assert (cli.returncode, err, out) == (130, "dbgchat: interrupted\n", "")
+    scan = subprocess.run(["pgrep", "-f", target], capture_output=True,
+                          text=True)
     assert scan.stdout.strip() == ""
 
 

@@ -31,7 +31,7 @@ from dbgchat.prompts import (
 )
 from dbgchat.session import DEFAULT_FRAME_CAP, DebugSession, Frame
 
-from conftest import frame_levels, stack_description, var
+from conftest import frame_levels, hidden_frames, stack_description, var
 from test_prompts import _minimal_stack
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -183,9 +183,10 @@ def test_conservation_over_synthetic_backtraces(standin, pattern, extra):
     session, _ = standin(_synthetic(pattern + "l" * extra))
     with session:
         stack = build_enriched_stack(session, "/ws/src")
-    assert stack.shown_count + stack.hidden_count == stack.total_frames
+        depth = session.stack_depth()
+    assert stack.shown_count + hidden_frames(stack) == depth
     assert stack.shown_count == pattern.count("u")
-    assert stack.hidden_count == pattern.count("l") + extra
+    assert hidden_frames(stack) == pattern.count("l") + extra
     entries = stack.entries
     # Markers never sit adjacent and never report zero hidden frames.
     for a, b in zip(entries, entries[1:]):
@@ -212,7 +213,7 @@ def test_beyond_cap_frames_counted_outermost(standin):
     # frames, and counts the other 30.
     session, sent = standin(_synthetic("u" * (DEFAULT_FRAME_CAP + 30)))
     stack = build_enriched_stack(session, "/ws/src")
-    assert stack.total_frames == DEFAULT_FRAME_CAP + 30
+    assert session.stack_depth() == DEFAULT_FRAME_CAP + 30
     assert stack.shown_count == DEFAULT_FRAME_CAP
     assert isinstance(stack.entries[0], ElisionMarker)
     assert stack.entries[0].hidden_count == 30
@@ -329,7 +330,7 @@ def _budget_cases(draw):
     extra = draw(st.one_of(st.just(0), st.integers(1, 2 * DEFAULT_FRAME_CAP)))
     bundle = PromptBundle(
         instructions=instructions_text(),
-        enriched_stack=EnrichedStack([], 0),
+        enriched_stack=EnrichedStack([]),
         inputs=draw(_texts),
         error=draw(st.text(alphabet="abc xyz", min_size=1, max_size=80)),
         history=draw(st.lists(st.tuples(st.just("p x"), _texts),
@@ -400,7 +401,7 @@ def test_budgeted_enrichment_gives_the_same_first_request(standin, source_root,
     heads = EnrichedStack(
         [e if not isinstance(e, EnrichedFrame) or e.frame.level in kept
          or e.frame.level == overflow else EnrichedFrame(e.frame, None, [])
-         for e in full.enriched_stack.entries], 0)
+         for e in full.enriched_stack.entries])
     if _tokens(bundle, heads) > budget:
         assert fetched[len(kept):] in ([], [overflow])
     # The outermost frame's globals come only with the frame itself.
@@ -462,7 +463,7 @@ def test_unfetched_frames_render_as_nothing(standin, source_root):
     session, _ = standin(_budget_stack(specs, 0, root))
     stack = build_enriched_stack(session, root, room=0)
     assert [type(e) for e in stack.entries] == [Frame] * 3 + [EnrichedFrame]
-    assert stack.shown_count == 1 and stack.hidden_count == 0
+    assert stack.shown_count == 1 and hidden_frames(stack) == 0
     assert stack.render() == stack.entries[-1].render()
 
 
@@ -472,8 +473,9 @@ def test_segv_stack_structure(fixture_bins, fixtures_dir):
     with DebugSession(str(fixture_bins["crash_segv"])) as s:
         s.run_to_stop()
         stack = build_enriched_stack(s, str(fixtures_dir))
-    assert stack.total_frames == 3
-    assert stack.shown_count == 3 and stack.hidden_count == 0
+        depth = s.stack_depth()
+    assert depth == 3
+    assert stack.shown_count == 3 and hidden_frames(stack) == 0
     shown = stack.entries
     assert [e.frame.func for e in shown] == ["main", "summarize", "tally_reds"]
     assert shown[-1].marked
@@ -493,10 +495,11 @@ def test_assert_stack_elides_libc_run(fixture_bins, fixtures_dir):
     with DebugSession(str(fixture_bins["crash_assert"])) as s:
         s.run_to_stop()
         stack = build_enriched_stack(s, str(fixtures_dir))
+        depth = s.stack_depth()
     kinds = ["frame" if isinstance(e, EnrichedFrame) else f"hide{e.hidden_count}"
              for e in stack.entries]
     assert kinds == ["frame", "frame", "frame", "hide5"]
-    assert stack.shown_count + stack.hidden_count == stack.total_frames
+    assert stack.shown_count + hidden_frames(stack) == depth
     text = stack.render()
     assert text.endswith("[... skipping 5 hidden frame(s)]")
     assert "> crash_assert.c(18)check_len()" in text
@@ -523,9 +526,10 @@ def test_deep_recursion_hits_cap(fixture_bins, fixtures_dir):
     with DebugSession(str(fixture_bins["recurse"]), ["300"]) as s:
         s.run_to_stop()
         stack = build_enriched_stack(s, str(fixtures_dir))
-    assert stack.total_frames == 302
+        depth = s.stack_depth()
+    assert depth == 302
     assert stack.shown_count == 200
-    assert stack.hidden_count == 102
+    assert hidden_frames(stack) == 102
     assert isinstance(stack.entries[0], ElisionMarker)
 
 

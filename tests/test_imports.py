@@ -24,11 +24,10 @@ ROOT = Path(__file__).parent.parent
 SCANNED = ("src", "tests", "tools", "bench")
 #: Definitions that nothing in src/ reads, each with its reason.
 UNREAD_ALLOWED = {
-    # perfbench/traced.py reads both to meter prompt truncation.
+    # perfbench/traced.py reads _estimate_bundle to meter prompt truncation
+    # and shown_count to count the frames each enriched stack shows.
     "_estimate_bundle",
     "shown_count",
-    # ROADMAP item 4 turns it into an invariant the agent checks.
-    "validate_conversation",
 }
 
 

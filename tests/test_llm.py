@@ -24,10 +24,9 @@ from dbgchat.llm import (
     ToolCallRequest,
     ToolDef,
     _bypasses_proxy,
-    validate_conversation,
 )
 
-from conftest import CUT_STREAM, sse
+from conftest import CUT_STREAM, pairing_error, sse
 
 TOOLS = [
     ToolDef("debug", "Run a debugger command.", [("command", "the command")]),
@@ -82,45 +81,40 @@ def _call(cid):
 
 
 def test_pairing_accepts_ordered_replies():
-    validate_conversation([
+    assert pairing_error([
         ChatMessage(USER, "go"),
         ChatMessage(ASSISTANT, tool_calls=[_call("c1"), _call("c2")]),
         ChatMessage(TOOL, "a", tool_call_id="c1"),
         ChatMessage(TOOL, "b", tool_call_id="c2"),
         ChatMessage(ASSISTANT, "done"),
-    ])
+    ]) == ""
 
 
 def test_pairing_rejects_out_of_order_replies():
-    with pytest.raises(ValueError):
-        validate_conversation([
-            ChatMessage(ASSISTANT, tool_calls=[_call("c1"), _call("c2")]),
-            ChatMessage(TOOL, "b", tool_call_id="c2"),
-            ChatMessage(TOOL, "a", tool_call_id="c1"),
-        ])
+    assert pairing_error([
+        ChatMessage(ASSISTANT, tool_calls=[_call("c1"), _call("c2")]),
+        ChatMessage(TOOL, "b", tool_call_id="c2"),
+        ChatMessage(TOOL, "a", tool_call_id="c1"),
+    ])
 
 
 def test_pairing_rejects_interleaved_non_tool_message():
-    with pytest.raises(ValueError):
-        validate_conversation([
-            ChatMessage(ASSISTANT, tool_calls=[_call("c1")]),
-            ChatMessage(USER, "hello?"),
-            ChatMessage(TOOL, "a", tool_call_id="c1"),
-        ])
+    assert pairing_error([
+        ChatMessage(ASSISTANT, tool_calls=[_call("c1")]),
+        ChatMessage(USER, "hello?"),
+        ChatMessage(TOOL, "a", tool_call_id="c1"),
+    ])
 
 
 def test_pairing_rejects_dangling_calls_at_end():
-    with pytest.raises(ValueError):
-        validate_conversation([
-            ChatMessage(ASSISTANT, tool_calls=[_call("c1")]),
-        ])
+    assert pairing_error([
+        ChatMessage(ASSISTANT, tool_calls=[_call("c1")]),
+    ])
 
 
 def test_pairing_rejects_unsolicited_tool_reply():
-    with pytest.raises(ValueError):
-        validate_conversation([ChatMessage(TOOL, "a", tool_call_id="c9")])
-    with pytest.raises(ValueError):
-        validate_conversation([ChatMessage(TOOL, "a")])
+    assert pairing_error([ChatMessage(TOOL, "a", tool_call_id="c9")])
+    assert pairing_error([ChatMessage(TOOL, "a")])
 
 
 # -- scripted backend ------------------------------------------------------

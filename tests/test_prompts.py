@@ -126,9 +126,7 @@ def _stack(n: int, markers: tuple[int, ...] = (),
             marked=i == n - 1))
         if i in markers:
             entries.append(ElisionMarker(i + 1))
-    hidden = sum(e.hidden_count for e in entries
-                 if isinstance(e, ElisionMarker))
-    return EnrichedStack(entries=entries, total_frames=n + hidden)
+    return EnrichedStack(entries=entries)
 
 
 def _bundle(**kw) -> PromptBundle:
@@ -380,7 +378,7 @@ def _minimal_stack(stack: EnrichedStack) -> EnrichedStack:
         return stack
     entries = [e for i, e in enumerate(stack.entries) if i not in dropped]
     entries.insert(dropped[0], ElisionMarker(len(dropped), budget_cut=True))
-    return EnrichedStack(entries=entries, total_frames=stack.total_frames)
+    return EnrichedStack(entries=entries)
 
 
 @settings(max_examples=1000, deadline=None)

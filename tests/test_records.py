@@ -23,8 +23,8 @@ RECORDS = [
     EnrichedFrame(Frame(0, "main"), "---> 3 x;", [("x", "int", "1")],
                   [("g", "int", "7")], True),
     ElisionMarker(2, True),
-    EnrichedStack([ElisionMarker(1), Frame(0, "main")], 3),
-    PromptBundle("do", EnrichedStack([], 0), "argv", "SIGSEGV",
+    EnrichedStack([ElisionMarker(1), Frame(0, "main")]),
+    PromptBundle("do", EnrichedStack([]), "argv", "SIGSEGV",
                  [("bt", "#0 main")], "why?"),
     Verdict(False, "calls function 'f'"),
 ]

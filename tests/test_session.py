@@ -280,7 +280,7 @@ def test_stop_report_and_enrichment_share_one_stack_snapshot(scripted,
     session, count = scripted
     assert "in inner()" in stop_report(session, str(tmp_path))
     stack = build_enriched_stack(session, str(tmp_path))
-    assert (stack.total_frames, stack.shown_count) == (3, 3)
+    assert (session.stack_depth(), stack.shown_count) == (3, 3)
     session.execute_console("p x")
     assert len(session.backtrace()) == 3
     assert count("^done,depth=") == 1
