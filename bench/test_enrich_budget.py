@@ -8,7 +8,9 @@ over ``perfbench/gdb_standin.py``, started afresh for each build outside
 the timed part, so the times hold the MI round trips as well as the
 enrichment and budgeting work.  In ``extra_info``,
 ``session_calls_per_build`` is the MI commands one build sent, the stack
-snapshot's two included, and ``frames_enriched`` the frames it enriched.
+snapshot's two included, ``blocking_reads_per_build`` the batches they
+went out in, each written at once and then waited for, and
+``frames_enriched`` the frames it enriched.
 ``test_truncate_bundle`` times ``truncate_bundle`` on the fully enriched
 stack, which it must cut to fit.  Nothing here asserts on timing.
 """
@@ -50,8 +52,8 @@ def workspace(tmp_path_factory):
 
 def _stack(root: Path) -> dict:
     """A recursion 200 frames deep: each frame has two ints, an array
-    that is evaluated on its own and a pointer that is dereferenced
-    once."""
+    whose value the listing leaves out and a pointer that is dereferenced
+    once, both read in one batch."""
     frames = [Frame(level=n, func="walk", file="walk.c",
                     fullname=str(root / "walk.c"), line=20 + n % 30)
               for n in range(FRAMES)]
@@ -90,15 +92,20 @@ def test_first_prompt(benchmark, standin, workspace, room):
 
     def first_prompt(session, sent):
         before = len(sent)
+        batches = []
+        send = session.handle.send_batch
+        session.handle.send_batch = lambda commands, *args, **kwargs: (
+            batches.append(commands), send(commands, *args, **kwargs))[1]
         stack = build_enriched_stack(
             session, str(workspace),
             room=stack_room(BUNDLE, DEFAULT_MAX_TOKENS) if room else None)
-        builds.append((len(sent) - before, stack.shown_count))
+        builds.append((len(sent) - before, len(batches), stack.shown_count))
         return make_initial_prompt(_with_stack(stack))
 
     benchmark.pedantic(first_prompt, setup=start, rounds=ROUNDS)
-    commands, shown = builds[-1]
+    commands, waits, shown = builds[-1]
     benchmark.extra_info["session_calls_per_build"] = commands
+    benchmark.extra_info["blocking_reads_per_build"] = waits
     benchmark.extra_info["frames_enriched"] = shown
 
 

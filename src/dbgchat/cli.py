@@ -44,7 +44,7 @@ from . import PROMPT, __version__
 from .agent import Agent, Transcript
 from .enrich import DEFAULT_RADIUS, user_frame_test
 from .errors import DbgChatError, DebuggerError, LlmError
-from .llm import _BASE_URL, HttpBackend, ScriptedBackend
+from .llm import _BASE_URL, HttpBackend, ScriptedBackend, _proxy_setting
 from .prompts import DEFAULT_MAX_TOKENS, format_inputs
 from .sanitizer import (
     SanitizerPolicy,
@@ -221,8 +221,9 @@ def _build_policy(ns: argparse.Namespace) -> SanitizerPolicy:
 def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
     """The replay backend, or None after checking that the API key is set
     and that it and --base-url, without whitespace or a fragment, fit in
-    an HTTP request's head, and that --base-url names an http: or https:
-    host and a port that can be reached."""
+    an HTTP request's head, and that --base-url and the proxy variables,
+    read as HttpBackend reads them, name an http: or https: host and a
+    port that can be reached."""
     if ns.script:
         return ScriptedBackend(ns.script)
     key = os.environ.get(ns.key_env)
@@ -247,6 +248,13 @@ def _script_backend(ns: argparse.Namespace) -> ScriptedBackend | None:
         raise LlmError(
             f"--base-url {ns.base_url!r} is not an http: or https: URL "
             "naming a host and, if any, a port up to 65535")
+    for scheme in ("https", "http"):
+        name, proxy = _proxy_setting(scheme)
+        if proxy and not _BASE_URL.fullmatch(proxy):
+            # The proxy itself is never quoted: it may hold a password.
+            raise LlmError(
+                f"the proxy in {name} is not an http: or https: URL naming "
+                "a host and, if any, a port up to 65535")
     return None
 
 

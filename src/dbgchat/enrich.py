@@ -35,8 +35,8 @@ import re
 from collections.abc import Callable
 
 from .errors import NotStopped, Record, SourceError, SourceUnavailable
-from .session import Binding, Frame
-from .values import render_value
+from .session import Binding, Frame, shown_value
+from .values import follows_pointer, render_value
 
 DEFAULT_RADIUS = 5
 
@@ -188,20 +188,38 @@ def user_frame_test(workspace_root: str) -> Callable[[Frame], bool]:
     return is_user_frame
 
 
-def _render_bindings(bindings: list[Binding],
-                     evaluator) -> list[tuple[str, str, str]]:
+def _render_bindings(session, bindings: list[Binding],
+                     level: int) -> list[tuple[str, str, str]]:
     """(name, type, rendered value) per binding; a repeated name keeps
-    its first binding."""
-    seen: set[str] = set()
-    out = []
+    its first binding.
+
+    One batch, in the frame's scope, evaluates the values that are None,
+    then dereferences the pointers that follows_pointer picks.  gdb lists
+    the value of every pointer, leaving out only those of arrays, structs
+    and unions, so the pointers are known before the batch is written.
+    """
+    first: dict[str, Binding] = {}
     for b in bindings:
-        if b.name in seen:
-            continue
-        seen.add(b.name)
-        out.append((b.name, b.type,
-                    render_value(b.name, b.value, is_pointer=b.is_pointer,
-                                 evaluator=evaluator)))
-    return out
+        first.setdefault(b.name, b)
+    missing = [b for b in bindings if b.value is None]
+    derefs = [f"*{b.name}" for b in first.values() if b.value is not None
+              and follows_pointer(b.value, b.is_pointer)]
+    answers = session.evaluate([b.name for b in missing] + derefs, level)
+    for b, answer in zip(missing, answers):
+        b.value = shown_value(answer)
+    pointees = dict(zip(derefs, answers[len(missing):]))
+
+    def lookup(expression: str) -> str:
+        """A dereference's value as read above; the error its answer
+        raised, or KeyError for one the batch did not hold."""
+        answer = pointees[expression]
+        if not isinstance(answer, str):
+            raise answer
+        return answer
+    return [(b.name, b.type, render_value(b.name, b.value,
+                                          is_pointer=b.is_pointer,
+                                          evaluator=lookup))
+            for b in first.values()]
 
 
 def _cost(text: str) -> int:
@@ -261,17 +279,11 @@ def build_enriched_stack(session, workspace_root: str,
     else:
         if user:
             outermost = entries[user[0]]
-            raw_globals = session.global_variables(
-                outermost.frame.fullname, frame=outermost.frame.level)
+            level = outermost.frame.level
             outermost.globals = _render_bindings(
-                raw_globals, _evaluator_for(session, outermost.frame.level))
+                session, session.global_variables(outermost.frame.fullname,
+                                                  frame=level), level)
     return EnrichedStack(entries=entries)
-
-
-def _evaluator_for(session, level: int):
-    def evaluate(expression: str) -> str:
-        return session.evaluate(expression, frame=level)
-    return evaluate
 
 
 def _enrich_frame(session, frame: Frame, radius: int,
@@ -281,6 +293,6 @@ def _enrich_frame(session, frame: Frame, radius: int,
                                radius, read)
     except SourceUnavailable:
         window = None
-    bindings = _render_bindings(session.frame_variables(frame.level),
-                                _evaluator_for(session, frame.level))
+    bindings = _render_bindings(session, session.frame_variables(frame.level),
+                                frame.level)
     return EnrichedFrame(frame=frame, window=window, bindings=bindings)

@@ -183,6 +183,17 @@ def _env(name: str) -> str:
     return os.environ.get(name, os.environ.get(name.upper(), ""))
 
 
+def _proxy_setting(scheme: str) -> tuple[str, str]:
+    """The variable that names the proxy for scheme, as urllib read it,
+    lower case first, and its URL, with ``http://`` put before one that
+    names no scheme; the URL is "" when the variable is unset or empty."""
+    name = f"{scheme}_proxy"
+    if name not in os.environ:
+        name = name.upper()
+    proxy = os.environ.get(name, "")
+    return name, proxy if not proxy or "://" in proxy else "http://" + proxy
+
+
 def _bypasses_proxy(authority: str, no_proxy: str) -> bool:
     """Whether ``no_proxy`` names the host, as urllib matched it: ``*``, or
     an entry equal to the host, with or without its port, or a domain
@@ -204,10 +215,10 @@ def _proxy(scheme: str, authority: str):
     """``(address, Proxy-Authorization header line)`` of the proxy that
     ``<scheme>_proxy`` names for the host, or None."""
     from urllib.parse import unquote, urlsplit
-    proxy = _env(f"{scheme}_proxy")
+    proxy = _proxy_setting(scheme)[1]
     if not proxy or _bypasses_proxy(authority, _env("no_proxy")):
         return None
-    url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    url = urlsplit(proxy)
     port = url.port or (443 if url.scheme == "https" else 80)
     auth = ""
     if url.username and url.password:

@@ -1,7 +1,11 @@
 r"""GDB machine-interface (MI) driver.
 
-Spawns ``gdb``, as found on PATH, with ``--interpreter=mi`` and
-serializes commands one at a time.  A ``gdb`` that cannot be started,
+Spawns ``gdb``, as found on PATH, with ``--interpreter=mi`` and sends
+it commands in batches: the batch is written at once, then each
+command's answer is read up to its own prompt, in order.  A single
+command is a batch of one.  Answers that a timed-out or interrupted
+caller left unread are owed, and are read off before the next batch is
+written.  A ``gdb`` that cannot be started,
 whether missing, not executable or missing its ``#!`` interpreter,
 raises DebuggerError.  Each answer's lines are kept as text and
 parsed into structured records when first read; ``MIOutput.result``
@@ -352,11 +356,21 @@ def _default_env() -> dict[str, str]:
 class DebuggerHandle:
     """A live debugger child speaking MI on stdio, driven from one thread.
 
-    One command may be in flight at a time.  Its caller reads stdout in
-    ``read_until_prompt``, which keeps lines after the prompt for the next
-    read and drains the pty the inferior is wired to meanwhile.
+    ``send_batch`` writes several commands at once and reads their answers
+    back in order, one prompt each: every command sent is synchronous, so
+    gdb answers it with one result record and one prompt, and no MI tokens
+    are needed to match answers to commands.  ``read_until_prompt`` keeps
+    lines after the prompt for the next read and drains the pty the
+    inferior is wired to meanwhile; commands the pipe to gdb did not take
+    at once are written as it drains.
 
-    Before its first command, ``send_command`` reads the child's boot
+    The handle counts the answers still owed.  A caller that stops waiting,
+    on a timeout or an interrupt, leaves its command's answer and those of
+    the rest of its batch owed, and the next batch reads them off before
+    its own write.  The later ``*stopped`` record and prompt of a target
+    that was resumed are not counted.
+
+    Before its first command, ``send_batch`` reads the child's boot
     prompt and points the inferior at ``tty_slave`` with
     ``-inferior-tty-set``; a failure there closes the handle and raises
     as it would for any command.
@@ -365,7 +379,11 @@ class DebuggerHandle:
     def __init__(self, proc: subprocess.Popen, tty_master: int,
                  tty_slave: int):
         self._proc = proc
-        assert proc.stdout is not None
+        assert proc.stdin is not None and proc.stdout is not None
+        self._stdin = proc.stdin.fileno()
+        os.set_blocking(self._stdin, False)
+        self._unsent = bytearray()  # commands the pipe to gdb has not taken
+        self._owed = 0  # prompts still due to commands already sent
         self._stdout = proc.stdout.fileno()
         self._partial: list[bytes] = []  # pieces of a line still being written
         self._lines: deque[str] = deque()
@@ -384,24 +402,29 @@ class DebuggerHandle:
 
     def _pump(self, deadline: float, feed: bytearray | None = None) -> bool:
         """Wait for bytes on the debugger's stdout and take them, draining
-        the inferior's pty and writing feed into it meanwhile.  False if
-        the deadline passed first."""
+        the inferior's pty and writing feed into it, and unsent commands to
+        the debugger, meanwhile.  False if the deadline passed first."""
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return False
             tty = [self._tty_master] if self._tty_open else []
+            to_write = tty if feed else []
+            if self._unsent:
+                to_write = [*to_write, self._stdin]
             readable, writable, _ = select.select(
-                [self._stdout, *tty], tty if feed else [], [], remaining)
+                [self._stdout, *tty], to_write, [], remaining)
             if self._tty_master in readable:
                 self._read_tty()
-            if writable:
+            if self._tty_master in writable:
                 try:
                     del feed[:os.write(self._tty_master, feed)]
                 except BlockingIOError:
                     pass
                 except OSError:  # nothing left to read the input
                     feed.clear()
+            if self._stdin in writable:
+                self._write()
             if self._stdout in readable:
                 break
         chunk = os.read(self._stdout, 65536)
@@ -409,6 +432,16 @@ class DebuggerHandle:
         for raw in split_lines(chunk, self._partial):
             self._lines.append(raw.decode("utf-8", "replace").rstrip("\r"))
         return True
+
+    def _write(self) -> None:
+        """Write as much of the unsent commands as the pipe to the debugger
+        takes now; DebuggerExited if the debugger has closed it."""
+        try:
+            del self._unsent[:os.write(self._stdin, self._unsent)]
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            raise DebuggerExited(str(exc)) from exc
 
     def _read_tty(self) -> bool:
         """Take one chunk of the inferior's output, so that a target that
@@ -462,6 +495,9 @@ class DebuggerHandle:
                 line = self._lines.popleft()
                 lines.append(line)
                 if line in _PROMPTS:
+                    # The boot prompt and those after async records such
+                    # as *stopped answer no command.
+                    self._owed = max(self._owed - 1, 0)
                     return lines
             if self._eof:
                 raise DebuggerExited("debugger closed its output stream")
@@ -472,18 +508,45 @@ class DebuggerHandle:
 
     def send_command(self, command: str,
                      timeout: float = DEFAULT_COMMAND_TIMEOUT) -> MIOutput:
-        """Send one MI command and return all lines up to the prompt."""
+        """Send one MI command, a batch of one, and return all lines up to
+        the prompt."""
+        return self.send_batch([command], timeout)[0]
+
+    def send_batch(self, commands: list[str],
+                   timeout: float = DEFAULT_COMMAND_TIMEOUT) -> list[MIOutput]:
+        """Write synchronous MI commands together and return each one's
+        lines up to its own prompt, in order.  Each answer may take
+        timeout; a command that runs past it raises DebuggerError and
+        leaves its answer, and those of the commands after it, owed.
+
+        Answers owed to earlier commands are read off first, within
+        timeout in all.  If they do not come, later answers could not be
+        told from theirs, and DebuggerExited ends the session.
+        """
         if self._handshake_owed:
             self._finish_handshake()
         if self._eof or self._proc.poll() is not None:
             raise DebuggerExited("debugger is not running")
+        self._read_owed(timeout)
+        self._unsent += b"".join(command.encode() + b"\n"
+                                 for command in commands)
+        self._owed += len(commands)
+        self._write()
+        return [MIOutput(self.read_until_prompt(timeout), command)
+                for command in commands]
+
+    def _read_owed(self, timeout: float) -> None:
+        """Read off and drop the answers owed to earlier commands."""
+        deadline = time.monotonic() + timeout
         try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(command.encode() + b"\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise DebuggerExited(str(exc)) from exc
-        return MIOutput(self.read_until_prompt(timeout), command)
+            while self._owed:
+                self.read_until_prompt(deadline - time.monotonic())
+        except DebuggerExited:
+            raise
+        except DebuggerError:
+            raise DebuggerExited(
+                f"the debugger still owes {self._owed} answer(s) to earlier "
+                f"commands after {timeout:g}s") from None
 
     def wait_for_stop(self, timeout: float,
                       stdin: str | None = None) -> MIRecord:
@@ -515,11 +578,11 @@ class DebuggerHandle:
         self._closed = True
         self._handshake_owed = False
         if self._proc.poll() is None:
+            # After the rest of any command the pipe has not yet taken.
+            self._unsent += b"-gdb-exit\n"
             try:
-                assert self._proc.stdin is not None
-                self._proc.stdin.write(b"-gdb-exit\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError, OSError):
+                self._write()
+            except DebuggerExited:
                 pass
             try:
                 self._proc.wait(timeout=3)

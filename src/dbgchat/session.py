@@ -6,6 +6,8 @@ including exit-code decoding and failed-assertion detection.
 
 ``MIOutput.result`` decides whether an answer is usable, and ``_read``
 raises ProtocolError for a payload or ``*stopped`` field gdb never gives.
+``evaluate`` writes a frame's evaluations together and reads every
+answer before it reports any answer's error.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import re
 from collections.abc import Callable
 
 from .errors import (
+    DebuggerError,
     DebuggerExited,
     EvaluationError,
     NotStopped,
@@ -21,6 +24,7 @@ from .errors import (
     Record,
 )
 from .mi import (
+    MIOutput,
     MIRecord,
     DebuggerHandle,
     file_symbols,
@@ -49,11 +53,12 @@ DEFAULT_GLOBALS_CAP = 10
 
 
 class Binding:
-    """One variable visible in a frame, with gdb's textual value."""
+    """One variable visible in a frame, with gdb's textual value, or None
+    while it is still to be evaluated."""
 
     __slots__ = ("name", "value", "type")
 
-    def __init__(self, name: str, value: str, type: str = ""):
+    def __init__(self, name: str, value: str | None, type: str = ""):
         self.name = name
         self.value = value
         self.type = type
@@ -133,6 +138,21 @@ def _read(what: str, read: Callable, value):
         raise ProtocolError(f"malformed {what}: {exc!r}") from exc
 
 
+def _answer(out: MIOutput, read: Callable):
+    """read(payload) of a usable answer; see MIOutput.result."""
+    record = out.result(EvaluationError)
+    return _read(f"answer to {out.command}", read, record.payload)
+
+
+def shown_value(answer: str | DebuggerError) -> str:
+    """A variable's value from evaluate: the value, or "<unreadable>"
+    if gdb could not evaluate it.  A malformed answer raises its
+    ProtocolError."""
+    if isinstance(answer, ProtocolError):
+        raise answer
+    return "<unreadable>" if isinstance(answer, EvaluationError) else answer
+
+
 def _text(value) -> str | None:
     """A value gdb gives as a string, or None; TypeError for any other."""
     if value is not None and not isinstance(value, str):
@@ -189,8 +209,7 @@ class DebugSession:
 
     def _ask(self, command: str, read: Callable):
         """read(payload) of command's usable answer; see MIOutput.result."""
-        record = self.handle.send_command(command).result(EvaluationError)
-        return _read(f"answer to {command}", read, record.payload)
+        return _answer(self.handle.send_command(command), read)
 
     def _require_stack(self) -> None:
         if not self.stopped:
@@ -281,32 +300,44 @@ class DebugSession:
         return list(self._snapshot()[1])
 
     def frame_variables(self, level: int) -> list[Binding]:
-        """Locals and arguments of one frame, values filled in.
+        """Locals and arguments of one frame, as gdb lists them.
 
-        Aggregate values (arrays, structs) are omitted by the listing
-        command and fetched with a frame-scoped evaluation instead.
+        The listing leaves out aggregate values (arrays, structs): those
+        bindings' values are None, for the caller to evaluate along with
+        the frame's other expressions in one batch.
         """
         self._require_stack()
-        listed = self._ask(
-            f"-stack-list-variables --thread 1 --frame {level} --simple-values",
-            lambda payload: [(_text(var["name"]), _text(var.get("value")),
-                              _text(var.get("type", "")))
-                             for var in payload["variables"]])
-        return [Binding(name=name, type=type_, value=self._value(name, level)
-                        if value is None else value)
-                for name, value, type_ in listed]
-
-    def evaluate(self, expression: str, frame: int | None = None) -> str:
-        """Evaluate an expression, optionally in a specific frame's scope."""
-        scope = f"--thread 1 --frame {frame} " if frame is not None else ""
         return self._ask(
-            f"-data-evaluate-expression {scope}{_quote_mi_arg(expression)}",
-            lambda payload: _text(payload["value"]))
+            f"-stack-list-variables --thread 1 --frame {level} --simple-values",
+            lambda payload: [Binding(name=_text(var["name"]),
+                                     value=_text(var.get("value")),
+                                     type=_text(var.get("type", "")))
+                             for var in payload["variables"]])
+
+    def evaluate(self, expressions: list[str],
+                 frame: int | None = None) -> list[str | DebuggerError]:
+        """Evaluate expressions, optionally in a specific frame's scope, in
+        one batch: each one's value, or the EvaluationError or
+        ProtocolError that its answer raises."""
+        if not expressions:
+            return []
+        scope = f"--thread 1 --frame {frame} " if frame is not None else ""
+        answers: list[str | DebuggerError] = []
+        for out in self.handle.send_batch(
+                [f"-data-evaluate-expression {scope}{_quote_mi_arg(e)}"
+                 for e in expressions]):
+            try:
+                answers.append(_answer(out, lambda payload: _text(
+                    payload["value"])))
+            except (EvaluationError, ProtocolError) as exc:
+                answers.append(exc)
+        return answers
 
     def global_variables(self, fullname: str, frame: int) -> list[Binding]:
         """The first DEFAULT_GLOBALS_CAP file-scope variables of one file.
 
-        Values are read in the given frame's scope so file statics resolve.
+        Values are read in the given frame's scope so file statics
+        resolve, in one batch; see shown_value.
         """
         self._require_stack()
         # file_symbols parses only this file's entries of the table.
@@ -314,16 +345,10 @@ class DebugSession:
         symbols = _read("answer to -symbol-info-variables", lambda syms: sorted(
             (int(sym.get("line", "0")), _text(sym["name"]),
              _text(sym.get("type", ""))) for sym in syms),
-            file_symbols(out, fullname))
-        return [Binding(name=name, value=self._value(name, frame), type=type_)
-                for _, name, type_ in symbols[:DEFAULT_GLOBALS_CAP]]
-
-    def _value(self, name: str, frame: int) -> str:
-        """The variable's value in the frame, or "<unreadable>"."""
-        try:
-            return self.evaluate(name, frame=frame)
-        except EvaluationError:
-            return "<unreadable>"
+            file_symbols(out, fullname))[:DEFAULT_GLOBALS_CAP]
+        values = self.evaluate([name for _, name, _ in symbols], frame)
+        return [Binding(name=name, value=shown_value(value), type=type_)
+                for (_, name, type_), value in zip(symbols, values)]
 
     def symbol_definition(self, name: str) -> tuple[str, int] | None:
         """Where a function, variable, or type with this name is defined.

@@ -29,6 +29,7 @@ TAIL = 3
 
 _REPEATS = re.compile(r"^(.*?) <repeats (\d+) times>$")
 _POINTER = re.compile(r'^(0x[0-9a-fA-F]+)(?: (".*"|<.+>))?$')
+_ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 _STRUCT_FIELD = re.compile(r"^([A-Za-z_$][A-Za-z0-9_$]*) = (.*)$", re.DOTALL)
 
 
@@ -131,15 +132,28 @@ def _render(text: str, depth: int = 1) -> str:
     return f"[{body}]" if array else f"{{{body}}}"
 
 
+def follows_pointer(raw_value: str, is_pointer: bool) -> bool:
+    """Whether a binding gets a one-level dereference: a pointer binding
+    whose value is a bare address other than null."""
+    text = raw_value.strip()
+    return (is_pointer and _ADDRESS.fullmatch(text) is not None
+            and int(text, 16) != 0)
+
+
 def render_value(name: str, raw_value: str, is_pointer: bool = False,
                  evaluator=None) -> str:
     """Render one binding's value under the depth and width limits.
 
     evaluator, when given, maps an expression string to value text and is
-    used for the one-level dereference of pointer bindings.  Rendering is
-    total: evaluator failures degrade to the bare address.
+    used for the one-level dereference that follows_pointer calls for.
+    Rendering is total: evaluator failures degrade to the bare address.
     """
     text = raw_value.strip()
+    if evaluator is not None and follows_pointer(text, is_pointer):
+        try:
+            return f"{text} → {_render(evaluator(f'*{name}').strip(), 2)}"
+        except Exception:
+            return text
     pointer = _POINTER.match(text)
     try:
         # Pointer-shaped text that also splits as an aggregate is one.
@@ -152,9 +166,4 @@ def render_value(name: str, raw_value: str, is_pointer: bool = False,
         return address
     if annot and annot.startswith('"'):
         return f"{address} → {annot}"
-    if annot or not is_pointer or evaluator is None:
-        return text
-    try:
-        return f"{address} → {_render(evaluator(f'*{name}').strip(), 2)}"
-    except Exception:
-        return address
+    return text

@@ -169,7 +169,8 @@ class StandIn:
     ``standin(description)`` writes the description, starts a session on
     it, runs it to its stop and returns ``(session, sent)``: ``sent`` is
     every MI command the session sent, in order, recorded around
-    ``session.handle.send_command``.  ``check()`` closes each session and
+    ``session.handle.send_batch``, which ``send_command`` calls.
+    ``check()`` closes each session and
     compares the commands it recorded with those the stand-in counted in
     its exit log, so that a command sent around the recorder fails the
     test rather than leaving ``sent`` short.
@@ -194,16 +195,16 @@ class StandIn:
         target = self.target(description)
         session = DebugSession(target)
         sent = []
-        send = session.handle.send_command
+        send = session.handle.send_batch
 
-        def record(command, *args, **kwargs):
+        def record(commands, *args, **kwargs):
             # Recorded after the call returns, so that the handshake's
             # -inferior-tty-set, sent within the first call, comes first.
             try:
-                return send(command, *args, **kwargs)
+                return send(commands, *args, **kwargs)
             finally:
-                sent.append(command)
-        session.handle.send_command = record
+                sent.extend(commands)
+        session.handle.send_batch = record
         self.runs.append((session, sent, target[:-len(".json")] + ".log"))
         session.run_to_stop()
         return session, sent

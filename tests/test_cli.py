@@ -515,6 +515,47 @@ def test_a_base_url_with_an_ipv6_host_gets_past_the_check(tmp_path,
     assert captured.out == ""
 
 
+def _proxy_environment(monkeypatch, empty_dir, settings: dict[str, str]):
+    """No gdb on PATH, a test key, and the proxy variables settings sets."""
+    monkeypatch.setenv("PATH", str(empty_dir))
+    monkeypatch.setenv("DBGCHAT_TEST_KEY", "sk-test")
+    for name in ("https_proxy", "http_proxy", "HTTPS_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in settings.items():
+        monkeypatch.setenv(name, value)
+
+
+@pytest.mark.parametrize("name, proxy", [
+    ("http_proxy", "http://proxy:99999"),
+    ("HTTPS_PROXY", "user:secret@proxy:x"),
+    ("https_proxy", "socks5h://proxy:1080"),
+    ("HTTP_PROXY", "http://[1]:80"),
+])
+def test_a_proxy_no_request_can_use_is_refused_before_the_spawn(
+        tmp_path, monkeypatch, capsys, name, proxy):
+    _proxy_environment(monkeypatch, tmp_path, {name: proxy})
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", "--base-url",
+                 "http://127.0.0.1:9/v1", sys.executable]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"dbgchat: the proxy in {name} is not an http: or https: URL naming "
+        "a host and, if any, a port up to 65535\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("settings", [
+    {"http_proxy": "proxy:3128", "HTTPS_PROXY": "http://u:p@[::1]:8080/"},
+    # The lower-case variable is read first, even when it is empty.
+    {"https_proxy": "", "HTTPS_PROXY": "http://proxy:99999"},
+])
+def test_a_proxy_a_request_can_use_gets_past_the_check(tmp_path, monkeypatch,
+                                                       capsys, settings):
+    _proxy_environment(monkeypatch, tmp_path, settings)
+    assert main(["--key-env", "DBGCHAT_TEST_KEY", sys.executable]) == 1
+    assert capsys.readouterr().err == (
+        "dbgchat: debugger not found on PATH: gdb\n")
+
+
 def test_a_typed_line_that_is_not_utf8_costs_only_its_character(standin,
                                                                 tmp_path):
     script = tmp_path / "turns.json"

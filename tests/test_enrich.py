@@ -263,6 +263,76 @@ def test_all_library_stack_renders_single_marker(standin):
     assert stack.render() == "[... skipping 3 hidden frame(s)]"
 
 
+def _waves_stack() -> dict:
+    """Two user frames, each with an array, a struct, a pointer to a
+    struct and a string pointer; the inner one's pointer dereferences and
+    a block's own ``arr`` shadows its first.  The file's globals are an
+    array and a pointer that does not dereference."""
+    app = "/ws/src/app.c"
+    frames = [_frame(0, func="walk", file="app.c", fullname=app, line=5),
+              _frame(1, func="main", file="app.c", fullname=app, line=9)]
+    variables = {
+        level: [var("arr", "int [3]", f"{{{level}, 2, 3}}", aggregate=True),
+                var("pt", "struct point", f"{{x = {level}, y = 2}}",
+                    aggregate=True),
+                var("node", "struct node *", f"0x5555001{level}",
+                    deref="{next = 0x0, depth = 0}" if level == 0 else None),
+                var("name", "const char *", '0x4006f4 "walk"')]
+        for level in range(2)}
+    variables[0].append(var("arr", "char [2]", "{0, 0}", aggregate=True))
+    return stack_description(frames, variables, globals={app: [
+        var("table", "int [2]", "{7, 8}"),
+        var("head", "struct node *", "0x55550100")]})
+
+
+# What build_enriched_stack rendered before frames were enriched in batches.
+_WAVES_RENDER = """\
+app.c(9)main()
+
+   Variables in this frame:
+     arr: int [3] = [1, 2, 3]
+     pt: struct point = {x = 1, y = 2}
+     node: struct node * = 0x55550011
+     name: const char * = 0x4006f4 → "walk"
+
+   Global variables:
+     table: int [2] = [7, 8]
+     head: struct node * = 0x55550100
+
+> app.c(5)walk()
+
+   Variables in this frame:
+     arr: int [3] = [0, 2, 3]
+     pt: struct point = {x = 0, y = 2}
+     node: struct node * = 0x55550010 → {next = 0x0, depth = 0}
+     name: const char * = 0x4006f4 → "walk\""""
+
+
+def test_each_frame_is_enriched_in_two_batches(standin):
+    session, sent = standin(_waves_stack())
+    batches = []
+    send = session.handle.send_batch
+    session.handle.send_batch = lambda commands, *args, **kwargs: (
+        batches.append(list(commands)), send(commands, *args, **kwargs))[1]
+    stack = build_enriched_stack(session, "/ws/src")
+    assert stack.render() == _WAVES_RENDER
+
+    def evaluate(level, *expressions):
+        return [f'-data-evaluate-expression --thread 1 --frame {level} "{e}"'
+                for e in expressions]
+
+    def listing(level):
+        return [f"-stack-list-variables --thread 1 --frame {level} "
+                "--simple-values"]
+    assert batches == [
+        ["-stack-info-depth 10000"], ["-stack-list-frames 0 1"],
+        listing(0), evaluate(0, "arr", "pt", "arr", "*node"),
+        listing(1), evaluate(1, "arr", "pt", "*node"),
+        ["-symbol-info-variables"], evaluate(1, "table", "head"),
+        evaluate(1, "*head")]
+    assert sent[-sum(map(len, batches)):] == sum(batches, [])
+
+
 # -- budgeted enrichment ----------------------------------------------------
 
 _SOURCE_LINES = (3, 12, 40)

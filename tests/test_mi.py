@@ -9,6 +9,7 @@ import importlib.util
 import os
 import pty
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -657,6 +658,75 @@ def test_debugger_exit_mid_command_raises(fake_gdb):
             dbg.send_command("-data-evaluate-expression 1")
 
 
+def _answer(value: str) -> list[str]:
+    return [f'^done,value="{value}"', "(gdb) "]
+
+
+# "slow" answers after 0.3 s; each other command names its own answer.
+_OWED = {"slow": [{"sleep": 0.3}, *_answer("slow")],
+         **{name: _answer(name) for name in "abc"}}
+
+
+def _values(outputs) -> list[str]:
+    return [out.result(EvaluationError).payload["value"] for out in outputs]
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("stop", ["timeout", "interrupt"])
+def test_an_abandoned_answer_is_read_off_before_the_next_command(fake_gdb,
+                                                                stop):
+    with contextlib.closing(spawn_debugger(fake_gdb(_OWED))) as dbg:
+        dbg.send_command("a")  # the handshake, done before the timing
+        if stop == "timeout":
+            with pytest.raises(DebuggerError, match="no prompt within 0.1s"):
+                dbg.send_command("slow", timeout=0.1)
+        else:
+            previous = signal.signal(signal.SIGALRM, _interrupt)
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0.1)
+                with pytest.raises(KeyboardInterrupt):
+                    dbg.send_command("slow")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        assert _values(dbg.send_command(name) for name in "abc") == \
+            ["a", "b", "c"]
+
+
+def test_a_batch_cut_short_leaves_the_next_answer_right(fake_gdb):
+    with contextlib.closing(spawn_debugger(fake_gdb(_OWED))) as dbg:
+        with pytest.raises(DebuggerError, match="no prompt within 0.1s"):
+            dbg.send_batch(["a", "slow", "b"], timeout=0.1)
+        assert _values([dbg.send_command("c")]) == ["c"]
+        assert _values(dbg.send_batch(["b", "a"])) == ["b", "a"]
+
+
+def test_a_batch_is_read_to_its_end_in_order(fake_gdb):
+    target = fake_gdb({**_OWED, "err": ['^error,msg="No symbol"', "(gdb) "],
+                       "odd": ['~"no result"', "(gdb) "]})
+    with contextlib.closing(spawn_debugger(target)) as dbg:
+        a, err, odd, b = dbg.send_batch(["a", "err", "odd", "b"])
+        assert _values([a, b]) == ["a", "b"]
+        with pytest.raises(EvaluationError, match="^No symbol$"):
+            err.result(EvaluationError)
+        with pytest.raises(ProtocolError, match="unexpected answer to odd"):
+            odd.result(EvaluationError)
+
+
+def test_an_answer_that_never_comes_ends_the_session(fake_gdb):
+    target = fake_gdb({**_OWED, "never": ['~"half"']})
+    with contextlib.closing(spawn_debugger(target)) as dbg:
+        with pytest.raises(DebuggerError, match="no prompt within 0.1s"):
+            dbg.send_command("never", timeout=0.1)
+        with pytest.raises(DebuggerExited,
+                           match=r"^the debugger still owes 1 answer\(s\) to "
+                                 r"earlier commands after 0\.2s$"):
+            dbg.send_command("a", timeout=0.2)
+
+
 def test_target_output_is_drained_while_a_command_waits(fake_gdb):
     # Far more than a pty buffers: the target blocks unless it is drained.
     text = "".join(f"line {i}\n" for i in range(30000))
@@ -798,6 +868,23 @@ def test_live_evaluate(fixture_bins):
         out = dbg.send_command("-data-evaluate-expression 1+1")
         assert out.result(EvaluationError).klass == "done"
         assert out.result(EvaluationError).payload["value"] == "2"
+
+
+def test_live_batch_answers_as_one_command_at_a_time(fixture_bins):
+    evaluate = "-data-evaluate-expression --thread 1 --frame"
+    commands = [f"{evaluate} 0 len", f"{evaluate} 0 counts",
+                f"{evaluate} 0 *cursor", f"{evaluate} 0 no_such_symbol",
+                f"{evaluate} 1 snap", f"{evaluate} 1 count",
+                f"{evaluate} 2 marbles", f'{evaluate} 2 "drawn_count + 1"']
+    with contextlib.closing(
+            spawn_debugger(str(fixture_bins["crash_segv"]))) as dbg:
+        dbg.send_command("-exec-run")
+        dbg.wait_for_stop(timeout=20)
+        one_at_a_time = [dbg.send_command(c).lines for c in commands]
+        batched = [out.lines for out in dbg.send_batch(commands)]
+        again = [dbg.send_command(c).lines for c in commands]
+    assert batched == one_at_a_time == again
+    assert '^done,value="150"' in one_at_a_time[0]
 
 
 def test_live_run_captures_target_output(fixture_bins):

@@ -54,30 +54,32 @@ def test_stack_depth(segv):
     assert segv.stack_depth() == 3
 
 
-def test_frame_variables_fill_aggregates(segv):
+def test_frame_variables_leave_aggregates_to_evaluate(segv):
     by_name = {b.name: b for b in segv.frame_variables(0)}
     assert by_name["len"].value == "150"
-    assert by_name["counts"].value == "{1, 2, 3, 4, 5, 6, 7, 8}"
+    assert by_name["counts"].value is None
     assert by_name["cursor"].value == "0x0"
+    assert segv.evaluate(["counts"], 0) == ["{1, 2, 3, 4, 5, 6, 7, 8}"]
 
 
 def test_frame_variables_struct(segv):
     by_name = {b.name: b for b in segv.frame_variables(1)}
-    assert by_name["snap"].value == (
+    assert by_name["snap"].value is None
+    assert segv.evaluate(["snap"], 1) == [
         "{part = {nested = {depth3_a = 41, depth3_b = 42}, "
-        "depth2_x = 7}, depth1_id = 99}")
+        "depth2_x = 7}, depth1_id = 99}"]
 
 
 def test_evaluate_in_frames(segv):
-    assert segv.evaluate("1+1") == "2"
-    assert segv.evaluate("count", frame=1) == "150"
-    with pytest.raises(EvaluationError):
-        segv.evaluate("no_such_symbol_here")
+    answers = segv.evaluate(["1+1", "no_such_symbol_here"])
+    assert answers[0] == "2"
+    assert isinstance(answers[1], EvaluationError)
+    assert segv.evaluate(["count"], frame=1) == ["150"]
 
 
 def test_char_array_repeats_form(segv):
-    value = segv.evaluate("marbles")
-    assert value == "'R' <repeats 100 times>, 'B' <repeats 50 times>"
+    assert segv.evaluate(["marbles"]) == [
+        "'R' <repeats 100 times>, 'B' <repeats 50 times>"]
 
 
 def test_global_variables_capped_and_scoped(segv):
@@ -178,7 +180,7 @@ def test_binding_pointer_flag(segv):
 def test_evaluate_never_resumes(segv):
     before = (segv.stop.kind, segv.stop.signal_name,
               segv.stop.frame.func, segv.stop.frame.line)
-    segv.evaluate("drawn_count + 1")
+    segv.evaluate(["drawn_count + 1"])
     segv.execute_console("info locals")
     after = (segv.stop.kind, segv.stop.signal_name,
              segv.stop.frame.func, segv.stop.frame.line)
@@ -345,9 +347,9 @@ def test_global_variables_reads_one_file_capped_and_in_line_order(fake_gdb):
     with DebugSession(target) as s:
         s.run_to_stop()
         sent = []
-        send = s.handle.send_command
-        s.handle.send_command = lambda command, **kw: (
-            sent.append(command), send(command, **kw))[1]
+        send = s.handle.send_batch
+        s.handle.send_batch = lambda commands, *args, **kw: (
+            sent.extend(commands), send(commands, *args, **kw))[1]
         bindings = s.global_variables("/ws/app.c", frame=2)
     assert len(_GLOBALS) == session_module.DEFAULT_GLOBALS_CAP
     assert [(b.name, b.type) for b in bindings] == _GLOBALS
@@ -424,6 +426,6 @@ def test_the_stand_in_counts_what_the_recorder_missed(standin):
     assert sent[1:] == ["-exec-run"]
     assert sent[0].startswith("-inferior-tty-set ")
     # A command sent around the recorder: the stand-in still counts it.
-    DebuggerHandle.send_command(session.handle, "-stack-info-depth")
+    DebuggerHandle.send_batch(session.handle, ["-stack-info-depth"])
     with pytest.raises(AssertionError, match="read 4 commands, but 2 were"):
         standin.check()
